@@ -289,7 +289,9 @@ def _model(settings: Settings) -> SuccessModel:
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return repr(value)  # shortest round-trip form, deterministic
+        # float() first: a numpy scalar is a float subclass whose repr
+        # under numpy >= 2 is "np.float64(...)", not the number alone.
+        return repr(float(value))  # shortest round-trip form, deterministic
     return str(value)
 
 

@@ -61,12 +61,13 @@ def _check_f(f: float) -> None:
 
 
 def load_rho(queue: QueueParams, f: float) -> float:
-    """Load ratio rho = q(1-f) / ((1-q)f); inf when f = 0 or q = 1."""
+    """Load ratio rho = q(1-f) / ((1-q)f); inf when (1-q)f is 0 in floating point."""
     _check_f(f)
     q = queue.arrival_prob_q
-    if f == 0.0 or q == 1.0:
+    den = (1.0 - q) * f
+    if den == 0.0:  # f = 0, q = 1, or a product that underflows
         return math.inf
-    return q * (1.0 - f) / ((1.0 - q) * f)
+    return q * (1.0 - f) / den
 
 
 def transition_matrix(queue: QueueParams, f: float) -> np.ndarray:

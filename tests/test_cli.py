@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from greenlink import dbm_to_watts
+from greenlink import QKnownChannel, dbm_to_watts
 from greenlink.cli import main
 
 
@@ -110,6 +110,21 @@ class TestSweep:
         assert powers[0] == pytest.approx(1e-3)
         assert powers[-1] == pytest.approx(1.0)
         assert powers == sorted(powers)
+
+    def test_qfunc_cells_are_plain_numbers(self, tmp_path):
+        # the qfunc model returns numpy scalars; every cell must still be
+        # the shortest round-trip form of the model's own value
+        out = tmp_path / "qfunc.csv"
+        assert main(["sweep", "--model", "qfunc", "--kappa", "10", "--axis", "q",
+                     "--values", "0.3", "--p-points", "30", "--out", str(out)]) == 0
+        rows = read_rows(out)[1:]
+        assert len(rows) == 30
+        for row in rows:
+            assert all(repr(float(cell)) == cell for cell in row[:5])
+        model = QKnownChannel(rate_R=4000, rate_R0=1000, spread_kappa=10.0,
+                              channel_gain_hh=1.0, noise_sigma2=1e-3)
+        for row in rows:
+            assert float(row[4]) == float(model.success_probability(float(row[1])))
 
     def test_q_axis_needs_values(self, capsys):
         assert main(["sweep", "--axis", "q"]) == 1

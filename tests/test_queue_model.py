@@ -54,6 +54,11 @@ class TestLoadRho:
     def test_dead_channel(self):
         assert load_rho(QueueParams(0.5, 5), 0.0) == math.inf
 
+    def test_subnormal_channel(self):
+        # (1 - q) f underflows to zero: the load is as infinite as at f = 0
+        assert load_rho(QueueParams(0.5, 5), 5e-324) == math.inf
+        assert packet_loss(QueueParams(0.5, 1), 5e-324) == 1.0
+
     @pytest.mark.parametrize("bad_f", [-0.2, 1.2])
     def test_f_domain(self, bad_f):
         with pytest.raises(ValueError):
