@@ -34,6 +34,7 @@ from .optimize import (
 from .queueing import (
     QueueParams,
     StationaryDistribution,
+    full_buffer_log_slope,
     full_buffer_prob,
     infinite_K_loss,
     load_rho,
@@ -72,6 +73,7 @@ __all__ = [
     "db_to_linear",
     "dbm_to_watts",
     "efficiency",
+    "full_buffer_log_slope",
     "full_buffer_prob",
     "gaussian_q",
     "infinite_K_loss",

@@ -431,10 +431,12 @@ def _cmd_gain(args) -> int:
         values = [round(0.05 * i, 2) for i in range(1, 21)]
     rows = []
     infeasible = False
+    # On the q axis every row shares the full-load reference settings.
+    shared_ref = _optimum_row(_with_q(settings, 1.0))[0] if axis == "q" else None
     for value in values:
         local = _with_q(settings, value) if axis == "q" else _with_ratio(settings, value)
         result, _ = _optimum_row(local)
-        ref, _ = _optimum_row(_with_q(local, 1.0))
+        ref = shared_ref if axis == "q" else _optimum_row(_with_q(local, 1.0))[0]
         if result.p_star_constrained is None or ref.p_star_constrained is None:
             infeasible = True
             rows.append([value, "infeasible", "infeasible", ""])

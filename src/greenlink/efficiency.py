@@ -15,7 +15,7 @@ energy: at low traffic, idling dominates the bill.
 import math
 from dataclasses import dataclass
 
-from .queueing import QueueParams, packet_loss
+from .queueing import QueueParams, full_buffer_log_slope, full_buffer_prob, packet_loss
 from .success import SuccessModel
 
 __all__ = [
@@ -100,48 +100,32 @@ def efficiency(
 
 
 def stationarity_residual(
-    system: SystemParams,
-    queue: QueueParams,
-    model: SuccessModel,
-    p: float,
-    rel_step: float = 1e-6,
+    system: SystemParams, queue: QueueParams, model: SuccessModel, p: float
 ) -> float:
-    """Signed first-order optimality residual of eta at p.
+    """Normalized exact slope d ln(eta) / d ln(p) at p, in [-1, 1].
 
-    Writing g = q(1 - Phi), the sign of d(eta)/dp matches
+    With F = p f'/f, X = a p g/f (g = q(1 - Phi)) and the buffer term
 
-        -Phi'(p) * (b + a p g / f)  +  a g * (Phi'(p) p / f - (1 - Phi) (p/f)'),
+        H = Pr(full) (f + K - E[state]) F / (1 - Phi) = -p Phi' / (1 - Phi) >= 0,
 
-    with Phi' estimated by a central finite difference of step
-    rel_step * p on packet_loss of f(p), and (p/f)' = (f - p f')/f**2
-    taken from the model's derivative. The value is normalized by the
-    sum of the two term magnitudes, so it lies in [-1, 1]: positive
-    below the maximizer, negative above it, and ~0 at it.
+    the slope is (b H + X (F - 1)) / (b + X). Returned is
+    (b H + X (F - 1)) / (b H + X (F + 1)): same sign (positive below the
+    maximizer, negative above it), smooth, and with a magnitude that
+    certifies an optimum even where one term is tiny (q -> 0). Where eta
+    is identically zero (f or 1 - Phi underflows, at low power) it is +1.
     """
     if p <= 0.0:
         raise ValueError("transmit power must be positive")
-    h = rel_step * p
-    f_mid = model.success_probability(p)
-    f_lo = model.success_probability(p - h)
-    f_hi = model.success_probability(p + h)
-    if min(f_lo, f_mid, f_hi) <= _F_FLOOR:
-        return 0.0  # eta is identically zero in the underflow region
-    phi_mid = packet_loss(queue, f_mid)
-    phi_lo = packet_loss(queue, f_lo)
-    phi_hi = packet_loss(queue, f_hi)
-    d_phi = (phi_hi - phi_lo) / (2.0 * h)
-    d_p_over_f = (f_mid - p * model.success_derivative(p)) / (f_mid * f_mid)
-
-    q = queue.arrival_prob_q
-    b = system.fixed_power_b
-    a = system.amp_coeff_a
-    g = q * (1.0 - phi_mid)
-    term_idle = -d_phi * (b + a * p * g / f_mid)
-    term_amp = a * g * (d_phi * p / f_mid - (1.0 - phi_mid) * d_p_over_f)
-    scale = abs(term_idle) + abs(term_amp)
-    if scale == 0.0:
-        return 0.0
-    return (term_idle + term_amp) / scale
+    f = float(model.success_probability(p))  # numpy scalars would slow every step
+    full = full_buffer_prob(queue, f)
+    delivered = 1.0 - (1.0 - f) * full  # 1 - Phi
+    if f <= _F_FLOOR or delivered <= 0.0:
+        return 1.0
+    F = p * model.success_derivative(p) / f
+    H = full * (f + full_buffer_log_slope(queue, f)) * F / delivered
+    bH = system.fixed_power_b * H
+    X = system.amp_coeff_a * p * queue.arrival_prob_q * delivered / f
+    return (bH + X * (F - 1.0)) / (bH + X * (F + 1.0))
 
 
 def power_gain_db(p_star_q1: float, p_star: float) -> float:

@@ -1,11 +1,18 @@
 """Transmit-power selection for the buffered-transmitter efficiency metric.
 
-For sigmoidal success models eta(p) is quasi-concave with a single
-interior maximizer, so a golden-section search over log(p) on a bracket
-found by coarse sampling is exact up to the bracket tolerance. The QoS
-bound Phi <= epsilon converts, because Phi is strictly decreasing in p,
-into a minimum power p0 found by bisection; the constrained optimum is
-the projection of the unconstrained one onto [max(p0, p_min), p_max].
+For sigmoidal success models eta(p) is quasi-concave, so its maximizer
+is the one sign change of the exact slope d ln(eta)/d ln(p)
+(`stationarity_residual`), found by a Brent zero-finder in ln(p); a
+coarse eta scan brackets it first when the slope does not fall from +
+to - across the search range. Phi is strictly decreasing in p, so the
+QoS bound Phi <= epsilon is a minimum power p0, the zero of
+Phi - epsilon; the constrained optimum is the projection of the
+unconstrained one onto [max(p0, p_min), p_max].
+
+Known fault: the qfunc model has f(0) = Q(kappa R/R0) > 0, so with b = 0
+eta grows without bound as p -> 0 and is not quasi-concave; the scan
+then returns the interior local peak inside the search range (about
+0.0692 W for kappa = 2 at the CLI defaults), not the supremum.
 """
 
 import math
@@ -15,7 +22,7 @@ from typing import Callable, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .efficiency import SystemParams, efficiency, stationarity_residual
+from .efficiency import _F_FLOOR, SystemParams, efficiency, stationarity_residual
 from .queueing import QueueParams, packet_loss
 from .success import SuccessModel
 
@@ -30,10 +37,11 @@ __all__ = [
     "is_unimodal_grid",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _BRACKET_POINTS = 65
 _MAX_EXPANSIONS = 60
-_LOG_BRACKET_TOL = 1e-9  # relative width at which the search stops
+_LOG_BRACKET_TOL = 1e-9  # QoS threshold: bracket width in ln(p)
+_LOG_ROOT_TOL = 1e-14  # optima: bracket width in ln(p)
+_EPS = float(np.finfo(float).eps)
 
 
 class NoInteriorMaximumError(RuntimeError):
@@ -53,6 +61,9 @@ class Binding(Enum):
 class Optimum:
     """Result of a power search; constrained fields are None until filled in.
 
+    iterations counts slope evaluations, scan_evaluations the eta
+    evaluations of the fallback scan, and certificate is the normalized
+    slope at p_star (near 0 at an interior optimum).
     p0 is the smallest power meeting the loss bound, math.inf when no
     power up to p_max does; in that case p_star_constrained stays None
     and binding is INFEASIBLE.
@@ -62,6 +73,8 @@ class Optimum:
     eta_star: float
     bracket: Tuple[float, float]
     iterations: int
+    scan_evaluations: int = 0
+    certificate: float = math.nan
     p0: Optional[float] = None
     p_star_constrained: Optional[float] = None
     binding: Optional[Binding] = None
@@ -69,13 +82,14 @@ class Optimum:
 
 def _bracket_maximum(
     fun: Callable[[float], float], lo: float, hi: float
-) -> Tuple[float, float]:
+) -> Tuple[float, float, int]:
     """Find (a, b) containing the maximizer of a unimodal fun, expanding as needed.
 
     Samples a log-spaced grid; an argmax on the boundary pushes that
     boundary outward by a factor of two, up to _MAX_EXPANSIONS times.
+    The third value counts the evaluations of fun.
     """
-    for _ in range(_MAX_EXPANSIONS):
+    for rounds in range(1, _MAX_EXPANSIONS + 1):
         grid = np.exp(np.linspace(math.log(lo), math.log(hi), _BRACKET_POINTS))
         values = [fun(p) for p in grid]
         best = int(np.argmax(values))
@@ -95,41 +109,59 @@ def _bracket_maximum(
             lo /= 2.0
             hi *= 2.0
         else:
-            return float(grid[best - 1]), float(grid[best + 1])
+            return float(grid[best - 1]), float(grid[best + 1]), rounds * _BRACKET_POINTS
     raise NoInteriorMaximumError(
         "no interior maximum found: objective keeps climbing toward a bracket edge"
     )
 
 
-def _golden_max_log(
-    fun: Callable[[float], float], lo: float, hi: float
-) -> Tuple[float, float, int]:
-    """Golden-section maximization over [lo, hi], iterating in log space.
+def _root_log(
+    fun: Callable[[float], float], lo: float, hi: float,
+    f_lo: float, f_hi: float, tol: float,
+) -> Tuple[float, float, float, float, int]:
+    """Brent's zero-finder (Brent 1973, ch. 4) for fun(p) over ln(p) in [ln lo, ln hi].
 
-    On ties the lower subinterval is kept, so flat tops resolve toward
-    the smallest power. Returns (argmax, max, iterations).
+    f_lo = fun(lo) and f_hi = fun(hi) must differ in sign. Returns the final
+    bracket, about tol wide in ln(p), as (p, fun(p), p_other, fun(p_other),
+    evaluations), the end with the smaller |fun| first. fun should return
+    plain floats: on numpy scalars each step is several times slower.
     """
-    a = math.log(lo)
-    b = math.log(hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = fun(math.exp(c))
-    fd = fun(math.exp(d))
-    iterations = 0
-    while b - a > _LOG_BRACKET_TOL:
-        if fc < fd:
-            a = c
-            c, fc = d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fun(math.exp(d))
-        else:  # fc >= fd: keep the lower interval
-            b = d
-            d, fd = c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fun(math.exp(c))
-        iterations += 1
-    x = math.exp(0.5 * (a + b))
-    return x, fun(x), iterations
+    a, b, fa, fb = math.log(lo), math.log(hi), f_lo, f_hi
+    c, fc = a, fa
+    d = e = b - a
+    evaluations = 0
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        step_tol = 2.0 * _EPS * abs(b) + 0.5 * tol
+        m = 0.5 * (c - b)
+        if abs(m) <= step_tol or fb == 0.0:
+            return math.exp(b), fb, math.exp(c), fc, evaluations
+        if abs(e) < step_tol or abs(fa) <= abs(fb):
+            d = e = m  # bisection
+        else:
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(step_tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > step_tol else math.copysign(step_tol, m)
+        fb = fun(math.exp(b))
+        evaluations += 1
 
 
 def _search_limits(system: SystemParams) -> Tuple[float, float]:
@@ -137,46 +169,30 @@ def _search_limits(system: SystemParams) -> Tuple[float, float]:
     return system.noise_sigma2 * 1e-3, system.p_max * 1e3
 
 
-def _refine_by_residual(
-    system: SystemParams, queue: QueueParams, model: SuccessModel, p_hat: float
-) -> Tuple[float, int]:
-    """Polish a section-search maximizer by bisecting the optimality residual.
+def _peak(
+    slope: Callable[[float], float],
+    objective: Callable[[float], float],
+    system: SystemParams,
+) -> Tuple[float, float, Tuple[float, float], int, int]:
+    """Maximizer of objective from the sign change of slope, which shares its sign.
 
-    Value comparisons cannot place the argmax more precisely than the
-    flat top of eta (about sqrt(machine eps) relative); the signed
-    residual still crosses zero sharply there, so a sign bisection
-    recovers several more digits. Falls back to p_hat when no sign
-    change brackets it (flat plateaus).
+    Returns (p_star, slope(p_star), bracket, slope evaluations, scan
+    evaluations). When the slope does not fall from + to - across the
+    search range, _bracket_maximum's scan supplies the bracket; if even
+    that bracket shows no sign change, the scan's argmax is the answer.
     """
-
-    def res(p: float) -> float:
-        return stationarity_residual(system, queue, model, p)
-
-    lo = hi = p_hat
-    r_lo = r_hi = 0.0
-    for delta in (1e-4, 1e-3, 1e-2):
-        lo = p_hat * (1.0 - delta)
-        hi = p_hat * (1.0 + delta)
-        r_lo = res(lo)
-        r_hi = res(hi)
-        if r_lo > 0.0 > r_hi:
-            break
-    else:
-        return p_hat, 0
-    a = math.log(lo)
-    b = math.log(hi)
-    iterations = 0
-    while b - a > 1e-13:
-        mid = 0.5 * (a + b)
-        r_mid = res(math.exp(mid))
-        iterations += 1
-        if r_mid > 0.0:
-            a = mid
-        elif r_mid < 0.0:
-            b = mid
-        else:
-            return math.exp(mid), iterations
-    return math.exp(0.5 * (a + b)), iterations
+    lo, hi = _search_limits(system)
+    r_lo, r_hi = slope(lo), slope(hi)
+    calls, scanned = 2, 0
+    if not r_lo > 0.0 > r_hi:
+        lo, hi, scanned = _bracket_maximum(objective, lo, hi)
+        r_lo, r_hi = slope(lo), slope(hi)
+        calls += 2
+        if not r_lo > 0.0 > r_hi:
+            p = math.sqrt(lo * hi)  # the middle grid point
+            return p, slope(p), (lo, hi), calls + 1, scanned
+    p, r, _, _, n = _root_log(slope, lo, hi, r_lo, r_hi, _LOG_ROOT_TOL)
+    return p, r, (lo, hi), calls + n, scanned
 
 
 def maximize_unconstrained(
@@ -184,19 +200,20 @@ def maximize_unconstrained(
 ) -> Optimum:
     """Global maximizer of eta over p > 0, ignoring p_min/p_max/epsilon."""
 
+    def slope(p: float) -> float:
+        return stationarity_residual(system, queue, model, p)
+
     def objective(p: float) -> float:
         return efficiency(system, queue, model, p).eta
 
-    lo, hi = _search_limits(system)
-    bracket = _bracket_maximum(objective, lo, hi)
-    p_star, eta_star, iterations = _golden_max_log(objective, *bracket)
-    p_star, extra = _refine_by_residual(system, queue, model, p_star)
-    eta_star = objective(p_star)
+    p_star, certificate, bracket, calls, scanned = _peak(slope, objective, system)
     return Optimum(
         p_star=p_star,
-        eta_star=eta_star,
+        eta_star=objective(p_star),
         bracket=bracket,
-        iterations=iterations + extra,
+        iterations=calls,
+        scan_evaluations=scanned,
+        certificate=certificate,
     )
 
 
@@ -205,28 +222,24 @@ def qos_threshold(
 ) -> float:
     """Smallest power whose loss fraction meets epsilon, to 1e-9 relative.
 
-    Phi(p) is strictly decreasing, so bisection in log space applies.
-    Returns math.inf when even p_max misses the bound (infeasible).
+    Phi(p) is strictly decreasing, so Phi - epsilon has one zero; the
+    end of the final bracket that meets the bound is returned. Returns
+    math.inf when even p_max misses the bound (infeasible).
     """
     eps = system.loss_bound_epsilon
 
-    def phi_at(p: float) -> float:
-        return packet_loss(queue, model.success_probability(p))
+    def excess(p: float) -> float:
+        return packet_loss(queue, float(model.success_probability(p))) - eps
 
     lo, _ = _search_limits(system)
-    if phi_at(lo) <= eps:
+    e_lo = excess(lo)
+    if e_lo <= 0.0:
         return lo
-    if phi_at(system.p_max) > eps:
+    e_hi = excess(system.p_max)
+    if e_hi > 0.0:
         return math.inf
-    a = math.log(lo)
-    b = math.log(system.p_max)
-    while b - a > _LOG_BRACKET_TOL:
-        mid = 0.5 * (a + b)
-        if phi_at(math.exp(mid)) <= eps:
-            b = mid
-        else:
-            a = mid
-    return math.exp(b)  # upper end: guaranteed to satisfy the bound
+    p, e, p_other, _, _ = _root_log(excess, lo, system.p_max, e_lo, e_hi, _LOG_BRACKET_TOL)
+    return p if e <= 0.0 else p_other
 
 
 def maximize_constrained(
@@ -269,23 +282,25 @@ def limit_optimizer(
     to f(p) / (b + a p).
     """
     if which == "q_to_0":
-
-        def objective(p: float) -> float:
-            return model.success_probability(p) / p
-
+        b, a = 0.0, 1.0  # f(p)/p is f/(b + a p) with no fixed draw
     elif which == "q_to_1":
-
-        def objective(p: float) -> float:
-            return model.success_probability(p) / (
-                system.fixed_power_b + system.amp_coeff_a * p
-            )
-
+        b, a = system.fixed_power_b, system.amp_coeff_a
     else:
         raise ValueError("which must be 'q_to_0' or 'q_to_1'")
-    lo, hi = _search_limits(system)
-    bracket = _bracket_maximum(objective, lo, hi)
-    p_star, _, _ = _golden_max_log(objective, *bracket)
-    return p_star
+
+    def objective(p: float) -> float:
+        return model.success_probability(p) / (b + a * p)
+
+    def slope(p: float) -> float:
+        # d ln(objective)/d ln(p) = F - a p/(b + a p), normalized like the residual
+        f = float(model.success_probability(p))
+        if f <= _F_FLOOR:
+            return 1.0
+        F = p * model.success_derivative(p) / f
+        t = a * p / (b + a * p)
+        return (F - t) / (F + t)
+
+    return _peak(slope, objective, system)[0]
 
 
 def is_unimodal_grid(values: Sequence[float], rel_tol: float = 1e-9) -> bool:

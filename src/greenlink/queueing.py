@@ -21,6 +21,7 @@ __all__ = [
     "transition_matrix",
     "stationary_distribution",
     "full_buffer_prob",
+    "full_buffer_log_slope",
     "packet_loss",
     "infinite_K_loss",
 ]
@@ -135,6 +136,34 @@ def full_buffer_prob(queue: QueueParams, f: float) -> float:
         return rho**K * (1.0 - rho) / (1.0 - rho ** (K + 1))
     r = 1.0 / rho
     return (1.0 - r) / (1.0 - r ** (K + 1))
+
+
+def full_buffer_log_slope(queue: QueueParams, f: float) -> float:
+    """d ln Pr(full) / d ln rho, which equals K - E[state] under the stationary law.
+
+    A geometric law on {0..K} with ratio exp(-y), y > 0, has mean
+    1/expm1(y) - (K+1)/expm1((K+1) y). Below unit load the state has
+    ratio rho (y = -ln rho), giving E; above it K - state has ratio
+    1/rho (y = ln rho), giving K - E. Balanced load gives K/2, rho = inf
+    gives 0 and rho = 0 gives K.
+    """
+    rho = load_rho(queue, f)
+    K = queue.buffer_size_K
+    if math.isinf(rho):
+        return 0.0
+    if rho == 0.0:
+        return float(K)
+    if abs(rho - 1.0) < _RHO_UNIT_TOL:
+        return 0.5 * K
+    y = abs(math.log(rho))
+    mean = _inv_expm1(y) - (K + 1) * _inv_expm1((K + 1) * y)
+    return mean if rho > 1.0 else K - mean
+
+
+def _inv_expm1(z: float) -> float:
+    # 1 / expm1(z) for z > 0, written so that large z underflows to 0
+    # instead of overflowing.
+    return math.exp(-z) / -math.expm1(-z)
 
 
 def packet_loss(queue: QueueParams, f: float) -> float:

@@ -22,6 +22,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gaussian_q(x: float) -> float:
@@ -98,19 +99,23 @@ class QKnownChannel:
             noise_sigma2=self.noise_sigma2,
         )
 
+    def _argument(self, p: float) -> float:
+        snr = self.channel_gain_hh * p / self.noise_sigma2
+        return self.spread_kappa * (self.rate_R / self.rate_R0 - math.log1p(snr))
+
     def success_probability(self, p: float) -> float:
         if p < 0.0:
             raise ValueError("transmit power must be nonnegative")
-        snr = self.channel_gain_hh * p / self.noise_sigma2
-        arg = self.spread_kappa * (self.rate_R / self.rate_R0 - math.log1p(snr))
-        return min(1.0, max(0.0, gaussian_q(arg)))
+        return min(1.0, max(0.0, gaussian_q(self._argument(p))))
 
-    def success_derivative(self, p: float, rel_step: float = 1e-6) -> float:
-        """Central finite difference with step rel_step * p."""
+    def success_derivative(self, p: float) -> float:
+        """df/dp = kappa * phi(arg) * hh / (sigma2 + hh p), phi the normal pdf; exact."""
         if p <= 0.0:
             raise ValueError("derivative requires positive transmit power")
-        h = rel_step * p
-        return (self.success_probability(p + h) - self.success_probability(p - h)) / (2.0 * h)
+        arg = self._argument(p)
+        hh = self.channel_gain_hh
+        return (self.spread_kappa * _INV_SQRT_2PI * math.exp(-0.5 * arg * arg)
+                * hh / (self.noise_sigma2 + hh * p))
 
 
 SuccessModel = Union[ExpUnknownChannel, QKnownChannel]
@@ -122,5 +127,5 @@ def success_probability(model: SuccessModel, p: float) -> float:
 
 
 def success_derivative(model: SuccessModel, p: float) -> float:
-    """Slope df/dp at p: analytic where the family permits, finite-difference otherwise."""
+    """Slope df/dp at p, in closed form for both families."""
     return model.success_derivative(p)

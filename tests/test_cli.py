@@ -155,6 +155,15 @@ class TestGain:
         rows = read_rows(out)
         assert rows[1][1] == "infeasible"
 
+    def test_q_axis_reference_shared(self, tmp_path):
+        out, single = tmp_path / "gain.csv", tmp_path / "one.csv"
+        args = ["gain", "--model", "qfunc", "--kappa", "10", "--epsilon", "0.01"]
+        assert main(args + ["--values", "1e-5,0.3,1", "--out", str(out)]) == 0
+        assert main(args + ["--values", "0.3", "--out", str(single)]) == 0
+        rows = read_rows(out)[1:]
+        assert {row[1] for row in rows} == {read_rows(single)[1][1]}
+        assert rows[-1][1] == rows[-1][2]  # the q = 1 row is its own reference
+
 
 class TestSimulate:
     def test_fixed_f_run(self, tmp_path, capsys):

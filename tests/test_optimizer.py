@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from greenlink import (
     Binding,
     ExpUnknownChannel,
     NoInteriorMaximumError,
+    QKnownChannel,
     QueueParams,
     SystemParams,
     efficiency,
@@ -116,6 +118,55 @@ class TestMaximizeUnconstrained:
             assert abs(a.p_star - b2.p_star) <= 1e-2 * a.p_star
 
 
+def cli_default_system(b_over_sigma2):
+    # the CLI defaults: sigma2 = 1 mW, p in [0.01 W, 35 dBm], a = 1
+    return SystemParams(rate_R=4000.0, fixed_power_b=b_over_sigma2 * 1e-3,
+                        noise_sigma2=1e-3, p_min=0.01, p_max=10.0 ** 3.5 / 1000.0)
+
+
+def q_model(kappa):
+    return QKnownChannel(rate_R=4000.0, rate_R0=1000.0, spread_kappa=kappa,
+                         channel_gain_hh=1.0, noise_sigma2=1e-3)
+
+
+class TestOptimumDiagnostics:
+    def test_fast_path_counts(self):
+        model = exp_model()
+        sysp = make_system(b=0.1)
+        qp = QueueParams(0.5, 10)
+        res = maximize_unconstrained(sysp, qp, model)
+        assert res.scan_evaluations == 0
+        assert res.bracket == (sysp.noise_sigma2 * 1e-3, sysp.p_max * 1e3)
+        assert 2 < res.iterations <= 20
+        assert res.certificate == stationarity_residual(sysp, qp, model, res.p_star)
+
+    def test_certificate_at_light_traffic_corners(self):
+        # The old finite-difference residual read exactly 1.0 at these corners.
+        worst = 0.0
+        for q, kappa, K, ratio in itertools.product(
+                [1e-6, 1e-5, 1e-4], [10.0, 100.0, 1e4], [1, 10, 1000, 10**6],
+                [0.0, 1.0, 100.0, 1e4]):
+            res = maximize_unconstrained(cli_default_system(ratio),
+                                         QueueParams(q, K), q_model(kappa))
+            worst = max(worst, abs(res.certificate))
+        assert worst <= 1e-9
+
+    def test_unbounded_low_power_takes_scan_path(self):
+        # Known fault, kept on purpose: qfunc with b = 0 has eta -> inf as
+        # p -> 0 because f(0) = Q(kappa R/R0) > 0, so eta is not
+        # quasi-concave; the scan finds the interior local peak.
+        sysp = cli_default_system(0.0)
+        qp = QueueParams(0.5, 10)
+        model = q_model(2.0)
+        lo = sysp.noise_sigma2 * 1e-3
+        assert stationarity_residual(sysp, qp, model, lo) < 0.0
+        res = maximize_unconstrained(sysp, qp, model)
+        assert res.scan_evaluations > 0
+        # p* of the earlier golden-section optimizer at these settings
+        assert res.p_star == pytest.approx(0.06923794372713665, rel=1e-9)
+        assert abs(res.certificate) <= 1e-9
+
+
 class TestQosThreshold:
     def test_vacuous_constraint(self):
         # the threshold degenerates to the lower search bound, below p_min
@@ -146,6 +197,17 @@ class TestQosThreshold:
         assert packet_loss(qp, model.success_probability(p0)) <= 0.05
         assert packet_loss(
             qp, model.success_probability(p0 * (1 - 1e-5))) > 0.05
+
+    def test_bound_met_without_slack(self):
+        from greenlink import packet_loss
+        for model in (exp_model(), q_model(10.0)):
+            for q, K, eps in itertools.product([0.3, 0.6, 0.9], [1, 10, 1000],
+                                               [0.1, 0.01, 1e-3]):
+                qp = QueueParams(q, K)
+                p0 = qos_threshold(make_system(eps=eps), qp, model)
+                assert packet_loss(qp, model.success_probability(p0)) <= eps
+                assert packet_loss(
+                    qp, model.success_probability(p0 * (1 - 1e-8))) > eps
 
     def test_monotone_in_q(self):
         model = exp_model()
