@@ -14,9 +14,10 @@ every CSV value is in watts.
 import argparse
 import configparser
 import csv
+import functools
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 from .efficiency import SystemParams, efficiency
@@ -287,22 +288,15 @@ def _model(settings: Settings) -> SuccessModel:
     raise CliError(f"unknown model {settings.model!r} (choose exp or qfunc)")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        # float() first: a numpy scalar is a float subclass whose repr
-        # under numpy >= 2 is "np.float64(...)", not the number alone.
-        return repr(float(value))  # shortest round-trip form, deterministic
-    return str(value)
-
-
 def _emit_csv(path: Optional[str], header: Sequence[str], rows) -> None:
+    # Cells are plain floats, ints and strings; csv writes a float as its
+    # repr, the shortest form that round-trips.
     if path is None:
         return
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _log_grid(lo: float, hi: float, n: int) -> List[float]:
@@ -314,17 +308,11 @@ def _log_grid(lo: float, hi: float, n: int) -> List[float]:
     return [math.exp(math.log(lo) + step * i) for i in range(n)]
 
 
-def _with_q(settings: Settings, q: float) -> Settings:
-    clone = Settings(**{f.name: getattr(settings, f.name) for f in fields(Settings)})
-    clone.q = q
-    return clone
-
-
-def _with_ratio(settings: Settings, ratio: float) -> Settings:
-    clone = Settings(**{f.name: getattr(settings, f.name) for f in fields(Settings)})
-    clone.b_over_sigma2 = ratio
-    clone.b_w = ratio * clone.sigma2_w
-    return clone
+def _on_axis(settings: Settings, axis: str, value: float) -> Settings:
+    """Settings with the q axis, or otherwise the b/sigma2 axis, set to value."""
+    if axis == "q":
+        return replace(settings, q=value)
+    return replace(settings, b_over_sigma2=value, b_w=value * settings.sigma2_w)
 
 
 def _cmd_eval(args) -> int:
@@ -393,28 +381,25 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_sweep(args) -> int:
     settings = _resolve(args)
-    p_grid = _log_grid(settings.p_lo_w, settings.p_hi_w, settings.p_points)
+    powers = _log_grid(settings.p_lo_w, settings.p_hi_w, settings.p_points)
     axis = settings.sweep_axis
     if axis == "p":
-        axis_values = settings.sweep_values or p_grid
-        combos = [(p, p) for p in axis_values]
+        powers = settings.sweep_values or powers
+        curves = [(None, settings)]  # one curve; each row's axis value is its p
     elif axis in ("q", "b_over_sigma2"):
         if not settings.sweep_values:
             raise CliError(f"sweep over {axis} needs --values")
-        combos = [(v, p) for v in settings.sweep_values for p in p_grid]
+        curves = [(v, _on_axis(settings, axis, v)) for v in settings.sweep_values]
     else:
         raise CliError(f"unknown sweep axis {axis!r} (choose q, b_over_sigma2, or p)")
 
     rows = []
-    for value, p in combos:
-        if axis == "q":
-            local = _with_q(settings, value)
-        elif axis == "b_over_sigma2":
-            local = _with_ratio(settings, value)
-        else:
-            local = settings
-        point = efficiency(_system(local), _queue(local), _model(local), p)
-        rows.append([value, p, point.eta, point.phi, point.f, int(point.feasible)])
+    for value, local in curves:
+        system, queue, model = _system(local), _queue(local), _model(local)
+        for p in powers:
+            point = efficiency(system, queue, model, p)
+            rows.append([p if value is None else value, p, point.eta, point.phi, point.f,
+                         int(point.feasible)])
     _emit_csv(settings.out, ["axis_value", "p", "eta", "phi", "f", "feasible"], rows)
     print(f"swept {axis}: {len(rows)} points"
           + (f" -> {settings.out}" if settings.out else ""))
@@ -432,11 +417,11 @@ def _cmd_gain(args) -> int:
     rows = []
     infeasible = False
     # On the q axis every row shares the full-load reference settings.
-    shared_ref = _optimum_row(_with_q(settings, 1.0))[0] if axis == "q" else None
+    shared_ref = _optimum_row(replace(settings, q=1.0))[0] if axis == "q" else None
     for value in values:
-        local = _with_q(settings, value) if axis == "q" else _with_ratio(settings, value)
+        local = _on_axis(settings, axis, value)
         result, _ = _optimum_row(local)
-        ref = shared_ref if axis == "q" else _optimum_row(_with_q(local, 1.0))[0]
+        ref = shared_ref if axis == "q" else _optimum_row(replace(local, q=1.0))[0]
         if result.p_star_constrained is None or ref.p_star_constrained is None:
             infeasible = True
             rows.append([value, "infeasible", "infeasible", ""])
@@ -524,7 +509,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--out", help="write results to this CSV file")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    # Built once per process: parse_args keeps no state between calls.
     parser = _Parser(prog="greenlink",
                      description="energy-efficient power control for a buffered link")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

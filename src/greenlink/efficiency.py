@@ -116,7 +116,7 @@ def stationarity_residual(
     """
     if p <= 0.0:
         raise ValueError("transmit power must be positive")
-    f = float(model.success_probability(p))  # numpy scalars would slow every step
+    f = model.success_probability(p)
     full = full_buffer_prob(queue, f)
     delivered = 1.0 - (1.0 - f) * full  # 1 - Phi
     if f <= _F_FLOOR or delivered <= 0.0:

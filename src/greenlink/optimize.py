@@ -123,8 +123,7 @@ def _root_log(
 
     f_lo = fun(lo) and f_hi = fun(hi) must differ in sign. Returns the final
     bracket, about tol wide in ln(p), as (p, fun(p), p_other, fun(p_other),
-    evaluations), the end with the smaller |fun| first. fun should return
-    plain floats: on numpy scalars each step is several times slower.
+    evaluations), the end with the smaller |fun| first.
     """
     a, b, fa, fb = math.log(lo), math.log(hi), f_lo, f_hi
     c, fc = a, fa
@@ -229,7 +228,7 @@ def qos_threshold(
     eps = system.loss_bound_epsilon
 
     def excess(p: float) -> float:
-        return packet_loss(queue, float(model.success_probability(p))) - eps
+        return packet_loss(queue, model.success_probability(p)) - eps
 
     lo, _ = _search_limits(system)
     e_lo = excess(lo)
@@ -293,7 +292,7 @@ def limit_optimizer(
 
     def slope(p: float) -> float:
         # d ln(objective)/d ln(p) = F - a p/(b + a p), normalized like the residual
-        f = float(model.success_probability(p))
+        f = model.success_probability(p)
         if f <= _F_FLOOR:
             return 1.0
         F = p * model.success_derivative(p) / f

@@ -27,7 +27,10 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def gaussian_q(x: float) -> float:
     """Tail probability of the standard normal, Q(x) = P(Z > x)."""
-    return 0.5 * erfc(x / _SQRT2)
+    # scipy's erfc, not math.erfc: the two differ in the last bit for many x,
+    # and published CSVs hold scipy's values. float() turns its numpy
+    # scalar into a plain float for everything downstream.
+    return float(0.5 * erfc(x / _SQRT2))
 
 
 def _require_positive(**fields: float) -> None:

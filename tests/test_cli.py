@@ -5,7 +5,15 @@ import sys
 
 import pytest
 
-from greenlink import QKnownChannel, dbm_to_watts
+from greenlink import (
+    ExpUnknownChannel,
+    QKnownChannel,
+    QueueParams,
+    SystemParams,
+    dbm_to_watts,
+    efficiency,
+)
+from greenlink import cli
 from greenlink.cli import main
 
 
@@ -112,8 +120,7 @@ class TestSweep:
         assert powers == sorted(powers)
 
     def test_qfunc_cells_are_plain_numbers(self, tmp_path):
-        # the qfunc model returns numpy scalars; every cell must still be
-        # the shortest round-trip form of the model's own value
+        # every cell is the shortest round-trip form of the model's own value
         out = tmp_path / "qfunc.csv"
         assert main(["sweep", "--model", "qfunc", "--kappa", "10", "--axis", "q",
                      "--values", "0.3", "--p-points", "30", "--out", str(out)]) == 0
@@ -132,6 +139,57 @@ class TestSweep:
 
     def test_rejects_unknown_axis(self):
         assert main(["sweep", "--axis", "nonsense"]) == 1
+
+    @pytest.mark.parametrize("kappa", [None, 10.0])
+    @pytest.mark.parametrize("axis, values", [
+        ("q", [0.2, 1.0]),
+        ("b_over_sigma2", [0.0, 1000.0]),
+        ("p", [0.005, 0.05, 2.0]),
+    ])
+    def test_rows_match_per_row_rebuild(self, tmp_path, axis, values, kappa):
+        # Each row must be what efficiency() gives on objects built afresh
+        # for that row from the CLI defaults, written as repr.
+        flags = [] if kappa is None else ["--model", "qfunc", "--kappa", repr(kappa)]
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *flags, "--axis", axis, "--p-points", "9",
+                     "--values", ",".join(map(repr, values)), "--out", str(out)]) == 0
+        rows = read_rows(out)[1:]
+        per_value = 1 if axis == "p" else 9
+        assert len(rows) == len(values) * per_value
+        sigma2 = dbm_to_watts(0.0)
+        for i, row in enumerate(rows):
+            value, p = values[i // per_value], float(row[1])
+            ratio = value if axis == "b_over_sigma2" else 100.0
+            system = SystemParams(rate_R=4000.0, fixed_power_b=ratio * sigma2,
+                                  noise_sigma2=sigma2, p_min=0.01,
+                                  p_max=dbm_to_watts(35.0))
+            queue = QueueParams(arrival_prob_q=value if axis == "q" else 0.5,
+                                buffer_size_K=10)
+            if kappa is None:
+                model = ExpUnknownChannel(rate_R=4000.0, rate_R0=1000.0,
+                                          noise_sigma2=sigma2)
+            else:
+                model = QKnownChannel(rate_R=4000.0, rate_R0=1000.0, spread_kappa=kappa,
+                                      channel_gain_hh=1.0, noise_sigma2=sigma2)
+            point = efficiency(system, queue, model, p)
+            assert row == [repr(value), repr(p), repr(point.eta), repr(point.phi),
+                           repr(point.f), str(int(point.feasible))]
+        if axis == "p":
+            assert [float(row[1]) for row in rows] == values
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--axis", "q", "--values", "0.5,1.5"],
+         "error: arrival probability must lie in (0, 1]"),
+        (["--axis", "b_over_sigma2", "--values", "10,-1"],
+         "error: fixed power draw cannot be negative"),
+        (["--model", "qfunc", "--axis", "p"],
+         "error: the qfunc model needs an explicit --kappa (no default)"),
+    ])
+    def test_errors_write_no_csv(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *argv, "--p-points", "5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
 
 
 class TestGain:
@@ -269,6 +327,21 @@ class TestUsageErrors:
 
     def test_domain_error_maps_to_one(self, capsys):
         assert main(["eval", "--q", "1.5", "--p-w", "0.1"]) == 1
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_flags_do_not_leak_between_calls(self, tmp_path, capsys):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(["optimize", "--K", "5", "--q", "0.3", "--out", str(first)]) == 0
+        assert main(["optimize", "--frequency", "2.4"]) == 1  # usage error
+        assert main(["sweep", "--axis", "q"]) == 1  # handler error
+        assert main(["eval", "--K", "3", "--p-w", "0.1"]) == 0
+        assert main(["optimize", "--out", str(second)]) == 0
+        assert read_rows(first)[1][:2] == ["0.3", "5"]
+        assert read_rows(second)[1][:2] == ["0.5", "10"]  # the defaults again
 
 
 def test_module_entry_point(tmp_path):

@@ -148,3 +148,37 @@ def test_free_function_dispatch():
     assert success_derivative(m, 0.02) == m.success_derivative(0.02)
     mq = q_model()
     assert success_probability(mq, 0.02) == mq.success_probability(0.02)
+
+
+KAPPAS = [2.0, 10.0, 100.0, 1e4]
+
+
+class TestPlainFloat:
+    """f and Q come back as exactly float, never a numpy scalar or other subclass."""
+
+    @given(st.floats(min_value=-1e3, max_value=1e3))
+    def test_gaussian_q(self, x):
+        assert type(gaussian_q(x)) is float
+
+    @given(st.floats(min_value=0.0, max_value=1e16))
+    def test_exp_model(self, p):
+        assert type(exp_model().success_probability(p)) is float
+
+    @given(st.sampled_from(KAPPAS), st.floats(min_value=0.0, max_value=1e16))
+    def test_qfunc_model(self, kappa, p):
+        assert type(q_model(kappa=kappa).success_probability(p)) is float
+
+    def test_exp_model_at_and_above_clip(self):
+        model = exp_model()
+        p_clip = model.power_scale / 1e-17  # exp(-1e-17) rounds to 1
+        assert model.success_probability(p_clip) == 1.0
+        for p in (0.0, p_clip, 10.0 * p_clip):
+            assert type(model.success_probability(p)) is float
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_qfunc_model_at_and_above_clip(self, kappa):
+        model = q_model(kappa=kappa)
+        p_clip = 1e-3 * math.expm1(4.0 + 9.0 / kappa)  # argument -9: Q rounds to 1
+        assert model.success_probability(p_clip) == 1.0
+        for p in (0.0, p_clip, 10.0 * p_clip, 1e16):
+            assert type(model.success_probability(p)) is float
