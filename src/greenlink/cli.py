@@ -6,9 +6,10 @@ simulate (Monte Carlo queue validation), gain (buffer-aware power
 saving versus the full-load design).
 
 Settings come from built-in defaults, then an INI config file, then
-flags, in increasing precedence. Powers cross the boundary in dBm
-(config keys take a _w suffix to mean watts); everything internal and
-every CSV value is in watts.
+flags, in increasing precedence. One table, _FIELDS, gives each
+setting's flag, INI key and parser. Powers cross the boundary in dBm
+(--<name>-w flags and <key>_w config keys mean watts); everything
+internal and every CSV value is in watts.
 """
 
 import argparse
@@ -16,9 +17,10 @@ import configparser
 import csv
 import functools
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .efficiency import SystemParams, efficiency
 from .optimize import NoInteriorMaximumError, maximize_constrained
@@ -35,6 +37,12 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A token of "-" and a digit is a value, as in "-1e1" or "-1,2";
+        # argparse's own pattern takes only plain negative decimals.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse normally exits 2 on usage errors; route them through
     # CliError so bad flags and bad config values share exit code 1.
     def error(self, message):
@@ -88,163 +96,106 @@ def _parse_int_list(text: str) -> List[int]:
     return [int(round(v)) for v in _parse_float_list(text)]
 
 
-def _read_config(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise CliError(f"cannot read config file {path!r}")
-    return parser
+class _Field(NamedTuple):
+    """One setting: its flag, its Settings field, its INI key, how to read it."""
+
+    flag: str  # --flag, or --flag-dbm and --flag-w for a power; "_" becomes "-"
+    field: str  # Settings attribute
+    section: Optional[str]  # INI section; None for a flag-only setting
+    key: Optional[str]  # INI key; a power also takes key_w in watts
+    parse: Callable[[str], Any]
+    power: bool
+    commands: Tuple[str, ...]  # the subcommands that take the flag
+    help: str
+    choices: Optional[Tuple[str, ...]] = None  # checked on the flag only
 
 
-def _config_power(section, key: str) -> Optional[float]:
-    """Power from an INI section: '<key>_w' in watts, else '<key>' in dBm."""
-    if section.get(f"{key}_w") is not None:
-        return float(section[f"{key}_w"])
-    if section.get(key) is not None:
-        return dbm_to_watts(float(section[key]))
-    return None
+_ALL = ("eval", "optimize", "sweep", "simulate", "gain")
+_FIELDS = [
+    _Field("R", "R", "system", "r", float, False, _ALL, "transmission rate, bit/s"),
+    _Field("a", "a", "system", "a", float, False, _ALL, "amplifier power coefficient"),
+    _Field("epsilon", "epsilon", "system", "epsilon", float, False, _ALL,
+           "loss-fraction bound in (0, 1]"),
+    _Field("b", "b_w", "system", "b", float, True, _ALL, "fixed circuit draw"),
+    _Field("b_over_sigma2", "b_over_sigma2", "system", "b_over_sigma2", float, False, _ALL,
+           "fixed draw as a multiple of the noise power"),
+    _Field("sigma2", "sigma2_w", "system", "sigma2", float, True, _ALL, "noise power"),
+    _Field("pmax", "pmax_w", "system", "pmax", float, True, _ALL, "transmit power cap"),
+    _Field("pmin", "pmin_w", "system", "pmin", float, True, _ALL, "transmit power floor"),
+    _Field("q", "q", "queue", "q", float, False, _ALL, "arrival probability per slot"),
+    _Field("K", "K", "queue", "k", int, False, _ALL, "buffer capacity in packets"),
+    _Field("model", "model", "model", "type", str, False, _ALL, "success-probability model",
+           ("exp", "qfunc")),
+    _Field("R0", "R0", "model", "r0", float, False, _ALL, "bandwidth-normalizing rate, bit/s"),
+    _Field("kappa", "kappa", "model", "kappa", float, False, _ALL, "qfunc model sharpness"),
+    _Field("hh", "hh", "model", "hh", float, False, _ALL, "qfunc model channel gain |h|^2"),
+    _Field("axis", "sweep_axis", "sweep", "axis", str, False, ("sweep", "gain"),
+           "sweep or gain axis: q (default), b_over_sigma2, or p (sweep only)",
+           ("q", "b_over_sigma2", "p")),
+    _Field("values", "sweep_values", "sweep", "values", _parse_float_list, False,
+           ("sweep", "gain"), "comma-separated axis values"),
+    _Field("p_points", "p_points", "sweep", "p_points", int, False, ("sweep",),
+           "points in the power grid"),
+    _Field("p_lo", "p_lo_w", "sweep", "p_lo", float, True, ("sweep",), "power grid start"),
+    _Field("p_hi", "p_hi_w", "sweep", "p_hi", float, True, ("sweep",), "power grid end"),
+    _Field("seed", "seed", "sim", "seed", int, False, _ALL, "base RNG seed"),
+    _Field("f", "sim_f", "sim", "f", float, False, ("simulate",),
+           "success probability (overrides model)"),
+    _Field("p", "p_w", "sim", "p", float, True, ("eval", "simulate"),
+           "transmit power; simulate derives f from it"),
+    _Field("total_packets", "total_packets", "sim", "total_packets", int, False,
+           ("simulate",), "arrivals per run"),
+    _Field("num_runs", "num_runs", "sim", "num_runs", int, False, ("simulate",),
+           "independent runs"),
+    _Field("warmup_slots", "warmup_slots", "sim", "warmup_slots", int, False, ("simulate",),
+           "uncounted slots before measuring"),
+    _Field("initial_state", "initial_state", "sim", "initial_state", int, False,
+           ("simulate",), "buffered packets at slot 0"),
+    _Field("packet_counts", "packet_counts", "sim", "packet_counts", _parse_int_list, False,
+           ("simulate",), "comma-separated packet counts for a convergence study"),
+    _Field("out", "out", None, None, str, False, _ALL, "write results to this CSV file"),
+]
 
 
-def _apply_config(settings: Settings, path: str) -> None:
-    cfg = _read_config(path)
-    try:
-        if cfg.has_section("system"):
-            sec = cfg["system"]
-            if "r" in sec:
-                settings.R = sec.getfloat("r")
-            if "a" in sec:
-                settings.a = sec.getfloat("a")
-            if "epsilon" in sec:
-                settings.epsilon = sec.getfloat("epsilon")
-            sigma2 = _config_power(sec, "sigma2")
-            if sigma2 is not None:
-                settings.sigma2_w = sigma2
-            b = _config_power(sec, "b")
-            if b is not None:
-                settings.b_w = b
-            if "b_over_sigma2" in sec:
-                settings.b_over_sigma2 = sec.getfloat("b_over_sigma2")
-                if b is None:
-                    settings.b_w = None  # the ratio takes effect again
-            pmax = _config_power(sec, "pmax")
-            if pmax is not None:
-                settings.pmax_w = pmax
-            pmin = _config_power(sec, "pmin")
-            if pmin is not None:
-                settings.pmin_w = pmin
-        if cfg.has_section("queue"):
-            sec = cfg["queue"]
-            if "q" in sec:
-                settings.q = sec.getfloat("q")
-            if "k" in sec:
-                settings.K = sec.getint("k")
-        if cfg.has_section("model"):
-            sec = cfg["model"]
-            if "type" in sec:
-                settings.model = sec.get("type")
-            if "r0" in sec:
-                settings.R0 = sec.getfloat("r0")
-            if "kappa" in sec:
-                settings.kappa = sec.getfloat("kappa")
-            if "hh" in sec:
-                settings.hh = sec.getfloat("hh")
-        if cfg.has_section("sweep"):
-            sec = cfg["sweep"]
-            if "axis" in sec:
-                settings.sweep_axis = sec.get("axis")
-            if "values" in sec:
-                settings.sweep_values = _parse_float_list(sec.get("values"))
-            if "p_points" in sec:
-                settings.p_points = sec.getint("p_points")
-            p_lo = _config_power(sec, "p_lo")
-            if p_lo is not None:
-                settings.p_lo_w = p_lo
-            p_hi = _config_power(sec, "p_hi")
-            if p_hi is not None:
-                settings.p_hi_w = p_hi
-        if cfg.has_section("sim"):
-            sec = cfg["sim"]
-            if "f" in sec:
-                settings.sim_f = sec.getfloat("f")
-            p = _config_power(sec, "p")
-            if p is not None:
-                settings.p_w = p
-            if "total_packets" in sec:
-                settings.total_packets = sec.getint("total_packets")
-            if "num_runs" in sec:
-                settings.num_runs = sec.getint("num_runs")
-            if "seed" in sec:
-                settings.seed = sec.getint("seed")
-            if "warmup_slots" in sec:
-                settings.warmup_slots = sec.getint("warmup_slots")
-            if "initial_state" in sec:
-                settings.initial_state = sec.getint("initial_state")
-            if "packet_counts" in sec:
-                settings.packet_counts = _parse_int_list(sec.get("packet_counts"))
-    except ValueError as exc:
-        raise CliError(f"bad value in config file {path!r}: {exc}") from exc
-
-
-def _flag_power(dbm: Optional[float], watts: Optional[float]) -> Optional[float]:
-    if watts is not None:
-        return watts
-    if dbm is not None:
-        return dbm_to_watts(dbm)
-    return None
-
-
-def _apply_flags(settings: Settings, args: argparse.Namespace) -> None:
-    simple = {
-        "q": "q",
-        "K": "K",
-        "R": "R",
-        "R0": "R0",
-        "a": "a",
-        "epsilon": "epsilon",
-        "model": "model",
-        "kappa": "kappa",
-        "hh": "hh",
-        "seed": "seed",
-        "out": "out",
-        "axis": "sweep_axis",
-        "p_points": "p_points",
-        "f": "sim_f",
-        "total_packets": "total_packets",
-        "num_runs": "num_runs",
-        "warmup_slots": "warmup_slots",
-        "initial_state": "initial_state",
-    }
-    for arg_name, field in simple.items():
-        value = getattr(args, arg_name, None)
+def _apply(settings: Settings, lookup: Callable[[_Field, bool], Any]) -> None:
+    """Apply one layer: lookup(row, watts) gives the layer's value for the row
+    (for a power, its watts form when watts is true, else its dBm form), or None."""
+    given = {}
+    for row in _FIELDS:
+        # <key>_w in watts wins over <key> in dBm, which is then not read.
+        value = lookup(row, True) if row.power else None
+        if value is None:
+            value = lookup(row, False)
+            if row.power and value is not None:
+                value = dbm_to_watts(value)
         if value is not None:
-            setattr(settings, field, value)
-    for arg_dbm, arg_w, field in [
-        ("sigma2_dbm", "sigma2_w", "sigma2_w"),
-        ("pmax_dbm", "pmax_w", "pmax_w"),
-        ("pmin_dbm", "pmin_w", "pmin_w"),
-        ("p_dbm", "p_w", "p_w"),
-        ("p_lo_dbm", "p_lo_w", "p_lo_w"),
-        ("p_hi_dbm", "p_hi_w", "p_hi_w"),
-    ]:
-        value = _flag_power(getattr(args, arg_dbm, None), getattr(args, arg_w, None))
-        if value is not None:
-            setattr(settings, field, value)
-    b = _flag_power(getattr(args, "b_dbm", None), getattr(args, "b_w", None))
-    if b is not None:
-        settings.b_w = b
-    elif getattr(args, "b_over_sigma2", None) is not None:
-        settings.b_over_sigma2 = args.b_over_sigma2
-        settings.b_w = None
-    if getattr(args, "values", None) is not None:
-        settings.sweep_values = _parse_float_list(args.values)
-    if getattr(args, "packet_counts", None) is not None:
-        settings.packet_counts = _parse_int_list(args.packet_counts)
+            given[row.field] = value
+    # An explicit b wins over b_over_sigma2; a ratio given alone makes b follow it again.
+    if "b_over_sigma2" in given and "b_w" not in given:
+        given["b_w"] = None
+    for field, value in given.items():
+        setattr(settings, field, value)
 
 
 def _resolve(args: argparse.Namespace) -> Settings:
     settings = Settings()
-    if getattr(args, "config", None):
-        _apply_config(settings, args.config)
-    _apply_flags(settings, args)
+    if args.config:
+        cfg = configparser.ConfigParser()
+
+        def from_config(row: _Field, watts: bool):
+            if row.section is None or not cfg.has_section(row.section):
+                return None
+            raw = cfg[row.section].get(row.key + ("_w" if watts else ""))
+            return None if raw is None else row.parse(raw)
+
+        try:
+            if not cfg.read(args.config):
+                raise CliError(f"cannot read config file {args.config!r}")
+            _apply(settings, from_config)
+        except (ValueError, configparser.Error) as exc:
+            raise CliError(f"bad config file {args.config!r}: {exc}") from exc
+    _apply(settings, lambda row, watts: getattr(
+        args, row.flag + ("_w" if watts else "_dbm" if row.power else ""), None))
     if settings.b_w is None:
         settings.b_w = settings.b_over_sigma2 * settings.sigma2_w
     if settings.p_lo_w is None:
@@ -409,6 +360,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_gain(args) -> int:
     settings = _resolve(args)
     axis = settings.sweep_axis
+    if axis not in ("q", "b_over_sigma2"):
+        raise CliError(f"unknown gain axis {axis!r} (choose q or b_over_sigma2)")
     values = settings.sweep_values
     if values is None:
         if axis != "q":
@@ -483,30 +436,13 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    g = parser.add_argument_group("shared settings")
-    g.add_argument("--config", help="INI config file")
-    g.add_argument("--q", type=float, help="arrival probability per slot")
-    g.add_argument("--K", type=int, help="buffer capacity in packets")
-    g.add_argument("--R", type=float, help="transmission rate, bit/s")
-    g.add_argument("--R0", type=float, help="bandwidth-normalizing rate, bit/s")
-    g.add_argument("--a", type=float, help="amplifier power coefficient")
-    g.add_argument("--epsilon", type=float, help="loss-fraction bound in (0, 1]")
-    g.add_argument("--b-dbm", type=float, help="fixed circuit draw, dBm")
-    g.add_argument("--b-w", type=float, help="fixed circuit draw, watts")
-    g.add_argument("--b-over-sigma2", type=float,
-                   help="fixed draw as a multiple of the noise power")
-    g.add_argument("--sigma2-dbm", type=float, help="noise power, dBm")
-    g.add_argument("--sigma2-w", type=float, help="noise power, watts")
-    g.add_argument("--pmax-dbm", type=float, help="transmit power cap, dBm")
-    g.add_argument("--pmax-w", type=float, help="transmit power cap, watts")
-    g.add_argument("--pmin-dbm", type=float, help="transmit power floor, dBm")
-    g.add_argument("--pmin-w", type=float, help="transmit power floor, watts")
-    g.add_argument("--model", choices=["exp", "qfunc"], help="success-probability model")
-    g.add_argument("--kappa", type=float, help="qfunc model sharpness")
-    g.add_argument("--hh", type=float, help="qfunc model channel gain |h|^2")
-    g.add_argument("--seed", type=int, help="base RNG seed")
-    g.add_argument("--out", help="write results to this CSV file")
+_COMMANDS = {
+    "eval": (_cmd_eval, "evaluate efficiency at one power"),
+    "optimize": (_cmd_optimize, "constrained efficiency maximization"),
+    "sweep": (_cmd_sweep, "efficiency curves over a parameter grid"),
+    "simulate": (_cmd_simulate, "Monte Carlo check of the loss fraction"),
+    "gain": (_cmd_gain, "power saving versus the full-load design"),
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -515,48 +451,19 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="greenlink",
                      description="energy-efficient power control for a buffered link")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_eval = sub.add_parser("eval", help="evaluate efficiency at one power")
-    _add_common(p_eval)
-    p_eval.add_argument("--p-dbm", type=float, help="transmit power, dBm")
-    p_eval.add_argument("--p-w", type=float, help="transmit power, watts")
-    p_eval.set_defaults(handler=_cmd_eval)
-
-    p_opt = sub.add_parser("optimize", help="constrained efficiency maximization")
-    _add_common(p_opt)
-    p_opt.set_defaults(handler=_cmd_optimize)
-
-    p_sweep = sub.add_parser("sweep", help="efficiency curves over a parameter grid")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--axis", choices=["q", "b_over_sigma2", "p"],
-                         help="sweep axis (default q)")
-    p_sweep.add_argument("--values", help="comma-separated axis values")
-    p_sweep.add_argument("--p-points", type=int, help="points in the power grid")
-    p_sweep.add_argument("--p-lo-dbm", type=float, help="power grid start, dBm")
-    p_sweep.add_argument("--p-lo-w", type=float, help="power grid start, watts")
-    p_sweep.add_argument("--p-hi-dbm", type=float, help="power grid end, dBm")
-    p_sweep.add_argument("--p-hi-w", type=float, help="power grid end, watts")
-    p_sweep.set_defaults(handler=_cmd_sweep)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo check of the loss fraction")
-    _add_common(p_sim)
-    p_sim.add_argument("--f", type=float, help="success probability (overrides model)")
-    p_sim.add_argument("--p-dbm", type=float, help="derive f from the model at this power, dBm")
-    p_sim.add_argument("--p-w", type=float, help="derive f from the model at this power, watts")
-    p_sim.add_argument("--total-packets", type=int, help="arrivals per run")
-    p_sim.add_argument("--num-runs", type=int, help="independent runs")
-    p_sim.add_argument("--warmup-slots", type=int, help="uncounted slots before measuring")
-    p_sim.add_argument("--initial-state", type=int, help="buffered packets at slot 0")
-    p_sim.add_argument("--packet-counts",
-                       help="comma-separated packet counts for a convergence study")
-    p_sim.set_defaults(handler=_cmd_simulate)
-
-    p_gain = sub.add_parser("gain", help="power saving versus the full-load design")
-    _add_common(p_gain)
-    p_gain.add_argument("--axis", choices=["q", "b_over_sigma2"],
-                        help="gain axis (default q)")
-    p_gain.add_argument("--values", help="comma-separated axis values")
-    p_gain.set_defaults(handler=_cmd_gain)
+    for command, (handler, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="INI config file")
+        for row in _FIELDS:
+            if command not in row.commands:
+                continue
+            option = "--" + row.flag.replace("_", "-")
+            if row.power:
+                p.add_argument(option + "-dbm", type=float, help=f"{row.help}, dBm")
+                p.add_argument(option + "-w", type=float, help=f"{row.help}, watts")
+            else:
+                p.add_argument(option, type=row.parse, choices=row.choices, help=row.help)
+        p.set_defaults(handler=handler)
     return parser
 
 
