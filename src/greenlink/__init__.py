@@ -48,8 +48,6 @@ from .success import (
     QKnownChannel,
     SuccessModel,
     gaussian_q,
-    success_derivative,
-    success_probability,
 )
 from .units import db_to_linear, dbm_to_watts, linear_to_db, watts_to_dbm
 
@@ -89,8 +87,6 @@ __all__ = [
     "simulate",
     "stationarity_residual",
     "stationary_distribution",
-    "success_derivative",
-    "success_probability",
     "transition_matrix",
     "watts_to_dbm",
     "__version__",

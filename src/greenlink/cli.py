@@ -363,10 +363,10 @@ def _cmd_gain(args) -> int:
     if axis not in ("q", "b_over_sigma2"):
         raise CliError(f"unknown gain axis {axis!r} (choose q or b_over_sigma2)")
     values = settings.sweep_values
-    if values is None:
-        if axis != "q":
-            raise CliError(f"gain over {axis} needs --values")
+    if values is None and axis == "q":
         values = [round(0.05 * i, 2) for i in range(1, 21)]
+    if not values:  # unset off the q axis, or an empty list from either layer
+        raise CliError(f"gain over {axis} needs --values")
     rows = []
     infeasible = False
     # On the q axis every row shares the full-load reference settings.

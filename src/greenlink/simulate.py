@@ -24,8 +24,6 @@ steps it. ``SimReport.backend`` names the kernel that ran:
   where one run's occupancy can move, converted from its bits in bounded
   windows. It steps blocks with too few runs for the lockstep passes to
   pay off, such as a few long runs.
-* ``"numba"``: the same scalar kernel compiled on arrays, used for every
-  run when numba is installed.
 """
 
 import math
@@ -35,11 +33,6 @@ from typing import List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .queueing import QueueParams, packet_loss
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
 
 __all__ = ["SimConfig", "SimReport", "ConvergenceRow", "simulate", "convergence_study"]
 
@@ -51,55 +44,6 @@ _WINDOW_SLOTS = 2**16  # slots of bits converted to Python lists at a time
 # (1-5 bytes each), so campaigns of a few long runs fall below it.
 _LOCKSTEP_MIN_RUNS = 8
 _BLOCK_CELLS = 2**20
-
-
-def _advance_py(gaps, ups, tail, K, x, occ):
-    """Step one run's occupancy x over a window of slots, move by move.
-
-    Only a slot with exactly one of its two bits set can move x: an
-    arrival whose transmission fails (up) adds a packet, or is lost when
-    the buffer already holds K; a success without an arrival (down) sends
-    one buffered packet, if there is one. An arrival whose transmission
-    succeeds leaves x as it is (a packet arriving to an empty buffer is
-    served in the same slot). gaps[i] is the number of slots whose start
-    state is x before the i-th move, tail the number after the last one;
-    occ counts slot-start states when its length is K + 1 (length 0
-    disables tracking). Returns (x, losses).
-    """
-    losses = 0
-    track = len(occ) > 0
-    for gap, up in zip(gaps, ups):
-        if track:
-            occ[x] += gap
-        if up:
-            if x == K:
-                losses += 1
-            else:
-                x += 1
-        elif x > 0:
-            x -= 1
-    if track:
-        occ[x] += tail
-    return x, losses
-
-
-if njit is not None:
-    _advance = njit(cache=True, nogil=True)(_advance_py)
-    _SCALAR_BACKEND = "numba"
-
-    def _as_list(values):
-        return values
-
-    def _counter(n):
-        return np.zeros(n, dtype=np.int64)
-
-else:
-    _advance = _advance_py
-    _SCALAR_BACKEND = "python"
-    _as_list = np.ndarray.tolist
-
-    def _counter(n):
-        return [0] * n
 
 
 @dataclass(frozen=True)
@@ -143,7 +87,7 @@ class SimReport:
     per_run_losses: np.ndarray
     per_run_occupancy: Optional[np.ndarray] = None  # num_runs x (K+1) slot fractions
     slots: int = 0  # slots stepped over all runs, warm-up included
-    backend: str = ""  # "lockstep", "python" or "numba"; see the module docstring
+    backend: str = ""  # "lockstep" or "python"; see the module docstring
 
 
 class ConvergenceRow(NamedTuple):
@@ -169,8 +113,18 @@ def _draw(rng: np.random.Generator, n: int, q: float, f: float):
 
 
 def _step_bits(arrival, success, K, x, arrivals_left, occ):
-    """Step one run on the scalar kernel over drawn bits, window by window,
-    up to the slot of its arrivals_left-th arrival or the end of the bits.
+    """Step one run's occupancy x on the scalar kernel over drawn bits, up
+    to the slot of its arrivals_left-th arrival or the end of the bits.
+
+    Only a slot with exactly one of its two bits set can move x: an
+    arrival whose transmission fails (up) adds a packet, or is lost when
+    the buffer already holds K; a success without an arrival (down) sends
+    one buffered packet, if there is one. An arrival whose transmission
+    succeeds leaves x as it is (a packet arriving to an empty buffer is
+    served in the same slot). So each window of bits becomes Python lists
+    of its moves and of the gaps between them, gap i being the number of
+    slots whose start state is x before the i-th move. occ, None or a list
+    of K + 1 counts, gains the slot-start states.
     Returns (x, arrivals_left, losses, slots)."""
     losses = slots = 0
     for lo in range(0, arrival.size, _WINDOW_SLOTS):
@@ -181,10 +135,19 @@ def _step_bits(arrival, success, K, x, arrivals_left, occ):
             cut = int(a.nonzero()[0][arrivals_left - 1]) + 1
             a, s, came = a[:cut], s[:cut], arrivals_left
         moves = (a != s).nonzero()[0]
-        gaps = np.diff(moves, prepend=-1)
-        tail = a.size - 1 - int(moves[-1]) if moves.size else a.size
-        x, lost = _advance(_as_list(gaps), _as_list(a[moves]), tail, K, x, occ)
-        losses += lost
+        gaps = np.diff(moves, prepend=-1).tolist()
+        for gap, up in zip(gaps, a[moves].tolist()):
+            if occ is not None:
+                occ[x] += gap
+            if up:
+                if x == K:
+                    losses += 1
+                else:
+                    x += 1
+            elif x > 0:
+                x -= 1
+        if occ is not None:
+            occ[x] += a.size - 1 - int(moves[-1]) if moves.size else a.size
         slots += a.size
         arrivals_left -= came
         if arrivals_left == 0:
@@ -296,13 +259,12 @@ def simulate(config: SimConfig) -> SimReport:
     K = int(config.queue.buffer_size_K)
     total = config.total_packets
     runs = config.num_runs
-    no_occ = _counter(0)
 
     losses = np.zeros(runs, dtype=np.int64)
     occ_counts = np.zeros((runs, K + 1), dtype=np.int64) if config.track_occupancy else None
     blocks = -(-runs * (config.warmup_slots + _chunk_slots(total, q)) // _BLOCK_CELLS)
     per_block = -(-runs // blocks)
-    lockstep = _SCALAR_BACKEND == "python" and per_block >= _LOCKSTEP_MIN_RUNS
+    lockstep = per_block >= _LOCKSTEP_MIN_RUNS
     slots = 0
     for lo in range(0, runs, per_block):
         streams = [_run_stream(config.seed, i) for i in range(lo, min(lo + per_block, runs))]
@@ -319,11 +281,11 @@ def simulate(config: SimConfig) -> SimReport:
                 if config.warmup_slots:
                     arrival, success = _draw(rng, config.warmup_slots, q, f)
                     state, _, _, used = _step_bits(arrival, success, K, state,
-                                                   _NO_ARRIVAL_CAP, no_occ)
+                                                   _NO_ARRIVAL_CAP, None)
                     slots += used
                 resume.append((r, state, total))
         for r, state, left in resume:
-            occ = _counter(K + 1) if occ_block is not None else no_occ
+            occ = [0] * (K + 1) if occ_block is not None else None
             lost, used = _finish_run(streams[r], q, f, K, state, left, occ)
             losses[lo + r] += lost
             slots += used
@@ -349,7 +311,7 @@ def simulate(config: SimConfig) -> SimReport:
         per_run_losses=per_run,
         per_run_occupancy=occ_fracs,
         slots=slots,
-        backend="lockstep" if lockstep else _SCALAR_BACKEND,
+        backend="lockstep" if lockstep else "python",
     )
 
 

@@ -17,8 +17,6 @@ __all__ = [
     "QKnownChannel",
     "SuccessModel",
     "gaussian_q",
-    "success_probability",
-    "success_derivative",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -122,13 +120,3 @@ class QKnownChannel:
 
 
 SuccessModel = Union[ExpUnknownChannel, QKnownChannel]
-
-
-def success_probability(model: SuccessModel, p: float) -> float:
-    """Probability in [0, 1] that a packet sent at power p (watts) gets through."""
-    return model.success_probability(p)
-
-
-def success_derivative(model: SuccessModel, p: float) -> float:
-    """Slope df/dp at p, in closed form for both families."""
-    return model.success_derivative(p)

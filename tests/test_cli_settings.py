@@ -215,6 +215,21 @@ def test_gain_rejects_axis(tmp_path, capsys, axis, from_config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis", ["q", "b_over_sigma2"])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_gain_rejects_empty_values(tmp_path, capsys, axis, from_config):
+    out = tmp_path / "gain.csv"
+    if from_config:
+        cfg = tmp_path / "gain.ini"
+        cfg.write_text(f"[sweep]\naxis = {axis}\nvalues =\n")
+        argv = ["gain", "--config", str(cfg)]
+    else:
+        argv = ["gain", "--axis", axis, "--values", ""]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert "needs --values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_list_value_reaches_validation(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--axis", "b_over_sigma2", "--values", "-1,2",

@@ -1,6 +1,10 @@
 import ast
 import dataclasses
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -289,4 +293,33 @@ class TestReportCounters:
     def test_backend_named(self):
         many = simulate(config(total=100, runs=2 * _LOCKSTEP_MIN_RUNS)).backend
         one = simulate(config(total=100, runs=1)).backend
-        assert (many, one) in {("lockstep", "python"), ("numba", "numba")}
+        assert (many, one) == ("lockstep", "python")
+
+    def test_installed_numba_changes_nothing(self, tmp_path):
+        # The simulator has one code path: a numba package on the path, even
+        # one whose njit cannot compile anything, leaves the kernels and the
+        # per-run results as they are.
+        stub = tmp_path / "numba"
+        stub.mkdir()
+        (stub / "__init__.py").write_text(
+            "STUB = True\n"
+            "def njit(*args, **kwargs):\n"
+            "    raise RuntimeError('numba must not be used')\n")
+        script = (
+            "import json, numba\n"
+            "from greenlink import QueueParams, SimConfig, simulate\n"
+            "assert numba.STUB\n"
+            "reports = [simulate(SimConfig(QueueParams(0.5, 10), 0.5, 100, runs, seed=1234))\n"
+            "           for runs in (16, 1)]\n"
+            "print(json.dumps([[r.backend, [v.hex() for v in r.per_run_losses.tolist()]]\n"
+            "                  for r in reports]))\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), str(src)])}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        (many, many_losses), (one, one_losses) = json.loads(done.stdout)
+        assert (many, one) == ("lockstep", "python")
+        for runs, losses in ((16, many_losses), (1, one_losses)):
+            expected = simulate(config(total=100, runs=runs)).per_run_losses
+            assert [float.fromhex(v) for v in losses] == expected.tolist()

@@ -3,13 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greenlink import (
-    ExpUnknownChannel,
-    QKnownChannel,
-    gaussian_q,
-    success_derivative,
-    success_probability,
-)
+from greenlink import ExpUnknownChannel, QKnownChannel, gaussian_q
 
 
 def exp_model(R=4000.0, R0=1000.0, sigma2=1e-3):
@@ -140,14 +134,6 @@ class TestQKnownChannel:
         lo, hi = p_half * 0.5, p_half * 2.0
         assert m2.success_probability(lo) < m1.success_probability(lo)
         assert m2.success_probability(hi) > m1.success_probability(hi)
-
-
-def test_free_function_dispatch():
-    m = exp_model()
-    assert success_probability(m, 0.02) == m.success_probability(0.02)
-    assert success_derivative(m, 0.02) == m.success_derivative(0.02)
-    mq = q_model()
-    assert success_probability(mq, 0.02) == mq.success_probability(0.02)
 
 
 KAPPAS = [2.0, 10.0, 100.0, 1e4]
