@@ -49,7 +49,7 @@ from .success import (
     SuccessModel,
     gaussian_q,
 )
-from .units import db_to_linear, dbm_to_watts, linear_to_db, watts_to_dbm
+from .units import dbm_to_watts, watts_to_dbm
 
 __version__ = "0.1.0"
 
@@ -68,7 +68,6 @@ __all__ = [
     "SuccessModel",
     "SystemParams",
     "convergence_study",
-    "db_to_linear",
     "dbm_to_watts",
     "efficiency",
     "full_buffer_log_slope",
@@ -77,7 +76,6 @@ __all__ = [
     "infinite_K_loss",
     "is_unimodal_grid",
     "limit_optimizer",
-    "linear_to_db",
     "load_rho",
     "maximize_constrained",
     "maximize_unconstrained",

@@ -7,9 +7,10 @@ saving versus the full-load design).
 
 Settings come from built-in defaults, then an INI config file, then
 flags, in increasing precedence. One table, _FIELDS, gives each
-setting's flag, INI key and parser. Powers cross the boundary in dBm
-(--<name>-w flags and <key>_w config keys mean watts); everything
-internal and every CSV value is in watts.
+setting's flag, INI key, parser and default; the Settings class is
+built from it, and main resolves the settings once for the subcommand.
+Powers cross the boundary in dBm (--<name>-w flags and <key>_w config
+keys mean watts); everything internal and every CSV value is in watts.
 """
 
 import argparse
@@ -19,10 +20,10 @@ import functools
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
-from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import make_dataclass, replace
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .efficiency import SystemParams, efficiency
+from .efficiency import SystemParams, efficiency, power_gain_db
 from .optimize import NoInteriorMaximumError, maximize_constrained
 from .queueing import QueueParams
 from .simulate import SimConfig, convergence_study, simulate
@@ -49,42 +50,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-@dataclass
-class Settings:
-    """Fully resolved run settings, powers in watts."""
-
-    q: float = 0.5
-    K: int = 10
-    R: float = 4000.0
-    R0: float = 1000.0
-    a: float = 1.0
-    epsilon: float = 1.0
-    sigma2_w: float = dbm_to_watts(0.0)  # 1 mW noise floor
-    b_w: Optional[float] = None  # resolved from b_over_sigma2 when unset
-    b_over_sigma2: float = 100.0
-    pmax_w: float = dbm_to_watts(35.0)
-    # 0.01 W is both 10 dBm and 10 dB above the default noise floor, so
-    # either reading of a "10 dB" minimum lands on the same default.
-    pmin_w: float = 0.01
-    model: str = "exp"
-    kappa: Optional[float] = None
-    hh: float = 1.0
-    seed: int = 12345
-    p_w: Optional[float] = None  # eval / simulate operating point
-    sweep_axis: str = "q"
-    sweep_values: Optional[List[float]] = None
-    p_points: int = 200
-    p_lo_w: Optional[float] = None
-    p_hi_w: Optional[float] = None
-    sim_f: Optional[float] = None
-    total_packets: int = 1000
-    num_runs: int = 1000
-    warmup_slots: int = 0
-    initial_state: int = 0
-    packet_counts: Optional[List[int]] = None
-    out: Optional[str] = None
-
-
 def _parse_float_list(text: str) -> List[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -97,13 +62,14 @@ def _parse_int_list(text: str) -> List[int]:
 
 
 class _Field(NamedTuple):
-    """One setting: its flag, its Settings field, its INI key, how to read it."""
+    """One setting: its flag, its Settings field, its INI key, how to read it, its default."""
 
     flag: str  # --flag, or --flag-dbm and --flag-w for a power; "_" becomes "-"
     field: str  # Settings attribute
     section: Optional[str]  # INI section; None for a flag-only setting
     key: Optional[str]  # INI key; a power also takes key_w in watts
     parse: Callable[[str], Any]
+    default: Any  # in watts for a power; None for unset
     power: bool
     commands: Tuple[str, ...]  # the subcommands that take the flag
     help: str
@@ -112,49 +78,57 @@ class _Field(NamedTuple):
 
 _ALL = ("eval", "optimize", "sweep", "simulate", "gain")
 _FIELDS = [
-    _Field("R", "R", "system", "r", float, False, _ALL, "transmission rate, bit/s"),
-    _Field("a", "a", "system", "a", float, False, _ALL, "amplifier power coefficient"),
-    _Field("epsilon", "epsilon", "system", "epsilon", float, False, _ALL,
+    _Field("R", "R", "system", "r", float, 4000.0, False, _ALL, "transmission rate, bit/s"),
+    _Field("a", "a", "system", "a", float, 1.0, False, _ALL, "amplifier power coefficient"),
+    _Field("epsilon", "epsilon", "system", "epsilon", float, 1.0, False, _ALL,
            "loss-fraction bound in (0, 1]"),
-    _Field("b", "b_w", "system", "b", float, True, _ALL, "fixed circuit draw"),
-    _Field("b_over_sigma2", "b_over_sigma2", "system", "b_over_sigma2", float, False, _ALL,
-           "fixed draw as a multiple of the noise power"),
-    _Field("sigma2", "sigma2_w", "system", "sigma2", float, True, _ALL, "noise power"),
-    _Field("pmax", "pmax_w", "system", "pmax", float, True, _ALL, "transmit power cap"),
-    _Field("pmin", "pmin_w", "system", "pmin", float, True, _ALL, "transmit power floor"),
-    _Field("q", "q", "queue", "q", float, False, _ALL, "arrival probability per slot"),
-    _Field("K", "K", "queue", "k", int, False, _ALL, "buffer capacity in packets"),
-    _Field("model", "model", "model", "type", str, False, _ALL, "success-probability model",
-           ("exp", "qfunc")),
-    _Field("R0", "R0", "model", "r0", float, False, _ALL, "bandwidth-normalizing rate, bit/s"),
-    _Field("kappa", "kappa", "model", "kappa", float, False, _ALL, "qfunc model sharpness"),
-    _Field("hh", "hh", "model", "hh", float, False, _ALL, "qfunc model channel gain |h|^2"),
-    _Field("axis", "sweep_axis", "sweep", "axis", str, False, ("sweep", "gain"),
+    _Field("b", "b_w", "system", "b", float, None, True, _ALL, "fixed circuit draw"),
+    _Field("b_over_sigma2", "b_over_sigma2", "system", "b_over_sigma2", float, 100.0, False,
+           _ALL, "fixed draw as a multiple of the noise power"),
+    _Field("sigma2", "sigma2_w", "system", "sigma2", float, dbm_to_watts(0.0), True, _ALL,
+           "noise power"),  # 1 mW noise floor
+    _Field("pmax", "pmax_w", "system", "pmax", float, dbm_to_watts(35.0), True, _ALL,
+           "transmit power cap"),
+    # 0.01 W is both 10 dBm and 10 dB above the default noise floor, so
+    # either reading of a "10 dB" minimum lands on the same default.
+    _Field("pmin", "pmin_w", "system", "pmin", float, 0.01, True, _ALL, "transmit power floor"),
+    _Field("q", "q", "queue", "q", float, 0.5, False, _ALL, "arrival probability per slot"),
+    _Field("K", "K", "queue", "k", int, 10, False, _ALL, "buffer capacity in packets"),
+    _Field("model", "model", "model", "type", str, "exp", False, _ALL,
+           "success-probability model", ("exp", "qfunc")),
+    _Field("R0", "R0", "model", "r0", float, 1000.0, False, _ALL,
+           "bandwidth-normalizing rate, bit/s"),
+    _Field("kappa", "kappa", "model", "kappa", float, None, False, _ALL, "qfunc model sharpness"),
+    _Field("hh", "hh", "model", "hh", float, 1.0, False, _ALL, "qfunc model channel gain |h|^2"),
+    _Field("axis", "sweep_axis", "sweep", "axis", str, "q", False, ("sweep", "gain"),
            "sweep or gain axis: q (default), b_over_sigma2, or p (sweep only)",
            ("q", "b_over_sigma2", "p")),
-    _Field("values", "sweep_values", "sweep", "values", _parse_float_list, False,
+    _Field("values", "sweep_values", "sweep", "values", _parse_float_list, None, False,
            ("sweep", "gain"), "comma-separated axis values"),
-    _Field("p_points", "p_points", "sweep", "p_points", int, False, ("sweep",),
+    _Field("p_points", "p_points", "sweep", "p_points", int, 200, False, ("sweep",),
            "points in the power grid"),
-    _Field("p_lo", "p_lo_w", "sweep", "p_lo", float, True, ("sweep",), "power grid start"),
-    _Field("p_hi", "p_hi_w", "sweep", "p_hi", float, True, ("sweep",), "power grid end"),
-    _Field("seed", "seed", "sim", "seed", int, False, _ALL, "base RNG seed"),
-    _Field("f", "sim_f", "sim", "f", float, False, ("simulate",),
+    _Field("p_lo", "p_lo_w", "sweep", "p_lo", float, None, True, ("sweep",), "power grid start"),
+    _Field("p_hi", "p_hi_w", "sweep", "p_hi", float, None, True, ("sweep",), "power grid end"),
+    _Field("seed", "seed", "sim", "seed", int, 12345, False, _ALL, "base RNG seed"),
+    _Field("f", "sim_f", "sim", "f", float, None, False, ("simulate",),
            "success probability (overrides model)"),
-    _Field("p", "p_w", "sim", "p", float, True, ("eval", "simulate"),
+    _Field("p", "p_w", "sim", "p", float, None, True, ("eval", "simulate"),
            "transmit power; simulate derives f from it"),
-    _Field("total_packets", "total_packets", "sim", "total_packets", int, False,
+    _Field("total_packets", "total_packets", "sim", "total_packets", int, 1000, False,
            ("simulate",), "arrivals per run"),
-    _Field("num_runs", "num_runs", "sim", "num_runs", int, False, ("simulate",),
+    _Field("num_runs", "num_runs", "sim", "num_runs", int, 1000, False, ("simulate",),
            "independent runs"),
-    _Field("warmup_slots", "warmup_slots", "sim", "warmup_slots", int, False, ("simulate",),
+    _Field("warmup_slots", "warmup_slots", "sim", "warmup_slots", int, 0, False, ("simulate",),
            "uncounted slots before measuring"),
-    _Field("initial_state", "initial_state", "sim", "initial_state", int, False,
+    _Field("initial_state", "initial_state", "sim", "initial_state", int, 0, False,
            ("simulate",), "buffered packets at slot 0"),
-    _Field("packet_counts", "packet_counts", "sim", "packet_counts", _parse_int_list, False,
-           ("simulate",), "comma-separated packet counts for a convergence study"),
-    _Field("out", "out", None, None, str, False, _ALL, "write results to this CSV file"),
+    _Field("packet_counts", "packet_counts", "sim", "packet_counts", _parse_int_list, None,
+           False, ("simulate",), "comma-separated packet counts for a convergence study"),
+    _Field("out", "out", None, None, str, None, False, _ALL, "write results to this CSV file"),
 ]
+
+Settings = make_dataclass("Settings", [(row.field, Any, row.default) for row in _FIELDS],
+                          namespace={"__doc__": "Fully resolved run settings, powers in watts."})
 
 
 def _apply(settings: Settings, lookup: Callable[[_Field, bool], Any]) -> None:
@@ -196,7 +170,7 @@ def _resolve(args: argparse.Namespace) -> Settings:
             raise CliError(f"bad config file {args.config!r}: {exc}") from exc
     _apply(settings, lambda row, watts: getattr(
         args, row.flag + ("_w" if watts else "_dbm" if row.power else ""), None))
-    if settings.b_w is None:
+    if settings.b_w is None:  # resolved from b_over_sigma2 when unset
         settings.b_w = settings.b_over_sigma2 * settings.sigma2_w
     if settings.p_lo_w is None:
         settings.p_lo_w = settings.pmin_w / 100.0
@@ -266,8 +240,20 @@ def _on_axis(settings: Settings, axis: str, value: float) -> Settings:
     return replace(settings, b_over_sigma2=value, b_w=value * settings.sigma2_w)
 
 
-def _cmd_eval(args) -> int:
-    settings = _resolve(args)
+def _axis_values(settings: Settings, command: str, defaults: Dict[str, Optional[List[float]]],
+                 choices: str) -> List[float]:
+    """The values to run along settings.sweep_axis, which must be a key of defaults:
+    the given list, or when none is given the axis's default (None: no default)."""
+    axis = settings.sweep_axis
+    if axis not in defaults:
+        raise CliError(f"unknown {command} axis {axis!r} (choose {choices})")
+    values = defaults[axis] if settings.sweep_values is None else settings.sweep_values
+    if not values:  # unset with no default, or an empty list from either layer
+        raise CliError(f"{command} over {axis} needs --values")
+    return values
+
+
+def _cmd_eval(settings: Settings) -> int:
     if settings.p_w is None:
         raise CliError("eval needs a transmit power (--p-dbm or --p-w)")
     point = efficiency(_system(settings), _queue(settings), _model(settings), settings.p_w)
@@ -304,8 +290,7 @@ def _optimum_row(settings: Settings):
     return result, row
 
 
-def _cmd_optimize(args) -> int:
-    settings = _resolve(args)
+def _cmd_optimize(settings: Settings) -> int:
     result, row = _optimum_row(settings)
     _emit_csv(
         settings.out,
@@ -330,19 +315,16 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    settings = _resolve(args)
+def _cmd_sweep(settings: Settings) -> int:
     powers = _log_grid(settings.p_lo_w, settings.p_hi_w, settings.p_points)
     axis = settings.sweep_axis
+    values = _axis_values(settings, "sweep", {"q": None, "b_over_sigma2": None, "p": powers},
+                          "q, b_over_sigma2, or p")
     if axis == "p":
-        powers = settings.sweep_values or powers
+        powers = values
         curves = [(None, settings)]  # one curve; each row's axis value is its p
-    elif axis in ("q", "b_over_sigma2"):
-        if not settings.sweep_values:
-            raise CliError(f"sweep over {axis} needs --values")
-        curves = [(v, _on_axis(settings, axis, v)) for v in settings.sweep_values]
     else:
-        raise CliError(f"unknown sweep axis {axis!r} (choose q, b_over_sigma2, or p)")
+        curves = [(v, _on_axis(settings, axis, v)) for v in values]
 
     rows = []
     for value, local in curves:
@@ -357,16 +339,12 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_gain(args) -> int:
-    settings = _resolve(args)
+def _cmd_gain(settings: Settings) -> int:
     axis = settings.sweep_axis
-    if axis not in ("q", "b_over_sigma2"):
-        raise CliError(f"unknown gain axis {axis!r} (choose q or b_over_sigma2)")
-    values = settings.sweep_values
-    if values is None and axis == "q":
-        values = [round(0.05 * i, 2) for i in range(1, 21)]
-    if not values:  # unset off the q axis, or an empty list from either layer
-        raise CliError(f"gain over {axis} needs --values")
+    values = _axis_values(
+        settings, "gain",
+        {"q": [round(0.05 * i, 2) for i in range(1, 21)], "b_over_sigma2": None},
+        "q or b_over_sigma2")
     rows = []
     infeasible = False
     # On the q axis every row shares the full-load reference settings.
@@ -381,7 +359,7 @@ def _cmd_gain(args) -> int:
             continue
         p_ref = ref.p_star_constrained
         p_here = result.p_star_constrained
-        rows.append([value, p_ref, p_here, 10.0 * math.log10(p_ref / p_here)])
+        rows.append([value, p_ref, p_here, power_gain_db(p_ref, p_here)])
     _emit_csv(settings.out, ["axis_value", "p_star_q1", "p_star", "gain_db"], rows)
     for row in rows:
         gain = f"{row[3]:.4g} dB" if isinstance(row[3], float) else "infeasible"
@@ -392,8 +370,7 @@ def _cmd_gain(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    settings = _resolve(args)
+def _cmd_simulate(settings: Settings) -> int:
     if settings.sim_f is not None:
         f = settings.sim_f
     elif settings.p_w is not None:
@@ -470,11 +447,8 @@ def _build_parser() -> _Parser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, NoInteriorMaximumError) as exc:
+        return args.handler(_resolve(args))
+    except (CliError, ValueError, NoInteriorMaximumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

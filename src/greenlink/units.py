@@ -1,8 +1,8 @@
-"""Decibel conversions. Library internals work in watts; dBm/dB belong at the CLI boundary."""
+"""dBm conversions. Library internals work in watts; dBm belongs at the CLI boundary."""
 
 import math
 
-__all__ = ["dbm_to_watts", "watts_to_dbm", "db_to_linear", "linear_to_db"]
+__all__ = ["dbm_to_watts", "watts_to_dbm"]
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -13,13 +13,3 @@ def watts_to_dbm(watts: float) -> float:
     if watts <= 0.0:
         raise ValueError("power must be positive to express in dBm")
     return 10.0 * math.log10(watts) + 30.0
-
-
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(ratio: float) -> float:
-    if ratio <= 0.0:
-        raise ValueError("ratio must be positive to express in dB")
-    return 10.0 * math.log10(ratio)

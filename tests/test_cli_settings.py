@@ -230,6 +230,22 @@ def test_gain_rejects_empty_values(tmp_path, capsys, axis, from_config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis", ["q", "b_over_sigma2", "p"])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_sweep_rejects_empty_values(tmp_path, capsys, axis, from_config):
+    # On the p axis an empty list is not the default power grid.
+    out = tmp_path / "sweep.csv"
+    if from_config:
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(f"[sweep]\naxis = {axis}\nvalues =\n")
+        argv = ["sweep", "--config", str(cfg)]
+    else:
+        argv = ["sweep", "--axis", axis, "--values", ""]
+    assert cli.main(argv + ["--p-points", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: sweep over {axis} needs --values\n"
+    assert not out.exists()
+
+
 def test_negative_list_value_reaches_validation(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--axis", "b_over_sigma2", "--values", "-1,2",

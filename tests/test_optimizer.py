@@ -166,6 +166,16 @@ class TestOptimumDiagnostics:
         assert res.p_star == pytest.approx(0.06923794372713665, rel=1e-9)
         assert abs(res.certificate) <= 1e-9
 
+    def test_no_signal_on_first_grid_widens_both_ways(self):
+        # R/R0 = 40 puts c = (2^40 - 1) sigma2 near 1.1e9 W, so f(p) = exp(-c/p)
+        # underflows to 0 on the whole first grid; with b = 0, p* = c.
+        model = ExpUnknownChannel(rate_R=4000.0, rate_R0=100.0, noise_sigma2=1e-3)
+        sysp = make_system(b=0.0)
+        assert model.success_probability(sysp.p_max * 1e3) == 0.0
+        res = maximize_unconstrained(sysp, QueueParams(0.5, 10), model)
+        assert res.scan_evaluations > 65
+        assert res.p_star == pytest.approx((2.0 ** 40 - 1.0) * 1e-3, rel=1e-12)
+
 
 class TestQosThreshold:
     def test_vacuous_constraint(self):
@@ -320,6 +330,13 @@ class TestLimitOptimizer:
         lim = limit_optimizer(sysp, model, "q_to_0")
         res = maximize_unconstrained(sysp, QueueParams(1e-4, 10), model)
         assert res.p_star == pytest.approx(lim, rel=1e-3)
+
+    def test_light_traffic_scan_path(self):
+        # qfunc with b = 0 is the scan-path case of
+        # TestOptimumDiagnostics.test_unbounded_low_power_takes_scan_path, and
+        # the q -> 0 limit with no fixed draw has the same maximizer.
+        p = limit_optimizer(cli_default_system(0.0), q_model(2.0), "q_to_0")
+        assert p == pytest.approx(0.06923794372713665, rel=1e-9)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

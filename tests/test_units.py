@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from greenlink import db_to_linear, dbm_to_watts, linear_to_db, watts_to_dbm
+from greenlink import dbm_to_watts, watts_to_dbm
 
 
 def test_known_points():
@@ -11,13 +11,6 @@ def test_known_points():
     assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-15)
     assert dbm_to_watts(35.0) == pytest.approx(3.1622776601683795, rel=1e-12)
     assert watts_to_dbm(1.0) == pytest.approx(30.0, abs=1e-12)
-    assert db_to_linear(20.0) == pytest.approx(100.0, rel=1e-12)
-    assert linear_to_db(1000.0) == pytest.approx(30.0, abs=1e-12)
-
-
-def test_db_zero_is_unity():
-    assert db_to_linear(0.0) == 1.0
-    assert linear_to_db(1.0) == 0.0
 
 
 @given(st.floats(min_value=-80.0, max_value=80.0))
@@ -30,14 +23,7 @@ def test_watts_round_trip(w):
     assert dbm_to_watts(watts_to_dbm(w)) == pytest.approx(w, rel=1e-12)
 
 
-@given(st.floats(min_value=-100.0, max_value=100.0))
-def test_db_round_trip(x):
-    assert linear_to_db(db_to_linear(x)) == pytest.approx(x, abs=1e-10)
-
-
 @pytest.mark.parametrize("bad", [0.0, -1.0, -1e-9])
 def test_nonpositive_rejected(bad):
     with pytest.raises(ValueError):
         watts_to_dbm(bad)
-    with pytest.raises(ValueError):
-        linear_to_db(bad)
