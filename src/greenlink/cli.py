@@ -24,7 +24,7 @@ from dataclasses import make_dataclass, replace
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .efficiency import SystemParams, efficiency, power_gain_db
-from .optimize import NoInteriorMaximumError, maximize_constrained
+from .optimize import NoInteriorMaximumError, Optimum, maximize_constrained
 from .queueing import QueueParams
 from .simulate import SimConfig, convergence_study, simulate
 from .success import ExpUnknownChannel, QKnownChannel, SuccessModel
@@ -270,11 +270,12 @@ def _cmd_eval(settings: Settings) -> int:
     return 0
 
 
-def _optimum_row(settings: Settings):
-    system = _system(settings)
-    result = maximize_constrained(system, _queue(settings), _model(settings))
-    p0 = "infeasible" if math.isinf(result.p0) else result.p0
-    p_cc = "infeasible" if result.p_star_constrained is None else result.p_star_constrained
+def _optimum(settings: Settings) -> Optimum:
+    return maximize_constrained(_system(settings), _queue(settings), _model(settings))
+
+
+def _cmd_optimize(settings: Settings) -> int:
+    result = _optimum(settings)
     row = [
         settings.q,
         settings.K,
@@ -282,16 +283,11 @@ def _optimum_row(settings: Settings):
         settings.sigma2_w,
         settings.epsilon,
         result.p_star,
-        p0,
-        p_cc,
+        "infeasible" if math.isinf(result.p0) else result.p0,
+        "infeasible" if result.p_star_constrained is None else result.p_star_constrained,
         result.eta_star,
         result.binding.value,
     ]
-    return result, row
-
-
-def _cmd_optimize(settings: Settings) -> int:
-    result, row = _optimum_row(settings)
     _emit_csv(
         settings.out,
         ["q", "K", "b", "sigma2", "epsilon", "p_star", "p0", "p_star_constrained",
@@ -346,25 +342,22 @@ def _cmd_gain(settings: Settings) -> int:
         {"q": [round(0.05 * i, 2) for i in range(1, 21)], "b_over_sigma2": None},
         "q or b_over_sigma2")
     rows = []
-    infeasible = False
     # On the q axis every row shares the full-load reference settings.
-    shared_ref = _optimum_row(replace(settings, q=1.0))[0] if axis == "q" else None
+    shared_ref = _optimum(replace(settings, q=1.0)) if axis == "q" else None
     for value in values:
         local = _on_axis(settings, axis, value)
-        result, _ = _optimum_row(local)
-        ref = shared_ref if axis == "q" else _optimum_row(replace(local, q=1.0))[0]
-        if result.p_star_constrained is None or ref.p_star_constrained is None:
-            infeasible = True
-            rows.append([value, "infeasible", "infeasible", ""])
-            continue
+        p_here = _optimum(local).p_star_constrained
+        ref = shared_ref if axis == "q" else _optimum(replace(local, q=1.0))
         p_ref = ref.p_star_constrained
-        p_here = result.p_star_constrained
-        rows.append([value, p_ref, p_here, power_gain_db(p_ref, p_here)])
+        if p_here is None or p_ref is None:
+            rows.append([value, "infeasible", "infeasible", ""])
+        else:
+            rows.append([value, p_ref, p_here, power_gain_db(p_ref, p_here)])
     _emit_csv(settings.out, ["axis_value", "p_star_q1", "p_star", "gain_db"], rows)
     for row in rows:
         gain = f"{row[3]:.4g} dB" if isinstance(row[3], float) else "infeasible"
         print(f"{axis} = {row[0]:<6g} saving = {gain}")
-    if infeasible:
+    if any(row[3] == "" for row in rows):
         print("some grid points cannot meet the loss bound", file=sys.stderr)
         return 2
     return 0

@@ -26,11 +26,6 @@ __all__ = [
     "power_gain_db",
 ]
 
-# Below this the success probability has effectively underflowed and
-# eta is pinned to its p -> 0 limit of zero.
-_F_FLOOR = 1e-300
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Link-level constants: rate, power budget, and QoS bound.
@@ -49,15 +44,15 @@ class SystemParams:
     loss_bound_epsilon: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.rate_R <= 0.0:
+        if not self.rate_R > 0.0:
             raise ValueError("rate must be positive")
-        if self.fixed_power_b < 0.0:
+        if not self.fixed_power_b >= 0.0:
             raise ValueError("fixed power draw cannot be negative")
-        if self.noise_sigma2 <= 0.0:
+        if not self.noise_sigma2 > 0.0:
             raise ValueError("noise power must be positive")
         if not 0.0 < self.p_min < self.p_max:
             raise ValueError("power limits must satisfy 0 < p_min < p_max")
-        if self.amp_coeff_a <= 0.0:
+        if not self.amp_coeff_a > 0.0:
             raise ValueError("amplifier coefficient must be positive")
         if not 0.0 < self.loss_bound_epsilon <= 1.0:
             raise ValueError("loss bound must lie in (0, 1]")
@@ -78,23 +73,21 @@ def efficiency(
     system: SystemParams, queue: QueueParams, model: SuccessModel, p: float
 ) -> EfficiencyPoint:
     """Evaluate eta(p) in bits per joule at transmit power p (watts)."""
-    if p <= 0.0:
+    if not p > 0.0:
         raise ValueError("transmit power must be positive")
     f = model.success_probability(p)
-    if f <= _F_FLOOR:
-        phi = 1.0
+    phi = packet_loss(queue, f)
+    delivered = queue.arrival_prob_q * (1.0 - phi)  # packets out per slot
+    if delivered <= 0.0:
+        # No goodput. phi is exactly 1 when f is 0 or has underflowed
+        # (f <= 1e-300 at any q above ~1e-283), and 1 - phi can round to
+        # zero while f is still normal; eta's numerator is then zero
+        # whatever the power bill, and f is never divided by.
         eta = 0.0
     else:
-        phi = packet_loss(queue, f)
-        delivered = queue.arrival_prob_q * (1.0 - phi)  # packets out per slot
-        if delivered <= 0.0:
-            # 1 - phi can round to zero while f is still normal; eta's
-            # goodput numerator is then zero regardless of the power bill.
-            eta = 0.0
-        else:
-            eta = system.rate_R * delivered / (
-                system.fixed_power_b + system.amp_coeff_a * p * delivered / f
-            )
+        eta = system.rate_R * delivered / (
+            system.fixed_power_b + system.amp_coeff_a * p * delivered / f
+        )
     feasible = phi <= system.loss_bound_epsilon and system.p_min <= p <= system.p_max
     return EfficiencyPoint(power_p=p, eta=eta, phi=phi, f=f, feasible=feasible)
 
@@ -112,14 +105,15 @@ def stationarity_residual(
     (b H + X (F - 1)) / (b H + X (F + 1)): same sign (positive below the
     maximizer, negative above it), smooth, and with a magnitude that
     certifies an optimum even where one term is tiny (q -> 0). Where eta
-    is identically zero (f or 1 - Phi underflows, at low power) it is +1.
+    is identically zero (1 - Phi rounds to 0, as it does once f
+    underflows, at low power) it is +1.
     """
-    if p <= 0.0:
+    if not p > 0.0:
         raise ValueError("transmit power must be positive")
     f = model.success_probability(p)
     full = full_buffer_prob(queue, f)
     delivered = 1.0 - (1.0 - f) * full  # 1 - Phi
-    if f <= _F_FLOOR or delivered <= 0.0:
+    if delivered <= 0.0:  # no goodput, the same rule as in efficiency
         return 1.0
     F = p * model.success_derivative(p) / f
     H = full * (f + full_buffer_log_slope(queue, f)) * F / delivered
@@ -134,6 +128,6 @@ def power_gain_db(p_star_q1: float, p_star: float) -> float:
     Positive when the full-load design p_star_q1 over-provisions relative
     to the optimum p_star at the actual traffic level.
     """
-    if p_star_q1 <= 0.0 or p_star <= 0.0:
+    if not (p_star_q1 > 0.0 and p_star > 0.0):
         raise ValueError("both powers must be positive")
     return 10.0 * math.log10(p_star_q1 / p_star)

@@ -7,7 +7,9 @@ coarse eta scan brackets it first when the slope does not fall from +
 to - across the search range. Phi is strictly decreasing in p, so the
 QoS bound Phi <= epsilon is a minimum power p0, the zero of
 Phi - epsilon; the constrained optimum is the projection of the
-unconstrained one onto [max(p0, p_min), p_max].
+unconstrained one onto [max(p0, p_min), p_max]. The light- and
+heavy-traffic limits (`limit_optimizer`) are the same search on a
+saturated queue, q = 1, with the fixed draw dropped for q -> 0.
 
 Known fault: the qfunc model has f(0) = Q(kappa R/R0) > 0, so with b = 0
 eta grows without bound as p -> 0 and is not quasi-concave; the scan
@@ -22,7 +24,7 @@ from typing import Callable, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .efficiency import _F_FLOOR, SystemParams, efficiency, stationarity_residual
+from .efficiency import SystemParams, efficiency, stationarity_residual
 from .queueing import QueueParams, packet_loss
 from .success import SuccessModel
 
@@ -168,36 +170,16 @@ def _search_limits(system: SystemParams) -> Tuple[float, float]:
     return system.noise_sigma2 * 1e-3, system.p_max * 1e3
 
 
-def _peak(
-    slope: Callable[[float], float],
-    objective: Callable[[float], float],
-    system: SystemParams,
-) -> Tuple[float, float, Tuple[float, float], int, int]:
-    """Maximizer of objective from the sign change of slope, which shares its sign.
-
-    Returns (p_star, slope(p_star), bracket, slope evaluations, scan
-    evaluations). When the slope does not fall from + to - across the
-    search range, _bracket_maximum's scan supplies the bracket; if even
-    that bracket shows no sign change, the scan's argmax is the answer.
-    """
-    lo, hi = _search_limits(system)
-    r_lo, r_hi = slope(lo), slope(hi)
-    calls, scanned = 2, 0
-    if not r_lo > 0.0 > r_hi:
-        lo, hi, scanned = _bracket_maximum(objective, lo, hi)
-        r_lo, r_hi = slope(lo), slope(hi)
-        calls += 2
-        if not r_lo > 0.0 > r_hi:
-            p = math.sqrt(lo * hi)  # the middle grid point
-            return p, slope(p), (lo, hi), calls + 1, scanned
-    p, r, _, _, n = _root_log(slope, lo, hi, r_lo, r_hi, _LOG_ROOT_TOL)
-    return p, r, (lo, hi), calls + n, scanned
-
-
 def maximize_unconstrained(
     system: SystemParams, queue: QueueParams, model: SuccessModel
 ) -> Optimum:
-    """Global maximizer of eta over p > 0, ignoring p_min/p_max/epsilon."""
+    """Global maximizer of eta over p > 0, ignoring p_min/p_max/epsilon.
+
+    p_star is the sign change of the slope. When the slope does not fall
+    from + to - across the search range, _bracket_maximum's eta scan
+    supplies the bracket; if even that bracket shows no sign change, its
+    middle grid point, the scan's argmax, is the answer.
+    """
 
     def slope(p: float) -> float:
         return stationarity_residual(system, queue, model, p)
@@ -205,14 +187,27 @@ def maximize_unconstrained(
     def objective(p: float) -> float:
         return efficiency(system, queue, model, p).eta
 
-    p_star, certificate, bracket, calls, scanned = _peak(slope, objective, system)
+    lo, hi = _search_limits(system)
+    r_lo, r_hi = slope(lo), slope(hi)
+    calls, scanned = 2, 0
+    if not r_lo > 0.0 > r_hi:
+        lo, hi, scanned = _bracket_maximum(objective, lo, hi)
+        r_lo, r_hi = slope(lo), slope(hi)
+        calls += 2
+    if r_lo > 0.0 > r_hi:
+        p, r, _, _, n = _root_log(slope, lo, hi, r_lo, r_hi, _LOG_ROOT_TOL)
+        calls += n
+    else:
+        p = math.sqrt(lo * hi)
+        r = slope(p)
+        calls += 1
     return Optimum(
-        p_star=p_star,
-        eta_star=objective(p_star),
-        bracket=bracket,
+        p_star=p,
+        eta_star=objective(p),
+        bracket=(lo, hi),
         iterations=calls,
         scan_evaluations=scanned,
-        certificate=certificate,
+        certificate=r,
     )
 
 
@@ -276,30 +271,17 @@ def limit_optimizer(
 ) -> float:
     """Maximizer of the low- or high-traffic limit of eta, in watts.
 
-    q -> 0: eta is proportional to f(p)/p (fixed draw dominates, pay per
-    transmission). q -> 1: the buffer saturates and eta is proportional
-    to f(p) / (b + a p).
+    Both limits are maximize_unconstrained on a saturated queue (q = 1),
+    where Pr(full) = 1 and eta = R f(p) / (b + a p). q -> 1 is that queue
+    as configured. q -> 0 is the same queue with b = 0: at vanishing load
+    the fixed draw dominates the bill and only the energy per delivered
+    packet, a p / f(p), is left to choose, so the maximizer is f(p)/p's.
     """
     if which == "q_to_0":
-        b, a = 0.0, 1.0  # f(p)/p is f/(b + a p) with no fixed draw
-    elif which == "q_to_1":
-        b, a = system.fixed_power_b, system.amp_coeff_a
-    else:
+        system = replace(system, fixed_power_b=0.0)
+    elif which != "q_to_1":
         raise ValueError("which must be 'q_to_0' or 'q_to_1'")
-
-    def objective(p: float) -> float:
-        return model.success_probability(p) / (b + a * p)
-
-    def slope(p: float) -> float:
-        # d ln(objective)/d ln(p) = F - a p/(b + a p), normalized like the residual
-        f = model.success_probability(p)
-        if f <= _F_FLOOR:
-            return 1.0
-        F = p * model.success_derivative(p) / f
-        t = a * p / (b + a * p)
-        return (F - t) / (F + t)
-
-    return _peak(slope, objective, system)[0]
+    return maximize_unconstrained(system, QueueParams(1.0, 1), model).p_star
 
 
 def is_unimodal_grid(values: Sequence[float], rel_tol: float = 1e-9) -> bool:

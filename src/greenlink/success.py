@@ -61,7 +61,7 @@ class ExpUnknownChannel:
         return (2.0 ** (self.rate_R / self.rate_R0) - 1.0) * self.noise_sigma2
 
     def success_probability(self, p: float) -> float:
-        if p < 0.0:
+        if not p >= 0.0:
             raise ValueError("transmit power must be nonnegative")
         if p == 0.0:
             return 0.0  # limit of exp(-c/p) as p -> 0+
@@ -69,7 +69,7 @@ class ExpUnknownChannel:
 
     def success_derivative(self, p: float) -> float:
         """df/dp = f(p) * c / p**2, exact for this family."""
-        if p <= 0.0:
+        if not p > 0.0:
             raise ValueError("derivative requires positive transmit power")
         return self.success_probability(p) * self.power_scale / (p * p)
 
@@ -105,13 +105,13 @@ class QKnownChannel:
         return self.spread_kappa * (self.rate_R / self.rate_R0 - math.log1p(snr))
 
     def success_probability(self, p: float) -> float:
-        if p < 0.0:
+        if not p >= 0.0:
             raise ValueError("transmit power must be nonnegative")
         return min(1.0, max(0.0, gaussian_q(self._argument(p))))
 
     def success_derivative(self, p: float) -> float:
         """df/dp = kappa * phi(arg) * hh / (sigma2 + hh p), phi the normal pdf; exact."""
-        if p <= 0.0:
+        if not p > 0.0:
             raise ValueError("derivative requires positive transmit power")
         arg = self._argument(p)
         hh = self.channel_gain_hh

@@ -184,6 +184,10 @@ class TestSweep:
          "error: fixed power draw cannot be negative"),
         (["--model", "qfunc", "--axis", "p"],
          "error: the qfunc model needs an explicit --kappa (no default)"),
+        (["--axis", "b_over_sigma2", "--values", "10,nan"],
+         "error: fixed power draw cannot be negative"),
+        (["--p-lo-w", "1", "--p-hi-w", "0.5"],
+         "error: power grid needs 0 < p_lo < p_hi"),
     ])
     def test_errors_write_no_csv(self, tmp_path, capsys, argv, message):
         out = tmp_path / "sweep.csv"
@@ -308,6 +312,15 @@ class TestConfigFile:
         cfg.write_text("[queue]\nq = banana\n")
         assert main(["optimize", "--config", str(cfg)]) == 1
 
+    def test_unknown_model(self, tmp_path, capsys):
+        # The flag's choices stop this on the command line; the INI key has none.
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[model]\ntype = foo\n")
+        out = tmp_path / "opt.csv"
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: unknown model 'foo' (choose exp or qfunc)\n"
+        assert not out.exists()
+
 
 class TestUsageErrors:
     def test_no_subcommand(self):
@@ -327,6 +340,22 @@ class TestUsageErrors:
 
     def test_domain_error_maps_to_one(self, capsys):
         assert main(["eval", "--q", "1.5", "--p-w", "0.1"]) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["optimize", "--b-over-sigma2", "nan"], "fixed power draw cannot be negative"),
+        (["optimize", "--b-w", "nan"], "fixed power draw cannot be negative"),
+        (["optimize", "--a", "nan"], "amplifier coefficient must be positive"),
+        (["gain", "--axis", "b_over_sigma2", "--values", "nan"],
+         "fixed power draw cannot be negative"),
+        (["eval", "--p-w", "nan"], "transmit power must be positive"),
+        (["simulate", "--p-w", "nan", "--num-runs", "2", "--total-packets", "10"],
+         "transmit power must be nonnegative"),
+    ])
+    def test_nan_rejected_writes_no_csv(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestParserReuse:

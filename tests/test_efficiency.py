@@ -42,6 +42,10 @@ class TestSystemParams:
         dict(p_min=0.0),
         dict(p_min=2.0, p_max=1.0),
         dict(p_min=1.0, p_max=1.0),
+        dict(R=math.nan),
+        dict(b=math.nan),
+        dict(sigma2=math.nan),
+        dict(a=math.nan),
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -98,6 +102,24 @@ class TestEfficiency:
             efficiency(make_system(), QueueParams(0.5, 10), exp_model(), 0.0)
         with pytest.raises(ValueError):
             efficiency(make_system(), QueueParams(0.5, 10), exp_model(), -1.0)
+        with pytest.raises(ValueError):
+            efficiency(make_system(), QueueParams(0.5, 10), exp_model(), math.nan)
+
+    @pytest.mark.parametrize("q", [1e-6, 0.5, 1.0])
+    def test_underflowed_success_has_zero_goodput(self, q):
+        # With f in (0, 1e-300] the loss fraction rounds to 1, so nothing is
+        # delivered: eta is 0 and the slope reads +1 (raise the power).
+        class Tiny:
+            def success_probability(self, p):
+                return 1e-305
+
+            def success_derivative(self, p):
+                return 1.0
+
+        for K in (1, 10, 10**6):
+            point = efficiency(make_system(), QueueParams(q, K), Tiny(), 0.5)
+            assert (point.eta, point.phi) == (0.0, 1.0)
+            assert stationarity_residual(make_system(), QueueParams(q, K), Tiny(), 0.5) == 1.0
 
     def test_feasibility_flag(self):
         model = exp_model()
@@ -184,6 +206,9 @@ class TestStationarityResidual:
         with pytest.raises(ValueError):
             stationarity_residual(make_system(), QueueParams(0.5, 5),
                                   exp_model(), 0.0)
+        with pytest.raises(ValueError):
+            stationarity_residual(make_system(), QueueParams(0.5, 5),
+                                  exp_model(), math.nan)
 
 
 class TestPowerGain:
@@ -202,7 +227,8 @@ class TestPowerGain:
     def test_negative_when_inverted(self):
         assert power_gain_db(0.1, 1.0) == pytest.approx(-10.0, abs=1e-12)
 
-    @pytest.mark.parametrize("args", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+    @pytest.mark.parametrize("args", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0),
+                                      (math.nan, 1.0), (1.0, math.nan)])
     def test_domain(self, args):
         with pytest.raises(ValueError):
             power_gain_db(*args)

@@ -176,6 +176,24 @@ class TestOptimumDiagnostics:
         assert res.scan_evaluations > 65
         assert res.p_star == pytest.approx((2.0 ** 40 - 1.0) * 1e-3, rel=1e-12)
 
+    def test_no_sign_change_after_scan_returns_bracket_middle(self):
+        # The slope reads -1 everywhere (f' is stubbed to 0) while eta peaks
+        # near p = 1, so the scan brackets the peak but the slope never
+        # changes sign across it: the answer is the bracket's middle grid point.
+        class FlatSlope:
+            def success_probability(self, p):
+                return p * p / (1.0 + p * p)
+
+            def success_derivative(self, p):
+                return 0.0
+
+        sysp = make_system(b=0.0, p_max=3.0)
+        res = maximize_unconstrained(sysp, QueueParams(1.0, 10), FlatSlope())
+        assert (res.iterations, res.scan_evaluations, res.certificate) == (5, 65, -1.0)
+        assert res.bracket[0] < 1.0 < res.bracket[1]
+        assert res.bracket == pytest.approx((0.838, 1.657), abs=1e-3)
+        assert res.p_star == math.sqrt(res.bracket[0] * res.bracket[1])
+
 
 class TestQosThreshold:
     def test_vacuous_constraint(self):

@@ -168,3 +168,12 @@ class TestPlainFloat:
         assert model.success_probability(p_clip) == 1.0
         for p in (0.0, p_clip, 10.0 * p_clip, 1e16):
             assert type(model.success_probability(p)) is float
+
+
+@pytest.mark.parametrize("model", [exp_model(), q_model()])
+def test_nan_power_rejected(model):
+    # min/max clipping would otherwise turn a NaN f into 0
+    with pytest.raises(ValueError):
+        model.success_probability(math.nan)
+    with pytest.raises(ValueError):
+        model.success_derivative(math.nan)
