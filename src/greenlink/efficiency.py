@@ -56,6 +56,12 @@ class SystemParams:
             raise ValueError("amplifier coefficient must be positive")
         if not 0.0 < self.loss_bound_epsilon <= 1.0:
             raise ValueError("loss bound must lie in (0, 1]")
+        # NaN and -inf fail the checks above, and p_min < p_max bounds p_min.
+        # The noise comes before the fixed draw, which the CLI may scale from it.
+        for name in ("rate_R", "noise_sigma2", "fixed_power_b", "p_max", "amp_coeff_a"):
+            value = getattr(self, name)
+            if value == math.inf:
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

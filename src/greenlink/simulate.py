@@ -3,14 +3,18 @@
 Cross-checks the closed-form loss fraction: each run feeds a fixed
 number of packet arrivals through the queue and reports the fraction
 lost. Runs use independent counter-based RNG streams keyed by
-seed + run index, so any subset of runs reproduces bit-for-bit.
+seed + run index, so any subset of runs reproduces bit-for-bit. A
+campaign holds one ``np.random.Philox`` and re-keys it to the start of
+each run's stream, the state ``np.random.Philox(key=seed + i)`` starts in.
 
 Every slot draws an arrival bit (probability q) and a success bit
-(probability f). The occupancy x follows the slot map
+(probability f), each by comparing one raw 64-bit word with an integer
+cut (see ``_cut``); the bit is the one ``Generator.random() < p`` gives
+on the same word. The occupancy x follows the slot map
 x -> min(max(x + d, 0), K) with d = arrival - success, and an arrival
-that meets x = K with a failed draw is lost. A run's uniforms are drawn
-in one fixed order -- the warm-up's arrival then success uniforms, then
-for each chunk its arrival then success uniforms, chunks sized from the
+that meets x = K with a failed draw is lost. A run's words are drawn
+in one fixed order -- the warm-up's arrival then success words, then
+for each chunk its arrival then success words, chunks sized from the
 arrivals still to come -- so its result does not depend on which kernel
 steps it. ``SimReport.backend`` names the kernel that ran:
 
@@ -44,6 +48,8 @@ _WINDOW_SLOTS = 2**16  # slots of bits converted to Python lists at a time
 # (1-5 bytes each), so campaigns of a few long runs fall below it.
 _LOCKSTEP_MIN_RUNS = 8
 _BLOCK_CELLS = 2**20
+_WORD_MASK = 2**64 - 1
+_ZERO_WORDS = (0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,9 @@ class SimConfig:
             raise ValueError("need at least one packet per run")
         if self.num_runs < 1:
             raise ValueError("need at least one run")
+        # Run i draws from the Philox stream keyed seed + i, a 128-bit key.
+        if not 0 <= int(self.seed) <= 2**128 - int(self.num_runs):
+            raise ValueError(f"seed must lie in [0, 2**128 - num_runs], got {self.seed}")
         if not 0 <= self.initial_queue_state <= self.queue.buffer_size_K:
             raise ValueError("initial queue state must lie in [0, K]")
         if self.warmup_slots < 0:
@@ -97,8 +106,22 @@ class ConvergenceRow(NamedTuple):
     relative_gap: float
 
 
-def _run_stream(seed: int, run_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed + run_index))
+def _rekey(bitgen: np.random.Philox, key: int) -> None:
+    """Point bitgen at the start of stream key, as np.random.Philox(key=key) would."""
+    bitgen.state = {"bit_generator": "Philox",
+                    "state": {"counter": _ZERO_WORDS, "key": (key & _WORD_MASK, key >> 64)},
+                    "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
+def _cut(p: float):
+    """(compare, bound) with compare(w, bound) equal to Generator.random() < p
+    on raw words w: random() is (w >> 11) * 2**-53, below p exactly when
+    w < ceil(p * 2**53) << 11. That cut is 2**64 only at p = 1, and a uint64
+    cannot hold it, so there every word passes w <= 2**64 - 1 instead."""
+    cut = math.ceil(p * 2**53) << 11
+    if cut > _WORD_MASK:
+        return np.less_equal, np.uint64(_WORD_MASK)
+    return np.less, np.uint64(cut)
 
 
 def _chunk_slots(arrivals_left: int, q: float) -> int:
@@ -106,10 +129,12 @@ def _chunk_slots(arrivals_left: int, q: float) -> int:
     return min(_MAX_CHUNK_SLOTS, int(arrivals_left / q * 1.15) + 64)
 
 
-def _draw(rng: np.random.Generator, n: int, q: float, f: float):
-    """Arrival and success bits of the next n slots: n arrival uniforms, then n success uniforms."""
-    arrival = rng.random(n) < q
-    return arrival, rng.random(n) < f
+def _draw(bitgen: np.random.Philox, n: int, cuts):
+    """Arrival and success bits of the next n slots: n arrival words, then
+    n success words, each compared with its cut from _cut."""
+    (arrive, arrive_bound), (succeed, succeed_bound) = cuts
+    arrival = arrive(bitgen.random_raw(n), arrive_bound)
+    return arrival, succeed(bitgen.random_raw(n), succeed_bound)
 
 
 def _step_bits(arrival, success, K, x, arrivals_left, occ):
@@ -155,19 +180,19 @@ def _step_bits(arrival, success, K, x, arrivals_left, occ):
     return x, arrivals_left, losses, slots
 
 
-def _finish_run(rng, q, f, K, x, arrivals_left, occ):
+def _finish_run(bitgen, cuts, q, K, x, arrivals_left, occ):
     """Draw chunks and step them on the scalar kernel until arrivals_left
     more packets have arrived. Returns (losses, slots)."""
     losses = slots = 0
     while arrivals_left > 0:
-        arrival, success = _draw(rng, _chunk_slots(arrivals_left, q), q, f)
+        arrival, success = _draw(bitgen, _chunk_slots(arrivals_left, q), cuts)
         x, arrivals_left, lost, used = _step_bits(arrival, success, K, x, arrivals_left, occ)
         losses += lost
         slots += used
     return losses, slots
 
 
-def _lockstep(streams, config: SimConfig, occ_counts):
+def _lockstep(bitgen, cuts, first_key: int, runs: int, config: SimConfig, occ_counts):
     """Step a block of runs together over their warm-up and first chunk.
 
     The slots are cut into groups of about sqrt(slots / 2). Within a group
@@ -179,36 +204,34 @@ def _lockstep(streams, config: SimConfig, occ_counts):
     at a time; then every slot's state and loss flag, again one slot of
     every group at a time from those entry states.
 
-    Returns per-run losses, end states and arrivals still to come (nonzero
-    for stragglers, whose end state is then their state after the whole
-    first chunk), and the slots stepped. Adds the first chunk's slot-start
-    states to the block's rows of occ_counts when tracking.
+    Run r draws from stream first_key + r. Returns per-run losses, the
+    stragglers as (r, bitgen.state, state, arrivals still to come) after
+    their whole first chunk, and the slots stepped. Adds the first chunk's
+    slot-start states to the block's rows of occ_counts when tracking.
     """
-    q = config.queue.arrival_prob_q
-    f = config.success_prob_f
     K = int(config.queue.buffer_size_K)
     total = config.total_packets
     warm = config.warmup_slots
-    chunk = _chunk_slots(total, q)
-    runs = len(streams)
+    chunk = _chunk_slots(total, config.queue.arrival_prob_q)
 
     # d = arrival - success, slot-major, up to each run's last arrival. The
     # zero cells after it are maps that leave x alone and lose nothing, and
     # the zero rows past the chunk round the slot count up to whole groups.
     steps = np.zeros((warm + chunk + math.isqrt((warm + chunk) // 2) + 1, runs), dtype=np.int8)
     used = np.empty(runs, dtype=np.int64)  # first-chunk slots up to the last arrival
-    left = np.zeros(runs, dtype=np.int64)
-    for r, rng in enumerate(streams):
+    stragglers = {}  # r: (bitgen.state, arrivals still to come) after the first chunk
+    for r in range(runs):
+        _rekey(bitgen, first_key + r)
         if warm:
-            a, s = _draw(rng, warm, q, f)
+            a, s = _draw(bitgen, warm, cuts)
             np.subtract(a, s, dtype=np.int8, out=steps[:warm, r])
-        a, s = _draw(rng, chunk, q, f)
+        a, s = _draw(bitgen, chunk, cuts)
         arrivals = a.nonzero()[0]
         if arrivals.size >= total:
             n = arrivals[total - 1] + 1
         else:
             n = chunk
-            left[r] = total - arrivals.size
+            stragglers[r] = (bitgen.state, total - arrivals.size)
         used[r] = n
         np.subtract(a[:n], s[:n], dtype=np.int8, out=steps[warm:warm + n, r])
     slots = warm + int(used.max())
@@ -249,7 +272,8 @@ def _lockstep(streams, config: SimConfig, occ_counts):
         states = states.reshape(-1, runs)[warm:]
         for r, n in enumerate(used):
             occ_counts[r] += np.bincount(states[:n, r], minlength=K + 1)
-    return losses, x, left, runs * warm + int(used.sum())
+    resume = [(r, stream, int(x[r]), left) for r, (stream, left) in stragglers.items()]
+    return losses, resume, runs * warm + int(used.sum())
 
 
 def simulate(config: SimConfig) -> SimReport:
@@ -259,6 +283,9 @@ def simulate(config: SimConfig) -> SimReport:
     K = int(config.queue.buffer_size_K)
     total = config.total_packets
     runs = config.num_runs
+    seed = int(config.seed)
+    bitgen = np.random.Philox(key=0)  # re-keyed to each run's stream
+    cuts = (_cut(q), _cut(f))
 
     losses = np.zeros(runs, dtype=np.int64)
     occ_counts = np.zeros((runs, K + 1), dtype=np.int64) if config.track_occupancy else None
@@ -267,26 +294,27 @@ def simulate(config: SimConfig) -> SimReport:
     lockstep = per_block >= _LOCKSTEP_MIN_RUNS
     slots = 0
     for lo in range(0, runs, per_block):
-        streams = [_run_stream(config.seed, i) for i in range(lo, min(lo + per_block, runs))]
-        occ_block = occ_counts[lo:lo + per_block] if occ_counts is not None else None
+        hi = min(lo + per_block, runs)
+        occ_block = occ_counts[lo:hi] if occ_counts is not None else None
         if lockstep:
-            lost, x, left, used = _lockstep(streams, config, occ_block)
-            losses[lo:lo + per_block] = lost
+            lost, resume, used = _lockstep(bitgen, cuts, seed + lo, hi - lo, config, occ_block)
+            losses[lo:hi] = lost
             slots += used
-            resume = [(r, int(x[r]), int(left[r])) for r in np.flatnonzero(left)]
         else:
             resume = []
-            for r, rng in enumerate(streams):
+            for r in range(hi - lo):
+                _rekey(bitgen, seed + lo + r)
                 state = config.initial_queue_state
                 if config.warmup_slots:
-                    arrival, success = _draw(rng, config.warmup_slots, q, f)
+                    arrival, success = _draw(bitgen, config.warmup_slots, cuts)
                     state, _, _, used = _step_bits(arrival, success, K, state,
                                                    _NO_ARRIVAL_CAP, None)
                     slots += used
-                resume.append((r, state, total))
-        for r, state, left in resume:
+                resume.append((r, bitgen.state, state, total))
+        for r, stream, state, left in resume:
+            bitgen.state = stream
             occ = [0] * (K + 1) if occ_block is not None else None
-            lost, used = _finish_run(streams[r], q, f, K, state, left, occ)
+            lost, used = _finish_run(bitgen, cuts, q, K, state, left, occ)
             losses[lo + r] += lost
             slots += used
             if occ_block is not None:

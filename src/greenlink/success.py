@@ -32,9 +32,12 @@ def gaussian_q(x: float) -> float:
 
 
 def _require_positive(**fields: float) -> None:
+    """Reject a parameter that is not a finite positive number, naming it."""
     for name, value in fields.items():
         if not value > 0.0:
             raise ValueError(f"{name} must be positive, got {value!r}")
+        if value == math.inf:
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -357,6 +357,39 @@ class TestUsageErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["optimize", "--pmax-w", "inf"], "p_max must be finite, got inf"),
+        (["optimize", "--sigma2-w", "inf"], "noise_sigma2 must be finite, got inf"),
+        (["optimize", "--b-w", "inf"], "fixed_power_b must be finite, got inf"),
+        (["optimize", "--b-over-sigma2", "inf"], "fixed_power_b must be finite, got inf"),
+        (["optimize", "--a", "inf"], "amp_coeff_a must be finite, got inf"),
+        (["optimize", "--R", "inf"], "rate_R must be finite, got inf"),
+        (["optimize", "--R0", "inf"], "rate_R0 must be finite, got inf"),
+        (["optimize", "--model", "qfunc", "--kappa", "10", "--hh", "inf"],
+         "channel_gain_hh must be finite, got inf"),
+        (["optimize", "--model", "qfunc", "--kappa", "inf"],
+         "spread_kappa must be finite, got inf"),
+        (["gain", "--axis", "b_over_sigma2", "--values", "inf"],
+         "fixed_power_b must be finite, got inf"),
+        (["eval", "--R0", "inf", "--p-w", "0.1"], "rate_R0 must be finite, got inf"),
+        (["simulate", "--R0", "inf", "--p-w", "0.1", "--num-runs", "2",
+          "--total-packets", "10"], "rate_R0 must be finite, got inf"),
+    ])
+    def test_infinite_rejected_writes_no_csv(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed, runs", [(-1, 2), (2**128 - 1, 2), (2**128, 1)])
+    def test_seed_out_of_key_range_writes_no_csv(self, tmp_path, capsys, seed, runs):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--f", "0.5", "--num-runs", str(runs),
+                     "--total-packets", "10", "--seed", str(seed), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: seed must lie in [0, 2**128 - num_runs], got {seed}\n")
+        assert not out.exists()
+
 
 class TestParserReuse:
     def test_built_once(self):

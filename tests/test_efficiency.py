@@ -54,6 +54,29 @@ class TestSystemParams:
     def test_zero_fixed_power_allowed(self):
         make_system(b=0.0)
 
+    @pytest.mark.parametrize("kw, name", [
+        (dict(R=math.inf), "rate_R"),
+        (dict(b=math.inf), "fixed_power_b"),
+        (dict(sigma2=math.inf), "noise_sigma2"),
+        (dict(sigma2=math.inf, b=math.inf), "noise_sigma2"),
+        (dict(p_max=math.inf), "p_max"),
+        (dict(a=math.inf), "amp_coeff_a"),
+    ])
+    def test_infinite_rejected_by_name(self, kw, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got inf$"):
+            make_system(**kw)
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(b=-math.inf), "fixed power draw cannot be negative"),
+        (dict(R=-math.inf), "rate must be positive"),
+        (dict(p_min=math.inf), "power limits must satisfy 0 < p_min < p_max"),
+        (dict(p_min=math.inf, p_max=math.inf), "power limits must satisfy 0 < p_min < p_max"),
+    ])
+    def test_out_of_range_infinity_keeps_its_message(self, kw, message):
+        with pytest.raises(ValueError) as err:
+            make_system(**kw)
+        assert str(err.value) == message
+
 
 class TestEfficiency:
     def test_no_fixed_power_collapse_value(self):

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from greenlink import (
     simulate,
     stationary_distribution,
 )
-from greenlink.simulate import _LOCKSTEP_MIN_RUNS
+from greenlink.simulate import _LOCKSTEP_MIN_RUNS, _chunk_slots, _cut, _draw, _rekey
 
 
 def config(q=0.5, f=0.5, K=10, total=1000, runs=100, seed=1234, **kw):
@@ -53,6 +54,20 @@ class TestValidation:
     def test_counts_must_be_integers(self, kw):
         with pytest.raises(ValueError):
             config(**kw)
+
+    @pytest.mark.parametrize("seed, runs", [(-1, 1), (-5, 10), (2**128, 1), (2**128 - 1, 2),
+                                            (2**128 - 9, 10), (np.int64(-1), 1)])
+    def test_seed_outside_key_range(self, seed, runs):
+        # run i draws from the stream keyed seed + i, and Philox keys are 128-bit
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*128 - num_runs\], "
+                                             rf"got {seed}$"):
+            config(seed=seed, runs=runs)
+
+    def test_top_keys_simulate(self):
+        cfg = config(total=40, runs=2, seed=2**128 - 2)
+        rep = simulate(cfg)
+        for i in range(2):
+            assert (rep.per_run_losses[i], replay(cfg, i).slots) == reference_run(cfg, i)[::2]
 
 
 class TestDegenerateChannels:
@@ -274,6 +289,106 @@ class TestRunEquivalence:
         imported |= {node.module for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom) and node.module}
         assert not any(name.split(".")[0] == "greenlink" for name in imported)
+
+
+WORD_CUT_PROBS = [0.0, 1.0, 5e-324, 2.0**-60, 1.0 - 2.0**-53, 0.5, 0.1, 1e-3]
+for _k in (1, 3, 2**52 - 1, 2**52 + 1, 3 * 2**51, 2**53 - 1):
+    _p = _k * 2.0**-53
+    WORD_CUT_PROBS += [_p, math.nextafter(_p, 0.0), math.nextafter(_p, 1.0)]
+
+
+def words_around_cut(p):
+    """Raw words at and one step either side of the 53-bit boundary for p,
+    each with the lowest and highest 11 discarded bits, plus both extremes."""
+    top = math.ceil(p * 2**53)
+    tops = {min(max(t, 0), 2**53 - 1) for t in (top - 1, top, top + 1)}
+    words = [(t << 11) | low for t in tops for low in (0, 1, 2047)]
+    return np.array(words + [0, 2**64 - 1], dtype=np.uint64)
+
+
+def uniform_below(words, p):
+    """Generator.random() < p on these raw words: random() keeps the top 53 bits."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53 < p
+
+
+class TestRawWordDraws:
+    """The simulator compares raw Philox words with integer cuts and re-keys
+    one bit generator per run; both must give Generator.random()'s bits."""
+
+    @pytest.mark.parametrize("key", [0, 7, 2**64 - 1, 2**128 - 1])
+    def test_random_keeps_the_top_53_bits(self, key):
+        words = np.random.Philox(key=key).random_raw(4099)
+        uniforms = np.random.Generator(np.random.Philox(key=key)).random(4099)
+        assert np.array_equal(uniforms, (words >> np.uint64(11)) * 2.0**-53)
+
+    @pytest.mark.parametrize("p", WORD_CUT_PROBS)
+    def test_cut_matches_random_below_p(self, p):
+        compare, bound = _cut(p)
+        words = words_around_cut(p)
+        assert np.array_equal(compare(words, bound), uniform_below(words, p))
+        stream = np.random.Philox(key=12345).random_raw(4099)
+        uniforms = np.random.Generator(np.random.Philox(key=12345)).random(4099)
+        assert np.array_equal(compare(stream, bound), uniforms < p)
+
+    def test_cut_at_the_ends(self):
+        words = np.array([0, 2047, 2048, 2**64 - 1], dtype=np.uint64)
+        for p, expected in ((0.0, [False] * 4), (1.0, [True] * 4),
+                            (5e-324, [True, True, False, False])):
+            compare, bound = _cut(p)
+            assert compare(words, bound).tolist() == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1.0), st.lists(st.integers(0, 2**64 - 1), max_size=20))
+    def test_cut_matches_random_below_p_drawn(self, p, extra):
+        compare, bound = _cut(p)
+        words = np.concatenate([words_around_cut(p), np.array(extra, dtype=np.uint64)])
+        assert np.array_equal(compare(words, bound), uniform_below(words, p))
+
+    @pytest.mark.parametrize("key", [0, 2**64 - 1, 2**64, 2**128 - 1])
+    def test_rekeyed_stream_matches_fresh_philox(self, key):
+        bitgen = np.random.Philox(key=99)
+        # leave a half-used buffer and a pending 32-bit half behind
+        np.random.Generator(bitgen).integers(0, 2**32, size=3, dtype=np.uint32)
+        _rekey(bitgen, key)
+        cuts = (_cut(0.3), _cut(0.6))
+        reference = np.random.Generator(np.random.Philox(key=key))
+        for n in (7, 13):  # two chunks, neither a multiple of Philox's 4-word block
+            arrival, success = _draw(bitgen, n, cuts)
+            assert np.array_equal(arrival, reference.random(n) < 0.3)
+            assert np.array_equal(success, reference.random(n) < 0.6)
+        _rekey(bitgen, key)
+        assert np.array_equal(bitgen.random_raw(11), np.random.Philox(key=key).random_raw(11))
+
+    def test_saved_state_resumes_after_rekeying(self):
+        # a straggler's state is saved after its first chunk and restored
+        # once the rest of its block has re-keyed the bit generator
+        bitgen = np.random.Philox(key=0)
+        _rekey(bitgen, 2**64 + 3)
+        first = bitgen.random_raw(5)
+        saved = bitgen.state
+        _rekey(bitgen, 8)
+        bitgen.random_raw(9)
+        bitgen.state = saved
+        expected = np.random.Philox(key=2**64 + 3).random_raw(12)
+        assert np.array_equal(np.concatenate([first, bitgen.random_raw(7)]), expected)
+
+    def test_straggler_campaign_matches_replays(self):
+        cfg = config(q=0.01, f=0.002, K=1, total=3, runs=3 * _LOCKSTEP_MIN_RUNS, seed=606,
+                     warmup_slots=25, track_occupancy=True)
+        rep = simulate(cfg)
+        assert rep.backend == "lockstep"
+        first_chunk = cfg.warmup_slots + _chunk_slots(cfg.total_packets, 0.01)
+        alone = [replay(cfg, i) for i in range(cfg.num_runs)]
+        stragglers = [i for i, run in enumerate(alone) if run.slots > first_chunk]
+        assert 0 < len(stragglers) < cfg.num_runs
+        for i, run in enumerate(alone):
+            assert run.per_run_losses[0] == rep.per_run_losses[i]
+            assert np.array_equal(run.per_run_occupancy[0], rep.per_run_occupancy[i])
+        assert rep.slots == sum(run.slots for run in alone)
+        for i in stragglers[:2]:
+            loss, occ, slots = reference_run(cfg, i)
+            assert (rep.per_run_losses[i], alone[i].slots) == (loss, slots)
+            assert np.array_equal(rep.per_run_occupancy[i], occ)
 
 
 class TestReportCounters:

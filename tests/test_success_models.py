@@ -170,6 +170,26 @@ class TestPlainFloat:
             assert type(model.success_probability(p)) is float
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: exp_model(R=math.inf), "rate_R"),
+    (lambda: exp_model(R0=math.inf), "rate_R0"),
+    (lambda: exp_model(sigma2=math.inf), "noise_sigma2"),
+    (lambda: q_model(R=math.inf), "rate_R"),
+    (lambda: q_model(R0=math.inf), "rate_R0"),
+    (lambda: q_model(kappa=math.inf), "spread_kappa"),
+    (lambda: q_model(hh=math.inf), "channel_gain_hh"),
+    (lambda: q_model(sigma2=math.inf), "noise_sigma2"),
+])
+def test_infinite_parameter_rejected_by_name(build, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got inf$"):
+        build()
+
+
+def test_negative_infinity_reads_as_not_positive():
+    with pytest.raises(ValueError, match=r"^spread_kappa must be positive, got -inf$"):
+        q_model(kappa=-math.inf)
+
+
 @pytest.mark.parametrize("model", [exp_model(), q_model()])
 def test_nan_power_rejected(model):
     # min/max clipping would otherwise turn a NaN f into 0
