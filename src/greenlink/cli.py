@@ -40,9 +40,10 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # A token of "-" and a digit is a value, as in "-1e1" or "-1,2";
-        # argparse's own pattern takes only plain negative decimals.
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # A token of "-" and a digit, inf or nan is a value, as in "-1e1",
+        # "-1,2" or "-inf"; argparse's own pattern takes only plain negative
+        # decimals. The setting's own check then rejects it by name.
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     # argparse normally exits 2 on usage errors; route them through
     # CliError so bad flags and bad config values share exit code 1.

@@ -16,18 +16,18 @@ that meets x = K with a failed draw is lost. A run's words are drawn
 in one fixed order -- the warm-up's arrival then success words, then
 for each chunk its arrival then success words, chunks sized from the
 arrivals still to come -- so its result does not depend on which kernel
-steps it. ``SimReport.backend`` names the kernel that ran:
+steps it. Both kernels compose the slot maps of a group of steps into
+one clamp map (see ``_group_maps``), so whole-array numpy passes over
+the groups stand in for a Python step per slot. ``SimReport.backend``
+names the kernel that ran:
 
 * ``"lockstep"``: a block of runs steps together over its warm-up and
-  first chunk with whole-array numpy passes on compact per-cell arrays
-  (int8 steps, bool loss flags, states only when occupancy is tracked),
-  using that the composition of slot maps is again a clamp map (see
-  ``_lockstep``). A run that needs more than its first chunk (a
-  straggler) finishes on the scalar kernel.
-* ``"python"``: the scalar kernel, a loop over Python lists of the slots
-  where one run's occupancy can move, converted from its bits in bounded
-  windows. It steps blocks with too few runs for the lockstep passes to
-  pay off, such as a few long runs.
+  first chunk on compact per-cell arrays (int8 steps, bool loss flags,
+  states only when occupancy is tracked). A run that needs more than its
+  first chunk (a straggler) finishes per run.
+* ``"per-run"``: each run steps alone over only the slots that can move
+  its occupancy (see ``_step_bits``). It serves blocks with too few runs
+  for lockstep, such as a few long runs.
 """
 
 import math
@@ -42,9 +42,8 @@ __all__ = ["SimConfig", "SimReport", "ConvergenceRow", "simulate", "convergence_
 
 _NO_ARRIVAL_CAP = 2**62  # sentinel arrival budget that a warm-up chunk can never exhaust
 _MAX_CHUNK_SLOTS = 2**22
-_WINDOW_SLOTS = 2**16  # slots of bits converted to Python lists at a time
-# Measured crossover: blocks of fewer runs step faster one run at a time on
-# the scalar kernel. A block holds at most _BLOCK_CELLS run x slot cells
+# Blocks of fewer runs step one run at a time on the per-run kernel, which
+# wins on long runs. A block holds at most _BLOCK_CELLS run x slot cells
 # (1-5 bytes each), so campaigns of a few long runs fall below it.
 _LOCKSTEP_MIN_RUNS = 8
 _BLOCK_CELLS = 2**20
@@ -96,7 +95,7 @@ class SimReport:
     per_run_losses: np.ndarray
     per_run_occupancy: Optional[np.ndarray] = None  # num_runs x (K+1) slot fractions
     slots: int = 0  # slots stepped over all runs, warm-up included
-    backend: str = ""  # "lockstep" or "python"; see the module docstring
+    backend: str = ""  # "lockstep" or "per-run"; see the module docstring
 
 
 class ConvergenceRow(NamedTuple):
@@ -137,51 +136,75 @@ def _draw(bitgen: np.random.Philox, n: int, cuts):
     return arrival, succeed(bitgen.random_raw(n), succeed_bound)
 
 
+def _group_maps(rows, K, dtype):
+    """(A, L, H) of every group, rows[j] holding step j of every group: its
+    slot maps compose to x -> min(max(x + A, L), H), A being its summed
+    steps and L, H the states it leaves from an empty and a full buffer."""
+    empty, full = dtype(0), dtype(K)
+    bounds = np.empty((2,) + rows.shape[1:], dtype=dtype)
+    bounds[0], bounds[1] = empty, full
+    for row in rows:
+        np.add(bounds, row, out=bounds)
+        np.maximum(bounds, empty, out=bounds)
+        np.minimum(bounds, full, out=bounds)
+    return rows.sum(axis=0, dtype=dtype), bounds[0], bounds[1]
+
+
+def _replay(rows, x, K, states):
+    """Step x, the states entering the groups, through rows, overwriting
+    each row's steps, once added, with its loss flags x + d > K (an arrival
+    met a full buffer). states, unless None, gains each row's start states."""
+    empty, full = x.dtype.type(0), x.dtype.type(K)
+    for j, row in enumerate(rows):
+        if states is not None:
+            states[j] = x
+        np.add(x, row, out=x)
+        np.greater(x, full, out=row.view(bool))
+        np.maximum(x, empty, out=x)
+        np.minimum(x, full, out=x)
+
+
 def _step_bits(arrival, success, K, x, arrivals_left, occ):
-    """Step one run's occupancy x on the scalar kernel over drawn bits, up
-    to the slot of its arrivals_left-th arrival or the end of the bits.
+    """Step one run's occupancy x over drawn bits, up to the slot of its
+    arrivals_left-th arrival or the end of the bits.
 
     Only a slot with exactly one of its two bits set can move x: an
     arrival whose transmission fails (up) adds a packet, or is lost when
     the buffer already holds K; a success without an arrival (down) sends
     one buffered packet, if there is one. An arrival whose transmission
     succeeds leaves x as it is (a packet arriving to an empty buffer is
-    served in the same slot). So each window of bits becomes Python lists
-    of its moves and of the gaps between them, gap i being the number of
-    slots whose start state is x before the i-th move. occ, None or a list
-    of K + 1 counts, gains the slot-start states.
-    Returns (x, arrivals_left, losses, slots)."""
-    losses = slots = 0
-    for lo in range(0, arrival.size, _WINDOW_SLOTS):
-        a = arrival[lo:lo + _WINDOW_SLOTS]
-        s = success[lo:lo + _WINDOW_SLOTS]
-        came = np.count_nonzero(a)
-        if came >= arrivals_left:
-            cut = int(a.nonzero()[0][arrivals_left - 1]) + 1
-            a, s, came = a[:cut], s[:cut], arrivals_left
-        moves = (a != s).nonzero()[0]
-        gaps = np.diff(moves, prepend=-1).tolist()
-        for gap, up in zip(gaps, a[moves].tolist()):
-            if occ is not None:
-                occ[x] += gap
-            if up:
-                if x == K:
-                    losses += 1
-                else:
-                    x += 1
-            elif x > 0:
-                x -= 1
-        if occ is not None:
-            occ[x] += a.size - 1 - int(moves[-1]) if moves.size else a.size
-        slots += a.size
-        arrivals_left -= came
-        if arrivals_left == 0:
-            break
-    return x, arrivals_left, losses, slots
+    served in the same slot). So only the m moves d = +-1 are stepped, in
+    groups of about sqrt(m / 16) moves (at most 128) laid out time-major:
+    row j holds move j of every group. The groups' maps are chained in plain
+    Python. occ, None or K + 1 int64 counts, gains the slot-start states,
+    each weighted by the slots it lasts. Returns (x, arrivals_left, losses, slots)."""
+    came = np.count_nonzero(arrival)
+    if came >= arrivals_left:
+        n = int(arrival.nonzero()[0][arrivals_left - 1]) + 1
+        arrival, success, came = arrival[:n], success[:n], arrivals_left
+    moves = (arrival != success).nonzero()[0]
+    m = moves.size
+    group = max(1, min(128, math.isqrt(m // 16)))
+    groups = -(-m // group)
+    steps = np.zeros(groups * group, dtype=np.int8)  # zero padding: moves that leave x alone
+    np.subtract(arrival[moves], success[moves], dtype=np.int8, out=steps[:m])
+    rows = np.ascontiguousarray(steps.reshape(groups, group).T)
+    dtype = np.int16 if K + group < 2**15 else np.int32  # holds x + A before the clamp
+    entry = []
+    for shift, low, high in zip(*(a.tolist() for a in _group_maps(rows, K, dtype))):
+        entry.append(x)
+        x = min(max(x + shift, low), high)
+    states = np.empty(rows.shape, dtype=dtype) if occ is not None else None
+    _replay(rows, np.array(entry, dtype=dtype), K, states)
+    if occ is not None:
+        gaps = np.diff(moves, prepend=-1)
+        occ += np.bincount(states.T.ravel()[:m], weights=gaps, minlength=K + 1).astype(np.int64)
+        occ[x] += arrival.size - 1 - int(moves[-1]) if m else arrival.size
+    return x, arrivals_left - came, np.count_nonzero(rows), arrival.size
 
 
 def _finish_run(bitgen, cuts, q, K, x, arrivals_left, occ):
-    """Draw chunks and step them on the scalar kernel until arrivals_left
+    """Draw chunks and step them on the per-run kernel until arrivals_left
     more packets have arrived. Returns (losses, slots)."""
     losses = slots = 0
     while arrivals_left > 0:
@@ -195,14 +218,10 @@ def _finish_run(bitgen, cuts, q, K, x, arrivals_left, occ):
 def _lockstep(bitgen, cuts, first_key: int, runs: int, config: SimConfig, occ_counts):
     """Step a block of runs together over their warm-up and first chunk.
 
-    The slots are cut into groups of about sqrt(slots / 2). Within a group
-    the composed slot maps are again a clamp map, x -> min(max(x + A, L), H),
-    with A the group's summed steps and L, H the states it leaves from an
-    empty and from a full buffer. So three whole-array passes stand in for
-    a Python step per slot: every group's (A, L, H) together, one slot of
-    every group at a time; then the state entering each group, one group
-    at a time; then every slot's state and loss flag, again one slot of
-    every group at a time from those entry states.
+    Each run's slots are cut into groups of about sqrt(slots / 2). Every
+    group's clamp map comes from one pass over the slots, the state
+    entering each group from one numpy call per group over all runs, and
+    every slot's state and loss flag from a second pass over the slots.
 
     Run r draws from stream first_key + r. Returns per-run losses, the
     stragglers as (r, bitgen.state, state, arrivals still to come) after
@@ -240,34 +259,18 @@ def _lockstep(bitgen, cuts, first_key: int, runs: int, config: SimConfig, occ_co
     steps = steps[:groups * group].reshape(groups, group, runs)
 
     dtype = np.int16 if K + group < 2**15 else np.int32  # holds x + A before the clamp
-    empty, full = dtype(0), dtype(K)
-    shift = steps.sum(axis=1, dtype=dtype)  # A of every group
-    bounds = np.empty((2, groups, runs), dtype=dtype)  # L and H of every group
-    bounds[0], bounds[1] = empty, full
-    for j in range(group):
-        np.add(bounds, steps[:, j], out=bounds)
-        np.maximum(bounds, empty, out=bounds)
-        np.minimum(bounds, full, out=bounds)
+    rows = steps.swapaxes(0, 1)  # rows[j]: slot j of every group
+    shift, low, high = _group_maps(rows, K, dtype)
     entry = np.empty((groups, runs), dtype=dtype)
     x = np.full(runs, config.initial_queue_state, dtype=dtype)
     for g in range(groups):
         entry[g] = x
         np.add(x, shift[g], out=x)
-        np.maximum(x, bounds[0, g], out=x)
-        np.minimum(x, bounds[1, g], out=x)
-    # Each slot's step, once added, is overwritten by its loss flag
-    # x + d > K (an arrival met a full buffer).
-    lost = steps.view(bool)
+        np.maximum(x, low[g], out=x)
+        np.minimum(x, high[g], out=x)
     states = np.empty(steps.shape, dtype=dtype) if occ_counts is not None else None
-    for j in range(group):
-        if states is not None:
-            states[:, j] = entry
-        np.add(entry, steps[:, j], out=entry)
-        np.greater(entry, full, out=lost[:, j])
-        np.maximum(entry, empty, out=entry)
-        np.minimum(entry, full, out=entry)
-
-    losses = np.count_nonzero(lost.reshape(-1, runs)[warm:], axis=0)
+    _replay(rows, entry, K, None if states is None else states.swapaxes(0, 1))
+    losses = np.count_nonzero(steps.view(bool).reshape(-1, runs)[warm:], axis=0)
     if states is not None:
         states = states.reshape(-1, runs)[warm:]
         for r, n in enumerate(used):
@@ -306,19 +309,16 @@ def simulate(config: SimConfig) -> SimReport:
                 _rekey(bitgen, seed + lo + r)
                 state = config.initial_queue_state
                 if config.warmup_slots:
-                    arrival, success = _draw(bitgen, config.warmup_slots, cuts)
-                    state, _, _, used = _step_bits(arrival, success, K, state,
-                                                   _NO_ARRIVAL_CAP, None)
+                    state, _, _, used = _step_bits(*_draw(bitgen, config.warmup_slots, cuts),
+                                                   K, state, _NO_ARRIVAL_CAP, None)
                     slots += used
                 resume.append((r, bitgen.state, state, total))
         for r, stream, state, left in resume:
             bitgen.state = stream
-            occ = [0] * (K + 1) if occ_block is not None else None
+            occ = occ_block[r] if occ_block is not None else None
             lost, used = _finish_run(bitgen, cuts, q, K, state, left, occ)
             losses[lo + r] += lost
             slots += used
-            if occ_block is not None:
-                occ_block[r] += occ
     per_run = losses / total
     occ_fracs = None
     if occ_counts is not None:
@@ -339,7 +339,7 @@ def simulate(config: SimConfig) -> SimReport:
         per_run_losses=per_run,
         per_run_occupancy=occ_fracs,
         slots=slots,
-        backend="lockstep" if lockstep else "python",
+        backend="lockstep" if lockstep else "per-run",
     )
 
 

@@ -31,6 +31,13 @@ def gaussian_q(x: float) -> float:
     return float(0.5 * erfc(x / _SQRT2))
 
 
+def _reject_power(p: float) -> None:
+    """Name what is wrong with a transmit power outside [0, inf)."""
+    if p == math.inf:
+        raise ValueError(f"transmit power must be finite, got {p!r}")
+    raise ValueError("transmit power must be nonnegative")
+
+
 def _require_positive(**fields: float) -> None:
     """Reject a parameter that is not a finite positive number, naming it."""
     for name, value in fields.items():
@@ -64,8 +71,8 @@ class ExpUnknownChannel:
         return (2.0 ** (self.rate_R / self.rate_R0) - 1.0) * self.noise_sigma2
 
     def success_probability(self, p: float) -> float:
-        if not p >= 0.0:
-            raise ValueError("transmit power must be nonnegative")
+        if not 0.0 <= p < math.inf:
+            _reject_power(p)
         if p == 0.0:
             return 0.0  # limit of exp(-c/p) as p -> 0+
         return min(1.0, max(0.0, math.exp(-self.power_scale / p)))
@@ -108,8 +115,8 @@ class QKnownChannel:
         return self.spread_kappa * (self.rate_R / self.rate_R0 - math.log1p(snr))
 
     def success_probability(self, p: float) -> float:
-        if not p >= 0.0:
-            raise ValueError("transmit power must be nonnegative")
+        if not 0.0 <= p < math.inf:
+            _reject_power(p)
         return min(1.0, max(0.0, gaussian_q(self._argument(p))))
 
     def success_derivative(self, p: float) -> float:

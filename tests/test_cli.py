@@ -381,6 +381,35 @@ class TestUsageErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--p-w", "inf"], "transmit power must be finite, got inf"),
+        (["simulate", "--p-w", "inf", "--num-runs", "2", "--total-packets", "10"],
+         "transmit power must be finite, got inf"),
+        (["eval", "--p-w", "0"], "transmit power must be positive"),
+        (["eval", "--p-w", "-1"], "transmit power must be positive"),
+    ])
+    def test_power_rejected_by_name_writes_no_csv(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        # a bare "-inf" or "-nan" is the flag's value, as "--R=-inf" is
+        (["optimize", "--R", "-inf"], "rate must be positive"),
+        (["optimize", "--R", "-nan"], "rate must be positive"),
+        (["optimize", "--a", "-INF"], "amplifier coefficient must be positive"),
+        (["eval", "--p-w", "-inf"], "transmit power must be positive"),
+        (["simulate", "--f", "-nan", "--num-runs", "2"], "success probability must lie in [0, 1]"),
+        (["sweep", "--axis", "q", "--values", "-inf,0.5"],
+         "arrival probability must lie in (0, 1]"),
+    ])
+    def test_bare_negative_inf_and_nan_reach_the_checks(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed, runs", [(-1, 2), (2**128 - 1, 2), (2**128, 1)])
     def test_seed_out_of_key_range_writes_no_csv(self, tmp_path, capsys, seed, runs):
         out = tmp_path / "sim.csv"

@@ -232,9 +232,9 @@ def reference_run(cfg, i):
 @st.composite
 def campaigns(draw):
     q = draw(st.one_of(st.just(1.0), st.floats(1e-3, 0.05), st.floats(0.05, 1.0)))
-    K = draw(st.sampled_from([1, 2, 10, 100_000]))
+    K = draw(st.sampled_from([1, 2, 10, 1000, 100_000]))
     # a few packets at small q leave some runs short of arrivals after
-    # their first chunk, so they finish on the scalar kernel
+    # their first chunk, so they finish on the per-run kernel
     total = draw(st.integers(1, 3) if q < 0.05 else st.integers(1, 200))
     return SimConfig(
         queue=QueueParams(q, K),
@@ -281,6 +281,46 @@ class TestRunEquivalence:
         rep = simulate(config(**kw))
         arrays = [rep.per_run_losses, rep.per_run_occupancy][:len(digests)]
         assert [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays] == digests
+
+    @pytest.mark.parametrize("kw,slots,digests", [
+        # two warmed runs of about 2e5 slots, longer than the 65536-slot
+        # windows the per-move loop worked in, that carry the warm-up's
+        # state into the first chunk
+        (dict(q=0.1, f=0.0825, K=1000, total=20_000, runs=2, seed=7, warmup_slots=30_000),
+         460051,
+         ["b3c5f352829eb4c912ff1303ddf15cc224d2a1d59687534bbd17edfc65b90221",
+          "08df47f8d192d7518605fcc4449cc6dbcf5386ad3ba35826f711ffb35748fcc9"]),
+        # two of the three runs need a second chunk
+        (dict(q=0.01, f=0.3, K=2, total=3, runs=3, seed=6, warmup_slots=37),
+         1597,
+         ["9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0",
+          "72a61e249c61acc399db7620900fa9f328fae92bc35aa8b44e827ee4c87b8e98"]),
+    ])
+    def test_golden_per_run_path(self, kw, slots, digests):
+        # SHA-256 of the per-run losses and occupancy of campaigns with too
+        # few runs for lockstep, as the per-move loop over each run wrote them
+        rep = simulate(config(**kw, track_occupancy=True))
+        arrays = [rep.per_run_losses, rep.per_run_occupancy]
+        assert [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays] == digests
+        assert (rep.slots, rep.backend) == (slots, "per-run")
+
+    @pytest.mark.parametrize("kw", [
+        dict(q=0.5, f=0.5, K=2, total=3000, warmup_slots=500),  # both barriers, often
+        # held at the top of a buffer too deep for int16 states
+        dict(q=0.9, f=0.3, K=100_000, total=30_000, initial_queue_state=100_000),
+    ])
+    def test_few_runs_match_the_slot_loop(self, kw):
+        cfg = config(**{"runs": 2, "seed": 77, "track_occupancy": True, **kw})
+        rep = simulate(cfg)
+        assert rep.backend == "per-run"
+        slots = 0
+        for i in range(cfg.num_runs):
+            loss, occ, used = reference_run(cfg, i)
+            assert rep.per_run_losses[i] == loss
+            assert np.array_equal(rep.per_run_occupancy[i], occ)
+            slots += used
+        assert rep.slots == slots
+        assert 0 < rep.per_run_losses.min()
 
     def test_oracles_stay_independent(self):
         tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
@@ -408,7 +448,7 @@ class TestReportCounters:
     def test_backend_named(self):
         many = simulate(config(total=100, runs=2 * _LOCKSTEP_MIN_RUNS)).backend
         one = simulate(config(total=100, runs=1)).backend
-        assert (many, one) == ("lockstep", "python")
+        assert (many, one) == ("lockstep", "per-run")
 
     def test_installed_numba_changes_nothing(self, tmp_path):
         # The simulator has one code path: a numba package on the path, even
@@ -434,7 +474,7 @@ class TestReportCounters:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         (many, many_losses), (one, one_losses) = json.loads(done.stdout)
-        assert (many, one) == ("lockstep", "python")
+        assert (many, one) == ("lockstep", "per-run")
         for runs, losses in ((16, many_losses), (1, one_losses)):
             expected = simulate(config(total=100, runs=runs)).per_run_losses
             assert [float.fromhex(v) for v in losses] == expected.tolist()

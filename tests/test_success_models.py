@@ -197,3 +197,12 @@ def test_nan_power_rejected(model):
         model.success_probability(math.nan)
     with pytest.raises(ValueError):
         model.success_derivative(math.nan)
+
+
+@pytest.mark.parametrize("model", [exp_model(), q_model()])
+def test_infinite_power_rejected_by_name(model):
+    # both families reach f = 1 at p = inf, which would pass as a power
+    with pytest.raises(ValueError, match=r"^transmit power must be finite, got inf$"):
+        model.success_probability(math.inf)
+    with pytest.raises(ValueError, match=r"^transmit power must be nonnegative$"):
+        model.success_probability(-math.inf)
