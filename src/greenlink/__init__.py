@@ -25,7 +25,6 @@ from .optimize import (
     Binding,
     NoInteriorMaximumError,
     Optimum,
-    is_unimodal_grid,
     limit_optimizer,
     maximize_constrained,
     maximize_unconstrained,
@@ -36,7 +35,6 @@ from .queueing import (
     StationaryDistribution,
     full_buffer_log_slope,
     full_buffer_prob,
-    infinite_K_loss,
     load_rho,
     packet_loss,
     stationary_distribution,
@@ -73,8 +71,6 @@ __all__ = [
     "full_buffer_log_slope",
     "full_buffer_prob",
     "gaussian_q",
-    "infinite_K_loss",
-    "is_unimodal_grid",
     "limit_optimizer",
     "load_rho",
     "maximize_constrained",

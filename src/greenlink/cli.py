@@ -24,7 +24,7 @@ from dataclasses import make_dataclass, replace
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .efficiency import SystemParams, efficiency, power_gain_db
-from .optimize import NoInteriorMaximumError, Optimum, maximize_constrained
+from .optimize import Optimum, maximize_constrained
 from .queueing import QueueParams
 from .simulate import SimConfig, convergence_study, simulate
 from .success import ExpUnknownChannel, QKnownChannel, SuccessModel
@@ -442,7 +442,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(_resolve(args))
-    except (CliError, ValueError, NoInteriorMaximumError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

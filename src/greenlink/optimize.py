@@ -1,28 +1,24 @@
 """Transmit-power selection for the buffered-transmitter efficiency metric.
 
 For sigmoidal success models eta(p) is quasi-concave, so its maximizer
-is the one sign change of the exact slope d ln(eta)/d ln(p)
-(`stationarity_residual`), found by a Brent zero-finder in ln(p); a
-coarse eta scan brackets it first when the slope does not fall from +
-to - across the search range. Phi is strictly decreasing in p, so the
-QoS bound Phi <= epsilon is a minimum power p0, the zero of
-Phi - epsilon; the constrained optimum is the projection of the
-unconstrained one onto [max(p0, p_min), p_max]. The light- and
-heavy-traffic limits (`limit_optimizer`) are the same search on a
-saturated queue, q = 1, with the fixed draw dropped for q -> 0.
-
-Known fault: the qfunc model has f(0) = Q(kappa R/R0) > 0, so with b = 0
-eta grows without bound as p -> 0 and is not quasi-concave; the scan
-then returns the interior local peak inside the search range (about
-0.0692 W for kappa = 2 at the CLI defaults), not the supremum.
+is the one sign change, from + to -, of the exact slope
+d ln(eta)/d ln(p) (`stationarity_residual`), found by a Brent
+zero-finder in ln(p). When the slope does not fall from + to - across
+the search range, a walk doubles p from the search floor to the first
+pair (p, 2p) across which it does, and Brent runs inside that pair.
+Phi is strictly decreasing in p, so the QoS bound Phi <= epsilon is a
+minimum power p0, the zero of Phi - epsilon, and the constrained
+optimum is the best power on [max(p0, p_min), p_max]
+(`maximize_constrained`). The light- and heavy-traffic limits
+(`limit_optimizer`) are the same search on a saturated queue, q = 1,
+with the fixed draw dropped for q -> 0.
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Literal, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Literal, Optional, Tuple
 
 from .efficiency import SystemParams, efficiency, stationarity_residual
 from .queueing import QueueParams, packet_loss
@@ -36,18 +32,27 @@ __all__ = [
     "qos_threshold",
     "maximize_constrained",
     "limit_optimizer",
-    "is_unimodal_grid",
 ]
 
-_BRACKET_POINTS = 65
-_MAX_EXPANSIONS = 60
+_WALK_REACH = 2.0 ** 60  # the walk gives up this factor above the search ceiling
 _LOG_BRACKET_TOL = 1e-9  # QoS threshold: bracket width in ln(p)
 _LOG_ROOT_TOL = 1e-14  # optima: bracket width in ln(p)
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 
 class NoInteriorMaximumError(RuntimeError):
-    """Raised when no interior maximum can be bracketed (non-sigmoidal objective)."""
+    """Raised by maximize_unconstrained when eta has no interior peak.
+
+    That is, the slope of eta never falls from + to - between the search
+    floor and _WALK_REACH times the search ceiling (non-sigmoidal
+    objective). search holds what the walk spent, as an Optimum with
+    p_star nan. maximize_constrained does not raise it: it then keeps
+    the better end of the feasible interval.
+    """
+
+    def __init__(self, message: str, search: Optional["Optimum"] = None) -> None:
+        super().__init__(message)
+        self.search = search
 
 
 class Binding(Enum):
@@ -63,9 +68,14 @@ class Binding(Enum):
 class Optimum:
     """Result of a power search; constrained fields are None until filled in.
 
-    iterations counts slope evaluations, scan_evaluations the eta
-    evaluations of the fallback scan, and certificate is the normalized
-    slope at p_star (near 0 at an interior optimum).
+    p_star is the first interior peak of eta, the maximizer when eta is
+    quasi-concave; p_star, eta_star and certificate are nan when eta has
+    no interior peak (maximize_constrained returns such a result, and
+    NoInteriorMaximumError carries one). bracket is the pair the
+    zero-finder started from, or the last pair walked when there is no
+    peak; iterations counts slope evaluations, the walk's included; and
+    certificate is the normalized slope at p_star (near 0 at an interior
+    optimum).
     p0 is the smallest power meeting the loss bound, math.inf when no
     power up to p_max does; in that case p_star_constrained stays None
     and binding is INFEASIBLE.
@@ -75,46 +85,10 @@ class Optimum:
     eta_star: float
     bracket: Tuple[float, float]
     iterations: int
-    scan_evaluations: int = 0
     certificate: float = math.nan
     p0: Optional[float] = None
     p_star_constrained: Optional[float] = None
     binding: Optional[Binding] = None
-
-
-def _bracket_maximum(
-    fun: Callable[[float], float], lo: float, hi: float
-) -> Tuple[float, float, int]:
-    """Find (a, b) containing the maximizer of a unimodal fun, expanding as needed.
-
-    Samples a log-spaced grid; an argmax on the boundary pushes that
-    boundary outward by a factor of two, up to _MAX_EXPANSIONS times.
-    The third value counts the evaluations of fun.
-    """
-    for rounds in range(1, _MAX_EXPANSIONS + 1):
-        grid = np.exp(np.linspace(math.log(lo), math.log(hi), _BRACKET_POINTS))
-        values = [fun(p) for p in grid]
-        best = int(np.argmax(values))
-        if values[best] <= 0.0:
-            # No signal anywhere on the grid yet; widen both ways.
-            lo /= 2.0
-            hi *= 2.0
-        elif best == 0:
-            lo /= 2.0
-        elif best == _BRACKET_POINTS - 1:
-            hi *= 2.0
-        elif (values[best] - max(values[0], values[-1])
-              <= 1e-12 * abs(values[best])):
-            # Indistinguishable from a monotone plateau: roundoff noise can
-            # put the argmax anywhere on it, so keep widening instead of
-            # trusting a few-ulp interior "peak".
-            lo /= 2.0
-            hi *= 2.0
-        else:
-            return float(grid[best - 1]), float(grid[best + 1]), rounds * _BRACKET_POINTS
-    raise NoInteriorMaximumError(
-        "no interior maximum found: objective keeps climbing toward a bracket edge"
-    )
 
 
 def _root_log(
@@ -173,42 +147,40 @@ def _search_limits(system: SystemParams) -> Tuple[float, float]:
 def maximize_unconstrained(
     system: SystemParams, queue: QueueParams, model: SuccessModel
 ) -> Optimum:
-    """Global maximizer of eta over p > 0, ignoring p_min/p_max/epsilon.
+    """Maximizer of eta over p > 0, ignoring p_min/p_max/epsilon.
 
-    p_star is the sign change of the slope. When the slope does not fall
-    from + to - across the search range, _bracket_maximum's eta scan
-    supplies the bracket; if even that bracket shows no sign change, its
-    middle grid point, the scan's argmax, is the answer.
+    p_star is the first sign change of the slope from + to -: the global
+    maximizer when eta is quasi-concave. When the slope falls from + to -
+    across the search range, Brent runs over that range. Otherwise the
+    walk doubles p from the search floor until the first pair (p, 2p)
+    with slope(p) > 0 > slope(2p), and Brent runs inside that pair;
+    bracket is then no longer the search range. With no such pair below
+    _WALK_REACH times the search ceiling, raises NoInteriorMaximumError.
     """
 
     def slope(p: float) -> float:
         return stationarity_residual(system, queue, model, p)
 
-    def objective(p: float) -> float:
-        return efficiency(system, queue, model, p).eta
-
     lo, hi = _search_limits(system)
     r_lo, r_hi = slope(lo), slope(hi)
-    calls, scanned = 2, 0
+    calls = 2
     if not r_lo > 0.0 > r_hi:
-        lo, hi, scanned = _bracket_maximum(objective, lo, hi)
-        r_lo, r_hi = slope(lo), slope(hi)
-        calls += 2
-    if r_lo > 0.0 > r_hi:
-        p, r, _, _, n = _root_log(slope, lo, hi, r_lo, r_hi, _LOG_ROOT_TOL)
-        calls += n
-    else:
-        p = math.sqrt(lo * hi)
-        r = slope(p)
-        calls += 1
-    return Optimum(
-        p_star=p,
-        eta_star=objective(p),
-        bracket=(lo, hi),
-        iterations=calls,
-        scan_evaluations=scanned,
-        certificate=r,
-    )
+        ceiling = hi * _WALK_REACH
+        hi, r_hi = lo, r_lo
+        while not r_lo > 0.0 > r_hi:
+            if hi >= ceiling:
+                raise NoInteriorMaximumError(
+                    "no interior maximum found: the slope of eta never falls "
+                    f"from + to - below {hi:.6g} W",
+                    Optimum(math.nan, math.nan, (lo, hi), calls),
+                )
+            lo, r_lo = hi, r_hi
+            hi = 2.0 * lo
+            r_hi = slope(hi)
+            calls += 1
+    p, r, _, _, n = _root_log(slope, lo, hi, r_lo, r_hi, _LOG_ROOT_TOL)
+    eta = efficiency(system, queue, model, p).eta
+    return Optimum(p, eta, (lo, hi), calls + n, certificate=r)
 
 
 def qos_threshold(
@@ -241,27 +213,40 @@ def maximize_constrained(
 ) -> Optimum:
     """Maximize eta subject to Phi <= epsilon and p in [p_min, p_max].
 
-    Quasi-concavity makes the answer a projection: push the unconstrained
-    maximizer up to p0 or p_min if a floor binds, then clip at p_max.
+    The answer is the best power on the feasible interval
+    [max(p0, p_min), p_max]. For a quasi-concave eta that is the first
+    peak projected onto the interval. When the walk found the peak, eta
+    need not be quasi-concave (the qfunc model with b = 0 has f(0) > 0,
+    so eta -> inf as p -> 0): eta at the interval's floor is compared
+    with eta at the projected peak, and the better one kept. With no
+    interior peak (p_star and eta_star nan) the better of the interval's
+    two ends is kept, the floor when eta falls across it. Never raises
+    NoInteriorMaximumError.
     """
-    unconstrained = maximize_unconstrained(system, queue, model)
     p0 = qos_threshold(system, queue, model)
+    # The peak search stays maximize_unconstrained's, one layer that
+    # perfbench/tracer.py times on its own.
+    try:
+        peak = maximize_unconstrained(system, queue, model)
+    except NoInteriorMaximumError as exc:
+        peak = exc.search
+    walked = peak.bracket != _search_limits(system)  # the fast path keeps the range
     if math.isinf(p0):
-        return replace(unconstrained, p0=p0, binding=Binding.INFEASIBLE)
-    floor = max(unconstrained.p_star, p0, system.p_min)
-    if floor > system.p_max:
-        p_cc = system.p_max
-        binding = Binding.POWER_CAP
-    elif unconstrained.p_star >= p0 and unconstrained.p_star >= system.p_min:
-        p_cc = unconstrained.p_star
-        binding = Binding.INTERIOR
-    elif p0 >= system.p_min:
-        p_cc = p0
-        binding = Binding.QOS_BOUND
-    else:
-        p_cc = system.p_min  # the configured floor, not the QoS bound, is active
-        binding = Binding.POWER_CAP
-    return replace(unconstrained, p0=p0, p_star_constrained=p_cc, binding=binding)
+        return replace(peak, p0=p0, binding=Binding.INFEASIBLE)
+    floor = max(p0, system.p_min)
+    # The configured floor, not the QoS bound, may be the active one.
+    floor_binding = Binding.QOS_BOUND if p0 >= system.p_min else Binding.POWER_CAP
+    p_cc, binding = floor, floor_binding
+    if not peak.p_star <= system.p_max:  # above the cap, or no peak (nan)
+        p_cc, binding = system.p_max, Binding.POWER_CAP
+    elif peak.p_star >= floor:
+        p_cc, binding = peak.p_star, Binding.INTERIOR
+    if walked and p_cc != floor:
+        eta_cc = (peak.eta_star if binding is Binding.INTERIOR
+                  else efficiency(system, queue, model, p_cc).eta)
+        if efficiency(system, queue, model, floor).eta > eta_cc:
+            p_cc, binding = floor, floor_binding
+    return replace(peak, p0=p0, p_star_constrained=p_cc, binding=binding)
 
 
 def limit_optimizer(
@@ -276,29 +261,11 @@ def limit_optimizer(
     as configured. q -> 0 is the same queue with b = 0: at vanishing load
     the fixed draw dominates the bill and only the energy per delivered
     packet, a p / f(p), is left to choose, so the maximizer is f(p)/p's.
+    For the qfunc model f(0) > 0, so f(p)/p grows without bound as p -> 0
+    and the q -> 0 answer is its first interior peak.
     """
     if which == "q_to_0":
         system = replace(system, fixed_power_b=0.0)
     elif which != "q_to_1":
         raise ValueError("which must be 'q_to_0' or 'q_to_1'")
     return maximize_unconstrained(system, QueueParams(1.0, 1), model).p_star
-
-
-def is_unimodal_grid(values: Sequence[float], rel_tol: float = 1e-9) -> bool:
-    """Check that sampled values rise to a single (possibly flat) peak, then fall.
-
-    Comparisons allow slack rel_tol * max(values), and all points within
-    that slack of the maximum must be contiguous.
-    """
-    vals = np.asarray(values, dtype=float)
-    if vals.size < 3:
-        return True
-    vmax = float(vals.max())
-    slack = rel_tol * abs(vmax)
-    peak = int(vals.argmax())
-    rising = vals[: peak + 1]
-    falling = vals[peak:]
-    if np.any(np.diff(rising) < -slack) or np.any(np.diff(falling) > slack):
-        return False
-    near_peak = np.flatnonzero(vals >= vmax - slack)
-    return bool(near_peak.size == near_peak[-1] - near_peak[0] + 1)

@@ -9,7 +9,6 @@ whose stationary law is geometric in the load ratio rho.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ __all__ = [
     "full_buffer_prob",
     "full_buffer_log_slope",
     "packet_loss",
-    "infinite_K_loss",
 ]
 
 # Treat the chain as balanced when rho is within this distance of 1; the
@@ -173,28 +171,3 @@ def packet_loss(queue: QueueParams, f: float) -> float:
     the same slot, so f = 1 gives zero loss at any load.
     """
     return (1.0 - f) * full_buffer_prob(queue, f)
-
-
-def infinite_K_loss(q: float, f: float) -> float:
-    """Loss fraction ascribed to the unbounded-buffer regime.
-
-    Returns 0 when f >= q (the queue drains) and (1 - f) / q otherwise.
-    The overloaded branch can exceed 1 when q < 1 - f; the value is
-    returned as-is with a RuntimeWarning rather than clamped, so callers
-    see that the expression left its probability range.
-    """
-    if not 0.0 < q <= 1.0:
-        raise ValueError("arrival probability must lie in (0, 1]")
-    if not 0.0 < f <= 1.0:
-        raise ValueError("success probability must lie in (0, 1]")
-    if f >= q:
-        return 0.0
-    phi = (1.0 - f) / q
-    if phi > 1.0:
-        warnings.warn(
-            f"unbounded-buffer loss expression (1-f)/q = {phi:.6g} exceeds 1 "
-            "for q < 1-f; returning it unclamped",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return phi

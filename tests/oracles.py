@@ -3,18 +3,21 @@
 Each oracle reaches its number by a different route than the code under
 test: the stationary law comes from iterating the transition matrix
 instead of the geometric closed form, optima come from dense grid scans
-instead of golden-section search, and the expected loss of a finite
-simulation run comes from an exact layered recursion instead of random
-sampling.  Grid scans do reuse the geometric formula for the full-buffer
-probability; that formula is itself pinned against the matrix fixed
-point, so the chain of evidence stays acyclic.
+instead of a zero-finder on the slope, the qfunc model's peak of f/p
+comes from an mpmath root at 50 digits, and the expected loss of a
+finite simulation run comes from an exact layered recursion instead of
+random sampling.  Grid scans do reuse the geometric formula for the
+full-buffer probability; that formula is itself pinned against the
+matrix fixed point, so the chain of evidence stays acyclic.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
+from scipy.special import erfc
 
 _RHO_UNIT_TOL = 1e-9
 
@@ -52,67 +55,171 @@ def full_buffer_prob_grid(f: np.ndarray, q: float, K: int) -> np.ndarray:
     return pik
 
 
-def loss_grid_exp(p: np.ndarray, q: float, K: int, c: float) -> np.ndarray:
-    """Packet loss over a power grid for the exponential success curve."""
-    p = np.asarray(p, dtype=float)
-    f = np.exp(-c / np.maximum(p, 1e-300))
-    return (1.0 - f) * full_buffer_prob_grid(f, q, K)
+def _exp_success(c: float):
+    """f and 1 - f over a power array for the exponential success curve."""
+    def success(p):
+        f = np.exp(-c / np.maximum(p, 1e-300))
+        return f, 1.0 - f
+    return success
 
 
-def eta_grid_exp(p: np.ndarray, q: float, K: int, R: float, b: float,
-                 a: float, c: float) -> np.ndarray:
-    """Efficiency over a power grid for the exponential success curve.
+def _qfunc_success(kappa: float, rate_ratio: float, gain_over_noise: float):
+    """f and 1 - f over a power array for the Q-function success curve.
+
+    f = Q(kappa (R/R0 - ln(1 + hh p / sigma2))), with Q from scipy's
+    erfc. 1 - f is taken by subtraction, as in the library, so both lose
+    the same bits where f is near 1.
+    """
+    def success(p):
+        arg = kappa * (rate_ratio - np.log1p(gain_over_noise * p))
+        f = 0.5 * erfc(arg / math.sqrt(2.0))
+        return f, 1.0 - f
+    return success
+
+
+def _loss(success, p: np.ndarray, q: float, K: int) -> np.ndarray:
+    f, fail = success(np.asarray(p, dtype=float))
+    return fail * full_buffer_prob_grid(f, q, K)
+
+
+def _eta(success, p: np.ndarray, q: float, K: int, R: float, b: float,
+         a: float) -> np.ndarray:
+    """Efficiency over a power grid.
 
     Written with numerator and denominator both multiplied by f, so the
     f -> 0 corner needs no special casing: the denominator vanishes only
     where the numerator already does.
     """
     p = np.asarray(p, dtype=float)
-    f = np.exp(-c / np.maximum(p, 1e-300))
-    phi = (1.0 - f) * full_buffer_prob_grid(f, q, K)
+    f, fail = success(p)
+    phi = fail * full_buffer_prob_grid(f, q, K)
     good = q * (1.0 - phi)
     num = R * good * f
     den = b * f + a * p * good
     return num / np.maximum(den, 1e-300)
 
 
-def grid_argmax_exp(q: float, K: int, R: float, b: float, a: float, c: float,
-                    lo: float, hi: float, n: int = 400_000) -> float:
+def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    return np.exp(np.linspace(math.log(lo), math.log(hi), n))
+
+
+def _grid_argmax(success, q, K, R, b, a, lo, hi, n):
     """Two-stage dense log-grid argmax of eta, no search heuristics."""
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), n))
-    i = int(np.argmax(eta_grid_exp(grid, q, K, R, b, a, c)))
+    grid = _log_grid(lo, hi, n)
+    i = int(np.argmax(_eta(success, grid, q, K, R, b, a)))
     j0, j1 = max(i - 1, 0), min(i + 1, n - 1)
-    fine = np.exp(np.linspace(math.log(grid[j0]), math.log(grid[j1]), n))
-    return float(fine[np.argmax(eta_grid_exp(fine, q, K, R, b, a, c))])
+    fine = _log_grid(grid[j0], grid[j1], n)
+    return float(fine[np.argmax(_eta(success, fine, q, K, R, b, a))])
 
 
-def grid_qos_threshold_exp(q: float, K: int, c: float, eps: float,
-                           lo: float, hi: float, n: int = 200_000) -> float:
+def _grid_qos_threshold(success, q, K, eps, lo, hi, n):
     """Smallest grid power whose loss is within eps, refined once."""
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), n))
-    ok = loss_grid_exp(grid, q, K, c) <= eps
+    grid = _log_grid(lo, hi, n)
+    ok = _loss(success, grid, q, K) <= eps
     if not ok.any():
         return math.inf
     i = int(np.argmax(ok))
     if i == 0:
         return float(grid[0])
-    fine = np.exp(np.linspace(math.log(grid[i - 1]), math.log(grid[i]), n))
-    okf = loss_grid_exp(fine, q, K, c) <= eps
+    fine = _log_grid(grid[i - 1], grid[i], n)
+    okf = _loss(success, fine, q, K) <= eps
     return float(fine[np.argmax(okf)])
 
 
-def grid_constrained_argmax_exp(q: float, K: int, R: float, b: float, a: float,
-                                c: float, eps: float, p_min: float,
-                                p_max: float, n: int = 200_000):
+def _grid_constrained_argmax(success, q, K, R, b, a, eps, p_min, p_max, n):
     """Best feasible power on a dense grid over [p_min, p_max], or None."""
-    grid = np.exp(np.linspace(math.log(p_min), math.log(p_max), n))
-    phi = loss_grid_exp(grid, q, K, c)
-    eta = eta_grid_exp(grid, q, K, R, b, a, c)
+    grid = _log_grid(p_min, p_max, n)
+    phi = _loss(success, grid, q, K)
+    eta = _eta(success, grid, q, K, R, b, a)
     feas = phi <= eps
     if not feas.any():
         return None
     idx = np.flatnonzero(feas)
     return float(grid[idx[np.argmax(eta[idx])]])
+
+
+def grid_argmax_exp(q: float, K: int, R: float, b: float, a: float, c: float,
+                    lo: float, hi: float, n: int = 400_000) -> float:
+    return _grid_argmax(_exp_success(c), q, K, R, b, a, lo, hi, n)
+
+
+def grid_qos_threshold_exp(q: float, K: int, c: float, eps: float,
+                           lo: float, hi: float, n: int = 200_000) -> float:
+    return _grid_qos_threshold(_exp_success(c), q, K, eps, lo, hi, n)
+
+
+def grid_constrained_argmax_exp(q: float, K: int, R: float, b: float, a: float,
+                                c: float, eps: float, p_min: float,
+                                p_max: float, n: int = 200_000):
+    return _grid_constrained_argmax(_exp_success(c), q, K, R, b, a, eps,
+                                    p_min, p_max, n)
+
+
+# The qfunc oracles take the model as (kappa, R/R0, hh/sigma2).
+
+def loss_grid_qfunc(p, q, K, kappa, rate_ratio, gain_over_noise):
+    """Packet loss over a power grid for the Q-function success curve."""
+    return _loss(_qfunc_success(kappa, rate_ratio, gain_over_noise), p, q, K)
+
+
+def eta_grid_qfunc(p, q, K, R, b, a, kappa, rate_ratio, gain_over_noise):
+    """Efficiency over a power grid for the Q-function success curve."""
+    return _eta(_qfunc_success(kappa, rate_ratio, gain_over_noise), p, q, K, R, b, a)
+
+
+def grid_argmax_qfunc(q, K, R, b, a, kappa, rate_ratio, gain_over_noise,
+                      lo, hi, n=400_000):
+    return _grid_argmax(_qfunc_success(kappa, rate_ratio, gain_over_noise),
+                        q, K, R, b, a, lo, hi, n)
+
+
+def grid_qos_threshold_qfunc(q, K, kappa, rate_ratio, gain_over_noise, eps,
+                             lo, hi, n=200_000):
+    return _grid_qos_threshold(_qfunc_success(kappa, rate_ratio, gain_over_noise),
+                               q, K, eps, lo, hi, n)
+
+
+def grid_constrained_argmax_qfunc(q, K, R, b, a, kappa, rate_ratio,
+                                  gain_over_noise, eps, p_min, p_max, n=200_000):
+    return _grid_constrained_argmax(
+        _qfunc_success(kappa, rate_ratio, gain_over_noise),
+        q, K, R, b, a, eps, p_min, p_max, n)
+
+
+def mp_peak_f_over_p_qfunc(kappa: float, rate_ratio: float,
+                           gain_over_noise: float, guess: float) -> float:
+    """Root of d ln(f/p)/d ln p = p f'/f - 1 for the Q-function model.
+
+    With b = 0, eta = R f / (a p) at any load, so this is the peak of
+    eta. Solved by mpmath at 50 digits from guess (watts), in ln p.
+    """
+    with mpmath.workdps(50):
+        def log_slope(lnp):
+            snr = gain_over_noise * mpmath.exp(lnp)
+            arg = kappa * (rate_ratio - mpmath.log1p(snr))
+            f = mpmath.erfc(arg / mpmath.sqrt(2)) / 2
+            return kappa * mpmath.npdf(arg) * snr / (1 + snr) / f - 1
+        return float(mpmath.exp(mpmath.findroot(log_slope, mpmath.log(guess))))
+
+
+def is_unimodal_grid(values, rel_tol: float = 1e-9) -> bool:
+    """Check that sampled values rise to a single (possibly flat) peak, then fall.
+
+    Comparisons allow slack rel_tol * max(values), and all points within
+    that slack of the maximum must be contiguous.
+    """
+    vals = np.asarray(values, dtype=float)
+    if vals.size < 3:
+        return True
+    vmax = float(vals.max())
+    slack = rel_tol * abs(vmax)
+    peak = int(vals.argmax())
+    rising = vals[: peak + 1]
+    falling = vals[peak:]
+    if np.any(np.diff(rising) < -slack) or np.any(np.diff(falling) > slack):
+        return False
+    near_peak = np.flatnonzero(vals >= vmax - slack)
+    return bool(near_peak.size == near_peak[-1] - near_peak[0] + 1)
 
 
 def exact_mean_loss(q: float, f: float, K: int, n_packets: int,

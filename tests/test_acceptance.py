@@ -22,7 +22,6 @@ from greenlink import (
     SimConfig,
     SystemParams,
     efficiency,
-    is_unimodal_grid,
     maximize_constrained,
     maximize_unconstrained,
     packet_loss,
@@ -115,7 +114,7 @@ def test_criterion_3_unimodality_and_residual():
                 qp = QueueParams(q, 10)
                 vals = np.array(
                     [efficiency(sysp, qp, model, float(p)).eta for p in grid])
-                assert is_unimodal_grid(vals), (
+                assert oracles.is_unimodal_grid(vals), (
                     f"eta not unimodal for q={q}, ratio={ratio}, "
                     f"model={type(model).__name__}")
                 checked += 1
@@ -182,7 +181,7 @@ def test_criterion_5_figure_trends():
         vals = np.array(
             [efficiency(sys_eps, QueueParams(q, 10), model, float(p)).eta
              for p in grid])
-        unimodal_b = unimodal_b and is_unimodal_grid(vals)
+        unimodal_b = unimodal_b and oracles.is_unimodal_grid(vals)
 
     # (c) buffer-aware saving shrinks as the source approaches full load
     p_sat = p_stars[-1]

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import oracles
 from greenlink import (
     ExpUnknownChannel,
     QKnownChannel,
@@ -91,6 +92,32 @@ class TestOptimize:
         assert row[9] == "qos_bound"
         assert float(row[7]) == float(row[6])  # clamps to p0
         assert float(row[7]) > float(row[5])
+
+    @pytest.mark.parametrize("kappa, p_min, p_star, binding", [
+        ("0.5", 0.01, "nan", "power_cap"),  # eta has no interior peak
+        ("1", 0.01, 0.03785, "interior"),
+        ("0.7", 1e-4, 0.01144, "power_cap"),  # eta at p_min beats the peak
+    ])
+    def test_qfunc_no_fixed_power_matches_grid(self, tmp_path, kappa, p_min, p_star,
+                                               binding):
+        # b = 0: f(0) > 0 makes eta -> inf as p -> 0; p** is the best power
+        # on [p_min, p_max], found by a dense grid.
+        out = tmp_path / "opt.csv"
+        assert main(["optimize", "--model", "qfunc", "--kappa", kappa, "--b-w", "0",
+                     "--pmin-w", repr(p_min), "--out", str(out)]) == 0
+        _, row = read_rows(out)
+        p_max = dbm_to_watts(35.0)
+        n = 200_000
+        ref = oracles.grid_constrained_argmax_qfunc(
+            0.5, 10, 4000.0, 0.0, 1.0, float(kappa), 4.0, 1e3, 1.0, p_min, p_max, n)
+        assert abs(math.log(float(row[7]) / ref)) <= math.log(p_max / p_min) / (n - 1)
+        assert row[9] == binding
+        if binding == "power_cap":
+            assert float(row[7]) == p_min
+        if p_star == "nan":
+            assert row[5] == row[8] == "nan"
+        else:
+            assert float(row[5]) == pytest.approx(p_star, rel=1e-3)
 
 
 class TestSweep:

@@ -11,6 +11,7 @@ change of output, by running this file as a script:
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import tempfile
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from greenlink.cli import main
 
 QFUNC2_B0 = ["--model", "qfunc", "--kappa", "2", "--b-w", "0"]
@@ -59,7 +61,7 @@ PINS = {
     'eval-qfunc2-b0': (0, '755139e3dd7e20e24284e2677a1252f462d0b80a9f525d9712b481c844d206a8'),
     'eval-qfunc-qos': (0, 'df948d129fe6680ae74af37465087936422277d0ea03e0865ffbaaa38129f9d3'),
     'optimize-exp': (0, 'cae85d2ec18743b155867955d69d0e2435efe793915c269c2e8c7759235cb093'),
-    'optimize-qfunc2-b0': (0, 'b1a020e91db80d59b8ab25d70c113011274ae4e437b76bf57b37060aaff94fe7'),
+    'optimize-qfunc2-b0': (0, '52051a7c365f023217eadf72f05a70863fa9c6c21eaa00fddcf4361121822f3c'),
     'optimize-qfunc-qos': (0, '8a0d18caf9f32ecc6f05e9354d6bf432d72a2ec3af0b02287fb23045ae0d7cda'),
     'simulate-f': (0, '139a878252c08f94e30c8209ad7dfef2d70d68585cd5681c123274be8e61b7af'),
     'simulate-qfunc-p': (0, '09705e15357101b2b377e720e89a60e78865b6763eed4c141ddd168611c5b9f0'),
@@ -67,7 +69,7 @@ PINS = {
     'gain-q-exp': (0, '02ade259400308d8bc9bc7689e59affbf403050be7e9423d23adede40d983ec4'),
     'gain-q-qfunc-qos': (0, 'cf821968b59685ec29525fa60401921faf46e093049897dacc1d4630dcaab4ae'),
     'gain-b-exp': (0, '484d9a89857d01281069dd7d2d5927f6b8e0e4a1aeeddea24b49038e56d35879'),
-    'gain-b-qfunc2': (0, 'cfc82a1b02a87a0513f564286f6eb4a8adf3c5ca710a828c495f0c0e03299276'),
+    'gain-b-qfunc2': (0, 'e155db460e4a6a769852713d66003db62f2a9dc5501b768485392424c090a1ba'),
     'sweep-q-exp': (0, 'c88457f1255c22df54dc8102d5ed77760232ecbe4f4f7976cdb114929e4a5789'),
     'sweep-q-qfunc-qos': (0, 'caa9f950e72b42faf8f15f5a2c0e8d61081f4b61c543878798d48b6107cee14f'),
     'sweep-b-exp': (0, '886050b85eeea395fa3067bb2edf46ce68aee7adfb33f03739e8912afe0de988'),
@@ -90,6 +92,28 @@ def test_csv_matches_pin(name, tmp_path):
 
 def test_every_case_pinned():
     assert set(PINS) == set(CASES)
+
+
+# The qfunc kappa = 2, b = 0 optimum of the earlier pins of optimize-qfunc2-b0
+# and gain-b-qfunc2 (its b = 0 row), found by an eta scan and Brent.
+OLD_QFUNC2_B0_P_STAR = 0.06923794372293109
+
+
+def test_repinned_optimum_nearer_mpmath_root(tmp_path):
+    # With b = 0, eta = R f / (a p), so p* is the root of d ln(f/p)/d ln p.
+    out = tmp_path / "out.csv"
+
+    def first_row(name):
+        assert main(CASES[name] + ["--out", str(out)]) == 0
+        return next(csv.DictReader(out.read_text().splitlines()))
+
+    row = first_row("optimize-qfunc2-b0")
+    found = [float(row["p_star"]), float(row["p_star_constrained"])]
+    row = first_row("gain-b-qfunc2")  # the b = 0 row
+    found += [float(row["p_star_q1"]), float(row["p_star"])]
+    root = oracles.mp_peak_f_over_p_qfunc(2.0, 4.0, 1e3, OLD_QFUNC2_B0_P_STAR)
+    for p in found:
+        assert abs(p - root) <= abs(OLD_QFUNC2_B0_P_STAR - root)
 
 
 if __name__ == "__main__":

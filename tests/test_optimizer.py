@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from greenlink import (
@@ -13,7 +14,6 @@ from greenlink import (
     QueueParams,
     SystemParams,
     efficiency,
-    is_unimodal_grid,
     limit_optimizer,
     maximize_constrained,
     maximize_unconstrained,
@@ -30,6 +30,16 @@ def make_system(b=0.1, sigma2=1e-3, p_min=1e-4, p_max=10.0, eps=1.0, a=1.0):
 
 def exp_model(sigma2=1e-3):
     return ExpUnknownChannel(rate_R=4000.0, rate_R0=1000.0, noise_sigma2=sigma2)
+
+
+class SqrtModel:
+    # f/p = 1/sqrt(p) climbs without bound as p -> 0, so the slope of eta
+    # is negative everywhere and never falls from + to -
+    def success_probability(self, p):
+        return min(1.0, math.sqrt(p))
+
+    def success_derivative(self, p):
+        return 0.0 if p > 1.0 else 0.5 / math.sqrt(p)
 
 
 class TestMaximizeUnconstrained:
@@ -69,6 +79,15 @@ class TestMaximizeUnconstrained:
             ref = oracles.grid_argmax_exp(q, K, 4000.0, b, 1.0, c, 1e-4, 10.0)
             assert res.p_star == pytest.approx(ref, rel=1e-4)
 
+    def test_qfunc_matches_dense_grid(self):
+        for q, K, b, kappa in [(0.3, 5, 0.02, 2.0), (0.5, 10, 0.1, 10.0),
+                               (0.8, 1000, 1.0, 100.0)]:
+            sysp = make_system(b=b)
+            res = maximize_unconstrained(sysp, QueueParams(q, K), q_model(kappa))
+            ref = oracles.grid_argmax_qfunc(q, K, 4000.0, b, 1.0, kappa, 4.0, 1e3,
+                                            1e-4, 10.0)
+            assert res.p_star == pytest.approx(ref, rel=1e-4)
+
     def test_local_optimality(self):
         model = exp_model()
         sysp = make_system(b=0.1)
@@ -95,15 +114,6 @@ class TestMaximizeUnconstrained:
         assert res.eta_star == efficiency(sysp, qp, model, res.p_star).eta
 
     def test_non_sigmoidal_model_raises(self):
-        class SqrtModel:
-            # f/p = 1/sqrt(p) climbs without bound as p -> 0, so bracket
-            # expansion can never trap an interior peak
-            def success_probability(self, p):
-                return min(1.0, math.sqrt(p))
-
-            def success_derivative(self, p):
-                return 0.0 if p > 1.0 else 0.5 / math.sqrt(p)
-
         sysp = make_system(b=0.0)
         with pytest.raises(NoInteriorMaximumError):
             maximize_unconstrained(sysp, QueueParams(1.0, 5), SqrtModel())
@@ -135,7 +145,6 @@ class TestOptimumDiagnostics:
         sysp = make_system(b=0.1)
         qp = QueueParams(0.5, 10)
         res = maximize_unconstrained(sysp, qp, model)
-        assert res.scan_evaluations == 0
         assert res.bracket == (sysp.noise_sigma2 * 1e-3, sysp.p_max * 1e3)
         assert 2 < res.iterations <= 20
         assert res.certificate == stationarity_residual(sysp, qp, model, res.p_star)
@@ -152,34 +161,41 @@ class TestOptimumDiagnostics:
         assert worst <= 1e-9
 
     def test_unbounded_low_power_takes_scan_path(self):
-        # Known fault, kept on purpose: qfunc with b = 0 has eta -> inf as
-        # p -> 0 because f(0) = Q(kappa R/R0) > 0, so eta is not
-        # quasi-concave; the scan finds the interior local peak.
+        # qfunc with b = 0 has eta -> inf as p -> 0 because
+        # f(0) = Q(kappa R/R0) > 0, so the slope is negative at the search
+        # floor and the walk, not the fast path, brackets the first peak.
         sysp = cli_default_system(0.0)
         qp = QueueParams(0.5, 10)
         model = q_model(2.0)
         lo = sysp.noise_sigma2 * 1e-3
         assert stationarity_residual(sysp, qp, model, lo) < 0.0
         res = maximize_unconstrained(sysp, qp, model)
-        assert res.scan_evaluations > 0
+        a, b = res.bracket
+        assert (a, b) == (lo * 2.0 ** 16, lo * 2.0 ** 17)  # doublings are exact
+        assert stationarity_residual(sysp, qp, model, a) > 0.0
+        assert stationarity_residual(sysp, qp, model, b) < 0.0
+        # 2 search-range ends, 17 walk steps, then Brent
+        assert 2 + 17 < res.iterations <= 2 + 17 + 10
         # p* of the earlier golden-section optimizer at these settings
         assert res.p_star == pytest.approx(0.06923794372713665, rel=1e-9)
         assert abs(res.certificate) <= 1e-9
 
     def test_no_signal_on_first_grid_widens_both_ways(self):
         # R/R0 = 40 puts c = (2^40 - 1) sigma2 near 1.1e9 W, so f(p) = exp(-c/p)
-        # underflows to 0 on the whole first grid; with b = 0, p* = c.
+        # underflows to 0 across the whole search range and the slope reads +1
+        # at both ends; the walk climbs past the search ceiling to p* = c (b = 0).
         model = ExpUnknownChannel(rate_R=4000.0, rate_R0=100.0, noise_sigma2=1e-3)
         sysp = make_system(b=0.0)
         assert model.success_probability(sysp.p_max * 1e3) == 0.0
         res = maximize_unconstrained(sysp, QueueParams(0.5, 10), model)
-        assert res.scan_evaluations > 65
+        a, b = res.bracket
+        assert sysp.p_max * 1e3 < a and b == 2.0 * a
+        assert res.iterations > 2 + math.log2(a / (sysp.noise_sigma2 * 1e-3))
         assert res.p_star == pytest.approx((2.0 ** 40 - 1.0) * 1e-3, rel=1e-12)
 
-    def test_no_sign_change_after_scan_returns_bracket_middle(self):
+    def test_no_sign_change_raises(self):
         # The slope reads -1 everywhere (f' is stubbed to 0) while eta peaks
-        # near p = 1, so the scan brackets the peak but the slope never
-        # changes sign across it: the answer is the bracket's middle grid point.
+        # near p = 1: only the slope's sign counts, so there is no peak.
         class FlatSlope:
             def success_probability(self, p):
                 return p * p / (1.0 + p * p)
@@ -188,11 +204,15 @@ class TestOptimumDiagnostics:
                 return 0.0
 
         sysp = make_system(b=0.0, p_max=3.0)
-        res = maximize_unconstrained(sysp, QueueParams(1.0, 10), FlatSlope())
-        assert (res.iterations, res.scan_evaluations, res.certificate) == (5, 65, -1.0)
-        assert res.bracket[0] < 1.0 < res.bracket[1]
-        assert res.bracket == pytest.approx((0.838, 1.657), abs=1e-3)
-        assert res.p_star == math.sqrt(res.bracket[0] * res.bracket[1])
+        qp = QueueParams(1.0, 10)
+        with pytest.raises(NoInteriorMaximumError):
+            maximize_unconstrained(sysp, qp, FlatSlope())
+        res = maximize_constrained(sysp, qp, FlatSlope())
+        assert math.isnan(res.p_star) and math.isnan(res.eta_star)
+        # the walk gives up 2^60 above the search ceiling
+        assert res.bracket[1] >= sysp.p_max * 1e3 * 2.0 ** 60
+        # with no peak the better end of [p_min, p_max] is kept: here p_max
+        assert (res.p_star_constrained, res.binding) == (sysp.p_max, Binding.POWER_CAP)
 
 
 class TestQosThreshold:
@@ -318,6 +338,123 @@ class TestMaximizeConstrained:
                 q, K, 4000.0, b, 1.0, c, eps, pmin, pmax)
             assert res.p_star_constrained == pytest.approx(ref, rel=1e-4)
 
+    def test_no_interior_peak_takes_floor(self):
+        # SqrtModel has no interior peak (maximize_unconstrained raises), but
+        # eta falls across the whole feasible interval, so p_min is its best.
+        sysp = make_system(b=0.0)
+        res = maximize_constrained(sysp, QueueParams(1.0, 5), SqrtModel())
+        assert math.isnan(res.p_star) and math.isnan(res.eta_star)
+        assert res.p_star_constrained == sysp.p_min
+        assert res.binding is Binding.POWER_CAP
+
+
+# The CLI defaults: R/R0 = 4, hh = 1, sigma2 = 1 mW, p_max = 35 dBm.
+P_MAX = 10.0 ** 3.5 / 1000.0
+GRID_N = 200_000
+
+
+def qfunc_b0_case(q, K, kappa, eps, p_min):
+    sysp = SystemParams(rate_R=4000.0, fixed_power_b=0.0, noise_sigma2=1e-3,
+                        p_min=p_min, p_max=P_MAX, loss_bound_epsilon=eps)
+    res = maximize_constrained(sysp, QueueParams(q, K), q_model(kappa))
+    ref = oracles.grid_constrained_argmax_qfunc(
+        q, K, 4000.0, 0.0, 1.0, kappa, 4.0, 1e3, eps, p_min, P_MAX, n=GRID_N)
+    return sysp, res, ref
+
+
+def grid_step(p_min):
+    return math.log(P_MAX / p_min) / (GRID_N - 1)
+
+
+class TestQfuncNoFixedPower:
+    """qfunc with b = 0: f(0) > 0, so eta -> inf as p -> 0 and is not quasi-concave.
+
+    eta = R f / (a p) at any load, so the answer on [max(p0, p_min), p_max]
+    is either its floor or the first interior peak of f/p.
+    """
+
+    def test_no_peak_takes_floor(self):
+        # kappa = 0.5: the slope of f/p never turns positive; eta falls
+        # across the whole interval.
+        _, res, ref = qfunc_b0_case(0.5, 10, 0.5, 1.0, 0.01)
+        assert math.isnan(res.p_star)
+        assert res.p_star_constrained == 0.01
+        assert res.binding is Binding.POWER_CAP
+        assert ref == pytest.approx(0.01, rel=grid_step(0.01))
+        with pytest.raises(NoInteriorMaximumError):
+            maximize_unconstrained(cli_default_system(0.0), QueueParams(0.5, 10),
+                                   q_model(0.5))
+
+    def test_interior_peak_beats_floor(self):
+        _, res, ref = qfunc_b0_case(0.5, 10, 1.0, 1.0, 0.01)
+        assert res.binding is Binding.INTERIOR
+        assert res.p_star_constrained == res.p_star == pytest.approx(0.03785, rel=1e-3)
+        assert abs(math.log(res.p_star / ref)) <= grid_step(0.01)
+
+    def test_floor_beats_interior_peak(self):
+        # kappa = 0.7 has a peak at 0.0114 W, but with p_min = 1e-4 eta at
+        # the floor is higher still.
+        sysp, res, ref = qfunc_b0_case(0.5, 10, 0.7, 1.0, 1e-4)
+        assert res.p_star == pytest.approx(0.0114, rel=1e-2)
+        assert (res.p_star_constrained, res.binding) == (1e-4, Binding.POWER_CAP)
+        assert ref == pytest.approx(1e-4, rel=grid_step(1e-4))
+        model = q_model(0.7)
+        assert (efficiency(sysp, QueueParams(0.5, 10), model, 1e-4).eta
+                > res.eta_star)
+
+    def test_peak_matches_mpmath_root(self):
+        for kappa in (1.0, 2.0):
+            res = maximize_unconstrained(cli_default_system(0.0), QueueParams(0.5, 10),
+                                         q_model(kappa))
+            root = oracles.mp_peak_f_over_p_qfunc(kappa, 4.0, 1e3, res.p_star)
+            assert res.p_star == pytest.approx(root, rel=1e-14)
+
+    @given(
+        q=st.floats(-6.0, 0.0).map(lambda e: 10.0 ** e),
+        K=st.floats(0.0, 6.0).map(lambda e: int(round(10.0 ** e))),
+        # kappa near 1 is where the floor and the first peak trade places
+        kappa=st.one_of(st.floats(0.5, 1.5), st.floats(0.0, 4.0).map(lambda e: 10.0 ** e)),
+        p_min=st.sampled_from([1e-4, 1e-3, 0.01]),
+        eps_draw=st.one_of(st.none(), st.floats(-12.0, 0.0),
+                           st.tuples(st.floats(-1e-6, 1e-6))),
+    )
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_matches_grid(self, q, K, kappa, p_min, eps_draw):
+        # eps_draw: None for no loss bound, a float for log10(epsilon), or a
+        # 1-tuple (u,) for epsilon = Phi(p_max) (1 + u), the infeasibility edge.
+        phi_max = float(oracles.loss_grid_qfunc(np.array([P_MAX]), q, K, kappa, 4.0, 1e3)[0])
+        if eps_draw is None:
+            eps = 1.0
+        elif isinstance(eps_draw, float):
+            eps = 10.0 ** eps_draw
+        else:
+            eps = min(1.0, phi_max * (1.0 + eps_draw[0])) if phi_max > 0.0 else 1.0
+        sysp, res, ref = qfunc_b0_case(q, K, kappa, eps, p_min)
+        edge = abs(eps - phi_max) <= 1e-7 * eps  # Phi's roundoff can tip either way
+        if ref is None or res.binding is Binding.INFEASIBLE:
+            assert edge or (ref is None and res.binding is Binding.INFEASIBLE)
+            return
+        step = grid_step(p_min)
+        p_cc = res.p_star_constrained
+        qp = QueueParams(q, K)
+        best = float(oracles.eta_grid_qfunc(np.array([ref]), q, K, 4000.0, 0.0, 1.0,
+                                            kappa, 4.0, 1e3)[0])
+        eta = efficiency(sysp, qp, q_model(kappa), p_cc).eta
+        assert eta >= best * (1.0 - 1e-8)
+        # One grid step, unless the floor and the first peak tie in eta.
+        assert abs(math.log(p_cc / ref)) <= 1.001 * step or eta <= best * (1.0 + 1e-6)
+        # The binding names the power returned, and the grid agrees on where it is.
+        p0_ref = oracles.grid_qos_threshold_qfunc(q, K, kappa, 4.0, 1e3, eps, p_min, P_MAX)
+        if res.binding is Binding.INTERIOR:
+            assert p_cc == res.p_star and max(res.p0, p_min) <= p_cc <= P_MAX
+        elif res.binding is Binding.QOS_BOUND:
+            assert p_cc == res.p0 >= p_min
+            assert abs(math.log(p0_ref / p_cc)) <= 1.001 * step
+        else:
+            assert p_cc in (p_min, P_MAX)
+            if p_cc == p_min:
+                assert p0_ref <= p_min * math.exp(1.001 * step)
+
 
 class TestLimitOptimizer:
     def test_light_traffic_analytic(self):
@@ -350,9 +487,9 @@ class TestLimitOptimizer:
         assert res.p_star == pytest.approx(lim, rel=1e-3)
 
     def test_light_traffic_scan_path(self):
-        # qfunc with b = 0 is the scan-path case of
+        # qfunc with b = 0 is the walk case of
         # TestOptimumDiagnostics.test_unbounded_low_power_takes_scan_path, and
-        # the q -> 0 limit with no fixed draw has the same maximizer.
+        # the q -> 0 limit with no fixed draw returns the same first peak.
         p = limit_optimizer(cli_default_system(0.0), q_model(2.0), "q_to_0")
         assert p == pytest.approx(0.06923794372713665, rel=1e-9)
 
@@ -374,20 +511,20 @@ class TestGainTrend:
 class TestUnimodalGrid:
     def test_accepts_unimodal(self):
         x = np.linspace(-3, 3, 500)
-        assert is_unimodal_grid(-x * x)
+        assert oracles.is_unimodal_grid(-x * x)
 
     def test_accepts_plateau(self):
         y = np.concatenate([np.linspace(0, 1, 50), np.full(20, 1.0),
                             np.linspace(1, 0.2, 50)])
-        assert is_unimodal_grid(y)
+        assert oracles.is_unimodal_grid(y)
 
     def test_rejects_bimodal(self):
         x = np.linspace(0, 4 * np.pi, 600)
-        assert not is_unimodal_grid(np.sin(x) + 2.0, rel_tol=1e-12)
+        assert not oracles.is_unimodal_grid(np.sin(x) + 2.0, rel_tol=1e-12)
 
     def test_accepts_monotone(self):
-        assert is_unimodal_grid(np.linspace(0, 1, 100))
-        assert is_unimodal_grid(np.linspace(1, 0, 100))
+        assert oracles.is_unimodal_grid(np.linspace(0, 1, 100))
+        assert oracles.is_unimodal_grid(np.linspace(1, 0, 100))
 
     def test_efficiency_curves_unimodal(self):
         model = exp_model()
@@ -396,4 +533,4 @@ class TestUnimodalGrid:
         grid = np.exp(np.linspace(math.log(1e-5), math.log(100.0), 1500))
         vals = np.array([efficiency(sysp, qp, model, float(p)).eta
                          for p in grid])
-        assert is_unimodal_grid(vals)
+        assert oracles.is_unimodal_grid(vals)

@@ -8,7 +8,6 @@ import oracles
 from greenlink import (
     QueueParams,
     full_buffer_prob,
-    infinite_K_loss,
     load_rho,
     packet_loss,
     stationary_distribution,
@@ -219,32 +218,3 @@ class TestPacketLoss:
     def test_in_unit_interval(self, q, f, K):
         v = packet_loss(QueueParams(q, K), f)
         assert 0.0 <= v <= 1.0
-
-
-class TestInfiniteKLoss:
-    def test_overloaded_value_flagged(self):
-        # the formula exceeds 1 here; returned unclamped with a warning
-        with pytest.warns(RuntimeWarning):
-            v = infinite_K_loss(0.6, 0.3)
-        assert v == pytest.approx(0.7 / 0.6, rel=1e-14)
-
-    def test_balanced_is_zero(self):
-        assert infinite_K_loss(0.5, 0.5) == 0.0
-
-    def test_perfect_channel(self):
-        assert infinite_K_loss(0.4, 1.0) == 0.0
-
-    def test_drain_dominates(self):
-        assert infinite_K_loss(0.3, 0.8) == 0.0
-
-    def test_valid_fraction_no_warning(self):
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            v = infinite_K_loss(0.9, 0.4)
-        assert v == pytest.approx(0.6 / 0.9, rel=1e-14)
-
-    @pytest.mark.parametrize("q,f", [(0.0, 0.5), (0.5, 0.0), (1.2, 0.5)])
-    def test_domain(self, q, f):
-        with pytest.raises(ValueError):
-            infinite_K_loss(q, f)
