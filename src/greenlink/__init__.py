@@ -23,7 +23,6 @@ from .efficiency import (
 )
 from .optimize import (
     Binding,
-    NoInteriorMaximumError,
     Optimum,
     limit_optimizer,
     maximize_constrained,
@@ -56,7 +55,6 @@ __all__ = [
     "ConvergenceRow",
     "EfficiencyPoint",
     "ExpUnknownChannel",
-    "NoInteriorMaximumError",
     "Optimum",
     "QKnownChannel",
     "QueueParams",

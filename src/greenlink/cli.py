@@ -226,6 +226,9 @@ def _emit_csv(path: Optional[str], header: Sequence[str], rows) -> None:
 
 
 def _log_grid(lo: float, hi: float, n: int) -> List[float]:
+    for name, end in (("p_lo", lo), ("p_hi", hi)):
+        if end == math.inf:
+            raise CliError(f"power grid end {name} must be finite, got {end!r}")
     if not 0.0 < lo < hi:
         raise CliError("power grid needs 0 < p_lo < p_hi")
     if n < 2:

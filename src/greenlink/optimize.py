@@ -27,7 +27,6 @@ from .success import SuccessModel
 __all__ = [
     "Binding",
     "Optimum",
-    "NoInteriorMaximumError",
     "maximize_unconstrained",
     "qos_threshold",
     "maximize_constrained",
@@ -38,21 +37,6 @@ _WALK_REACH = 2.0 ** 60  # the walk gives up this factor above the search ceilin
 _LOG_BRACKET_TOL = 1e-9  # QoS threshold: bracket width in ln(p)
 _LOG_ROOT_TOL = 1e-14  # optima: bracket width in ln(p)
 _EPS = sys.float_info.epsilon
-
-
-class NoInteriorMaximumError(RuntimeError):
-    """Raised by maximize_unconstrained when eta has no interior peak.
-
-    That is, the slope of eta never falls from + to - between the search
-    floor and _WALK_REACH times the search ceiling (non-sigmoidal
-    objective). search holds what the walk spent, as an Optimum with
-    p_star nan. maximize_constrained does not raise it: it then keeps
-    the better end of the feasible interval.
-    """
-
-    def __init__(self, message: str, search: Optional["Optimum"] = None) -> None:
-        super().__init__(message)
-        self.search = search
 
 
 class Binding(Enum):
@@ -70,12 +54,10 @@ class Optimum:
 
     p_star is the first interior peak of eta, the maximizer when eta is
     quasi-concave; p_star, eta_star and certificate are nan when eta has
-    no interior peak (maximize_constrained returns such a result, and
-    NoInteriorMaximumError carries one). bracket is the pair the
-    zero-finder started from, or the last pair walked when there is no
-    peak; iterations counts slope evaluations, the walk's included; and
-    certificate is the normalized slope at p_star (near 0 at an interior
-    optimum).
+    no interior peak. bracket is the pair the zero-finder started from,
+    or the last pair walked when there is no peak; iterations counts
+    slope evaluations, the walk's included; and certificate is the
+    normalized slope at p_star (near 0 at an interior optimum).
     p0 is the smallest power meeting the loss bound, math.inf when no
     power up to p_max does; in that case p_star_constrained stays None
     and binding is INFEASIBLE.
@@ -155,7 +137,8 @@ def maximize_unconstrained(
     walk doubles p from the search floor until the first pair (p, 2p)
     with slope(p) > 0 > slope(2p), and Brent runs inside that pair;
     bracket is then no longer the search range. With no such pair below
-    _WALK_REACH times the search ceiling, raises NoInteriorMaximumError.
+    _WALK_REACH times the search ceiling, eta has no interior peak:
+    p_star and eta_star are nan and bracket is the last pair walked.
     """
 
     def slope(p: float) -> float:
@@ -169,11 +152,7 @@ def maximize_unconstrained(
         hi, r_hi = lo, r_lo
         while not r_lo > 0.0 > r_hi:
             if hi >= ceiling:
-                raise NoInteriorMaximumError(
-                    "no interior maximum found: the slope of eta never falls "
-                    f"from + to - below {hi:.6g} W",
-                    Optimum(math.nan, math.nan, (lo, hi), calls),
-                )
+                return Optimum(math.nan, math.nan, (lo, hi), calls)
             lo, r_lo = hi, r_hi
             hi = 2.0 * lo
             r_hi = slope(hi)
@@ -220,16 +199,10 @@ def maximize_constrained(
     so eta -> inf as p -> 0): eta at the interval's floor is compared
     with eta at the projected peak, and the better one kept. With no
     interior peak (p_star and eta_star nan) the better of the interval's
-    two ends is kept, the floor when eta falls across it. Never raises
-    NoInteriorMaximumError.
+    two ends is kept, the floor when eta falls across it.
     """
     p0 = qos_threshold(system, queue, model)
-    # The peak search stays maximize_unconstrained's, one layer that
-    # perfbench/tracer.py times on its own.
-    try:
-        peak = maximize_unconstrained(system, queue, model)
-    except NoInteriorMaximumError as exc:
-        peak = exc.search
+    peak = maximize_unconstrained(system, queue, model)
     walked = peak.bracket != _search_limits(system)  # the fast path keeps the range
     if math.isinf(p0):
         return replace(peak, p0=p0, binding=Binding.INFEASIBLE)
@@ -262,7 +235,7 @@ def limit_optimizer(
     the fixed draw dominates the bill and only the energy per delivered
     packet, a p / f(p), is left to choose, so the maximizer is f(p)/p's.
     For the qfunc model f(0) > 0, so f(p)/p grows without bound as p -> 0
-    and the q -> 0 answer is its first interior peak.
+    and the q -> 0 answer is its first interior peak, nan when it has none.
     """
     if which == "q_to_0":
         system = replace(system, fixed_power_b=0.0)

@@ -85,13 +85,11 @@ def transition_matrix(queue: QueueParams, f: float) -> np.ndarray:
     stay = (1.0 - q) * (1.0 - f) + q * f
 
     P = np.zeros((K + 1, K + 1))
+    i = np.arange(K)
+    P[i, i + 1] = up
+    P[i + 1, i] = down
+    P[i, i] = stay
     P[0, 0] = 1.0 - q + q * f
-    for i in range(K):
-        P[i, i + 1] = up
-    for i in range(1, K + 1):
-        P[i, i - 1] = down
-    for i in range(1, K):
-        P[i, i] = stay
     P[K, K] = (1.0 - q) * (1.0 - f) + q  # arrivals to a full buffer do not raise the state
     return P
 

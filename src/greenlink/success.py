@@ -67,21 +67,30 @@ class ExpUnknownChannel:
 
     @property
     def power_scale(self) -> float:
-        """The constant c in f(p) = exp(-c/p), in watts."""
-        return (2.0 ** (self.rate_R / self.rate_R0) - 1.0) * self.noise_sigma2
+        """The constant c in f(p) = exp(-c/p), in watts; inf once 2**(R/R0) leaves float range."""
+        ratio = self.rate_R / self.rate_R0
+        if ratio >= 1024.0:
+            return math.inf
+        return (2.0 ** ratio - 1.0) * self.noise_sigma2
 
     def success_probability(self, p: float) -> float:
         if not 0.0 <= p < math.inf:
             _reject_power(p)
         if p == 0.0:
             return 0.0  # limit of exp(-c/p) as p -> 0+
-        return min(1.0, max(0.0, math.exp(-self.power_scale / p)))
+        return math.exp(-self.power_scale / p)
 
     def success_derivative(self, p: float) -> float:
         """df/dp = f(p) * c / p**2, exact for this family."""
         if not p > 0.0:
             raise ValueError("derivative requires positive transmit power")
-        return self.success_probability(p) * self.power_scale / (p * p)
+        f = self.success_probability(p)
+        if f == 0.0:
+            return 0.0  # also where c is inf, and 0 * inf is nan
+        p_squared = p * p
+        if p_squared == 0.0:  # p below ~1.5e-162
+            return f * self.power_scale / p / p
+        return f * self.power_scale / p_squared
 
 
 @dataclass(frozen=True)
@@ -111,13 +120,16 @@ class QKnownChannel:
         )
 
     def _argument(self, p: float) -> float:
+        ratio = self.rate_R / self.rate_R0
+        if ratio == math.inf:  # f is 0; an inf log term below would give inf - inf, NaN
+            return math.inf
         snr = self.channel_gain_hh * p / self.noise_sigma2
-        return self.spread_kappa * (self.rate_R / self.rate_R0 - math.log1p(snr))
+        return self.spread_kappa * (ratio - math.log1p(snr))
 
     def success_probability(self, p: float) -> float:
         if not 0.0 <= p < math.inf:
             _reject_power(p)
-        return min(1.0, max(0.0, gaussian_q(self._argument(p))))
+        return gaussian_q(self._argument(p))
 
     def success_derivative(self, p: float) -> float:
         """df/dp = kappa * phi(arg) * hh / (sigma2 + hh p), phi the normal pdf; exact."""

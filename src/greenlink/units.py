@@ -6,7 +6,11 @@ __all__ = ["dbm_to_watts", "watts_to_dbm"]
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    """Watts for a dBm value; inf above about 3112.5 dBm, beyond float range."""
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def watts_to_dbm(watts: float) -> float:

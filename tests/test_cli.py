@@ -1,5 +1,6 @@
 import csv
 import math
+import runpy
 import subprocess
 import sys
 
@@ -215,11 +216,19 @@ class TestSweep:
          "error: fixed power draw cannot be negative"),
         (["--p-lo-w", "1", "--p-hi-w", "0.5"],
          "error: power grid needs 0 < p_lo < p_hi"),
+        (["--p-hi-w", "inf"], "error: power grid end p_hi must be finite, got inf"),
+        (["--p-lo-w", "inf"], "error: power grid end p_lo must be finite, got inf"),
     ])
     def test_errors_write_no_csv(self, tmp_path, capsys, argv, message):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", *argv, "--p-points", "5", "--out", str(out)]) == 1
         assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
+    def test_one_point_grid_writes_no_csv(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--axis", "p", "--p-points", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: power grid needs at least 2 points\n"
         assert not out.exists()
 
 
@@ -291,6 +300,13 @@ class TestSimulate:
         assert rows[0] == ["packet_count", "mean_loss", "std_error",
                            "relative_gap"]
         assert [int(r[0]) for r in rows[1:]] == [200, 400]
+
+    def test_negative_warmup_writes_no_csv(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--f", "0.5", "--warmup-slots", "-1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: warm-up slot count cannot be negative\n"
+        assert not out.exists()
 
     def test_needs_f_or_power(self, capsys):
         assert main(["simulate"]) == 1
@@ -437,6 +453,34 @@ class TestUsageErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    # The error each power setting gives when it reads inf watts.
+    _INFINITE_POWER = {
+        "b": ("optimize", "fixed_power_b must be finite, got inf"),
+        "sigma2": ("optimize", "noise_sigma2 must be finite, got inf"),
+        "pmax": ("optimize", "p_max must be finite, got inf"),
+        "pmin": ("optimize", "power limits must satisfy 0 < p_min < p_max"),
+        "p_lo": ("sweep", "power grid end p_lo must be finite, got inf"),
+        "p_hi": ("sweep", "power grid end p_hi must be finite, got inf"),
+        "p": ("eval", "transmit power must be finite, got inf"),
+    }
+
+    @pytest.mark.parametrize("row", [row for row in cli._FIELDS if row.power],
+                             ids=lambda row: row.flag)
+    def test_dbm_beyond_float_range_reads_inf(self, tmp_path, capsys, row):
+        command, message = self._INFINITE_POWER[row.flag]
+        out = tmp_path / "out.csv"
+        flag = "--" + row.flag.replace("_", "-") + "-dbm"
+        assert main([command, flag, "9999", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_config_dbm_beyond_float_range_reads_inf(self, tmp_path, capsys):
+        ini, out = tmp_path / "big.ini", tmp_path / "out.csv"
+        ini.write_text("[system]\npmax = 9999\n")
+        assert main(["optimize", "--config", str(ini), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: p_max must be finite, got inf\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed, runs", [(-1, 2), (2**128 - 1, 2), (2**128, 1)])
     def test_seed_out_of_key_range_writes_no_csv(self, tmp_path, capsys, seed, runs):
         out = tmp_path / "sim.csv"
@@ -462,6 +506,33 @@ class TestParserReuse:
         assert read_rows(second)[1][:2] == ["0.5", "10"]  # the defaults again
 
 
+class TestModelCorners:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--p-w", "1"],
+        ["optimize"],
+        ["gain", "--values", "0.5,1"],
+        ["simulate", "--p-w", "1", "--num-runs", "2", "--total-packets", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_exp_rate_ratio_beyond_float_range(self, argv):
+        # R/R0 = 2000: 2**(R/R0) leaves float range and f is 0 at any power
+        assert main([*argv, "--R", "2e6"]) == 0
+
+    def test_exp_and_qfunc_agree_where_f_is_zero(self, tmp_path):
+        exp_out, q_out = tmp_path / "exp.csv", tmp_path / "qfunc.csv"
+        assert main(["optimize", "--R", "2e6", "--out", str(exp_out)]) == 0
+        assert main(["optimize", "--model", "qfunc", "--kappa", "2", "--R", "2e6",
+                     "--out", str(q_out)]) == 0
+        assert exp_out.read_bytes() == q_out.read_bytes()
+        _, row = read_rows(exp_out)
+        assert (row[5], row[8], row[9]) == ("nan", "nan", "power_cap")
+
+    def test_exp_optimum_at_tiny_noise(self, tmp_path):
+        out = tmp_path / "opt.csv"
+        assert main(["optimize", "--sigma2-w", "1e-200", "--out", str(out)]) == 0
+        _, row = read_rows(out)
+        assert float(row[5]) == pytest.approx(15e-200, rel=1e-3)
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "opt.csv"
     proc = subprocess.run(
@@ -470,3 +541,12 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     assert "binding" in proc.stdout
     assert out.exists()
+
+
+def test_module_entry_point_in_process(monkeypatch, capsys):
+    # python -m greenlink, run in this process so a line trace sees __main__.py
+    monkeypatch.setattr(sys, "argv", ["greenlink", "eval", "--p-w", "0.05"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("greenlink", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert "eta " in capsys.readouterr().out

@@ -45,6 +45,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             config(initial_queue_state=-1)
 
+    def test_negative_warmup(self):
+        with pytest.raises(ValueError, match=r"^warm-up slot count cannot be negative$"):
+            config(warmup_slots=-1)
+
     def test_bad_success_prob(self):
         with pytest.raises(ValueError):
             config(f=1.2)

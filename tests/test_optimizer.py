@@ -9,7 +9,6 @@ import oracles
 from greenlink import (
     Binding,
     ExpUnknownChannel,
-    NoInteriorMaximumError,
     QKnownChannel,
     QueueParams,
     SystemParams,
@@ -61,6 +60,14 @@ class TestMaximizeUnconstrained:
         exact = (15.0 + math.sqrt(825.0)) / 2.0
         assert res.p_star == pytest.approx(exact, rel=1e-6)
         assert res.p_star == pytest.approx(21.861, abs=5e-4)
+
+    @pytest.mark.parametrize("sigma2", [1e-200, 1e-300])
+    def test_analytic_at_tiny_noise(self, sigma2):
+        # q = 1, b = 0: p* = c = 15 sigma2, where p * p underflows to 0
+        model = exp_model(sigma2)
+        sysp = make_system(b=0.0, sigma2=sigma2)
+        res = maximize_unconstrained(sysp, QueueParams(1.0, 10), model)
+        assert res.p_star == pytest.approx(model.power_scale, rel=1e-12)
 
     def test_residual_vanishes_at_optimum(self):
         model = exp_model()
@@ -115,8 +122,8 @@ class TestMaximizeUnconstrained:
 
     def test_non_sigmoidal_model_raises(self):
         sysp = make_system(b=0.0)
-        with pytest.raises(NoInteriorMaximumError):
-            maximize_unconstrained(sysp, QueueParams(1.0, 5), SqrtModel())
+        res = maximize_unconstrained(sysp, QueueParams(1.0, 5), SqrtModel())
+        assert math.isnan(res.p_star) and math.isnan(res.eta_star)
 
     def test_continuity_in_q(self):
         model = exp_model()
@@ -205,8 +212,8 @@ class TestOptimumDiagnostics:
 
         sysp = make_system(b=0.0, p_max=3.0)
         qp = QueueParams(1.0, 10)
-        with pytest.raises(NoInteriorMaximumError):
-            maximize_unconstrained(sysp, qp, FlatSlope())
+        res = maximize_unconstrained(sysp, qp, FlatSlope())
+        assert math.isnan(res.p_star) and math.isnan(res.eta_star)
         res = maximize_constrained(sysp, qp, FlatSlope())
         assert math.isnan(res.p_star) and math.isnan(res.eta_star)
         # the walk gives up 2^60 above the search ceiling
@@ -339,7 +346,7 @@ class TestMaximizeConstrained:
             assert res.p_star_constrained == pytest.approx(ref, rel=1e-4)
 
     def test_no_interior_peak_takes_floor(self):
-        # SqrtModel has no interior peak (maximize_unconstrained raises), but
+        # SqrtModel has no interior peak (maximize_unconstrained reads nan), but
         # eta falls across the whole feasible interval, so p_min is its best.
         sysp = make_system(b=0.0)
         res = maximize_constrained(sysp, QueueParams(1.0, 5), SqrtModel())
@@ -381,9 +388,9 @@ class TestQfuncNoFixedPower:
         assert res.p_star_constrained == 0.01
         assert res.binding is Binding.POWER_CAP
         assert ref == pytest.approx(0.01, rel=grid_step(0.01))
-        with pytest.raises(NoInteriorMaximumError):
-            maximize_unconstrained(cli_default_system(0.0), QueueParams(0.5, 10),
-                                   q_model(0.5))
+        res = maximize_unconstrained(cli_default_system(0.0), QueueParams(0.5, 10),
+                                     q_model(0.5))
+        assert math.isnan(res.p_star) and math.isnan(res.eta_star)
 
     def test_interior_peak_beats_floor(self):
         _, res, ref = qfunc_b0_case(0.5, 10, 1.0, 1.0, 0.01)

@@ -82,6 +82,24 @@ class TestTransitionMatrix:
         assert P.sum(axis=1) == pytest.approx(np.ones(K + 1), abs=1e-12)
         assert (P >= 0.0).all()
 
+    @pytest.mark.parametrize("K", [1, 2, 7])
+    @pytest.mark.parametrize("q, f", [(0.3, 0.6), (0.5, 0.0), (0.5, 1.0), (1.0, 0.4)])
+    def test_matches_per_entry_loop(self, q, f, K):
+        ref = np.zeros((K + 1, K + 1))
+        for i in range(K + 1):
+            for j in range(K + 1):
+                if j == i + 1:
+                    ref[i, j] = q * (1.0 - f)
+                elif j == i - 1:
+                    ref[i, j] = (1.0 - q) * f
+                elif j == i == 0:
+                    ref[i, j] = 1.0 - q + q * f
+                elif j == i == K:
+                    ref[i, j] = (1.0 - q) * (1.0 - f) + q
+                elif j == i:
+                    ref[i, j] = (1.0 - q) * (1.0 - f) + q * f
+        assert transition_matrix(QueueParams(q, K), f).tobytes() == ref.tobytes()
+
     def test_structure_rules(self):
         q, f, K = 0.3, 0.6, 4
         P = transition_matrix(QueueParams(q, K), f)

@@ -89,6 +89,23 @@ class TestExpUnknownChannel:
         with pytest.raises(ValueError):
             ExpUnknownChannel(rate_R=4000.0, rate_R0=1000.0, noise_sigma2=0.0)
 
+    def test_rate_ratio_beyond_float_range(self):
+        # 2**(R/R0) leaves float range at R/R0 = 1024: c is inf, so f and f' are 0
+        below, at = exp_model(R=1023e3), exp_model(R=1024e3)
+        assert math.isfinite(below.power_scale)
+        assert at.power_scale == math.inf
+        for p in (1e-3, 1.0, 1e300):
+            assert at.success_probability(p) == 0.0
+            assert at.success_derivative(p) == 0.0
+
+    @pytest.mark.parametrize("p", [1e-200, 1e-250, 1e-300])
+    def test_derivative_where_p_squared_underflows(self, p):
+        # p * p is 0 here; f' = f c / p**2 still follows the family's formula
+        m = exp_model(sigma2=p)
+        c = m.power_scale
+        expected = m.success_probability(p) * (c / p) / p
+        assert 0.0 < m.success_derivative(p) == pytest.approx(expected, rel=1e-14)
+
 
 class TestQKnownChannel:
     def test_kappa_is_required(self):
@@ -127,6 +144,13 @@ class TestQKnownChannel:
             coarse = (m.success_probability(p + h)
                       - m.success_probability(p - h)) / (2 * h)
             assert d == pytest.approx(coarse, rel=1e-3)
+
+    def test_rate_ratio_beyond_float_range(self):
+        # R/R0 reads inf; with the log term inf too, inf - inf must not give a NaN f
+        for hh in (1.0, 1e300):
+            m = q_model(R=1e300, R0=1e-10, hh=hh, sigma2=1e-300)
+            assert m.success_probability(1.0) == 0.0
+            assert m.success_derivative(1.0) == 0.0
 
     def test_larger_kappa_sharpens(self):
         m1, m2 = q_model(kappa=1.0), q_model(kappa=6.0)
@@ -192,7 +216,7 @@ def test_negative_infinity_reads_as_not_positive():
 
 @pytest.mark.parametrize("model", [exp_model(), q_model()])
 def test_nan_power_rejected(model):
-    # min/max clipping would otherwise turn a NaN f into 0
+    # a NaN power is no power, not a NaN f
     with pytest.raises(ValueError):
         model.success_probability(math.nan)
     with pytest.raises(ValueError):

@@ -27,3 +27,8 @@ def test_watts_round_trip(w):
 def test_nonpositive_rejected(bad):
     with pytest.raises(ValueError):
         watts_to_dbm(bad)
+
+
+@pytest.mark.parametrize("dbm", [3200.0, 4000.0, 1e308, math.inf])
+def test_beyond_float_range_reads_inf(dbm):
+    assert dbm_to_watts(dbm) == math.inf
