@@ -18,6 +18,7 @@ from .efficiency import (
     EfficiencyPoint,
     SystemParams,
     efficiency,
+    efficiency_curve,
     power_gain_db,
     stationarity_residual,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "convergence_study",
     "dbm_to_watts",
     "efficiency",
+    "efficiency_curve",
     "full_buffer_log_slope",
     "full_buffer_prob",
     "gaussian_q",

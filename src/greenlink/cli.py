@@ -15,15 +15,14 @@ keys mean watts); everything internal and every CSV value is in watts.
 
 import argparse
 import configparser
-import csv
 import functools
 import math
 import re
 import sys
 from dataclasses import make_dataclass, replace
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .efficiency import SystemParams, efficiency, power_gain_db
+from .efficiency import SystemParams, efficiency, efficiency_curve, power_gain_db
 from .optimize import Optimum, maximize_constrained
 from .queueing import QueueParams
 from .simulate import SimConfig, convergence_study, simulate
@@ -214,15 +213,23 @@ def _model(settings: Settings) -> SuccessModel:
     raise CliError(f"unknown model {settings.model!r} (choose exp or qfunc)")
 
 
-def _emit_csv(path: Optional[str], header: Sequence[str], rows) -> None:
-    # Cells are plain floats, ints and strings; csv writes a float as its
-    # repr, the shortest form that round-trips.
+def _csv_line(cells: Sequence[Any]) -> str:
+    """One CSV record: each cell's str, joined by "," and ended by "\r\n".
+
+    Cells are plain floats, ints and strings that hold no comma, quote or
+    line break; for those this is what csv.writer writes, a float as its
+    repr, the shortest form that round-trips.
+    """
+    return ",".join(map(str, cells)) + "\r\n"
+
+
+def _emit_csv(path: Optional[str], header: Sequence[str], lines: Iterable[str]) -> None:
+    """Write the header and then lines, each already a _csv_line record."""
     if path is None:
         return
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_csv_line(header))
+        fh.writelines(lines)
 
 
 def _log_grid(lo: float, hi: float, n: int) -> List[float]:
@@ -269,7 +276,7 @@ def _cmd_eval(settings: Settings) -> int:
     _emit_csv(
         settings.out,
         ["p", "eta", "phi", "f", "feasible"],
-        [[point.power_p, point.eta, point.phi, point.f, int(point.feasible)]],
+        [_csv_line([point.power_p, point.eta, point.phi, point.f, int(point.feasible)])],
     )
     return 0
 
@@ -296,7 +303,7 @@ def _cmd_optimize(settings: Settings) -> int:
         settings.out,
         ["q", "K", "b", "sigma2", "epsilon", "p_star", "p0", "p_star_constrained",
          "eta_star", "binding"],
-        [row],
+        [_csv_line(row)],
     )
     print(f"p*   = {result.p_star:.6g} W ({watts_to_dbm(result.p_star):.2f} dBm)")
     if math.isinf(result.p0):
@@ -316,6 +323,9 @@ def _cmd_optimize(settings: Settings) -> int:
 
 
 def _cmd_sweep(settings: Settings) -> int:
+    # The link settings are checked before the power grid, so a bad --pmin or
+    # --pmax is named as itself, not as the grid end it sets.
+    _system(settings)
     powers = _log_grid(settings.p_lo_w, settings.p_hi_w, settings.p_points)
     axis = settings.sweep_axis
     values = _axis_values(settings, "sweep", {"q": None, "b_over_sigma2": None, "p": powers},
@@ -324,17 +334,19 @@ def _cmd_sweep(settings: Settings) -> int:
         powers = values
         curves = [(None, settings)]  # one curve; each row's axis value is its p
     else:
-        curves = [(v, _on_axis(settings, axis, v)) for v in values]
+        curves = [(repr(v), _on_axis(settings, axis, v)) for v in values]
 
-    rows = []
-    for value, local in curves:
-        system, queue, model = _system(local), _queue(local), _model(local)
-        for p in powers:
-            point = efficiency(system, queue, model, p)
-            rows.append([p if value is None else value, p, point.eta, point.phi, point.f,
-                         int(point.feasible)])
-    _emit_csv(settings.out, ["axis_value", "p", "eta", "phi", "f", "feasible"], rows)
-    print(f"swept {axis}: {len(rows)} points"
+    # A row is a _csv_line record; each power's repr and each curve's axis
+    # cell are rendered once.
+    p_cells = [repr(p) for p in powers]
+    lines = []
+    for cell, local in curves:
+        at = efficiency_curve(_system(local), _queue(local), _model(local))
+        for p, p_cell in zip(powers, p_cells):
+            eta, phi, f, feasible = at(p)
+            lines.append(f"{cell or p_cell},{p_cell},{eta!r},{phi!r},{f!r},{feasible:d}\r\n")
+    _emit_csv(settings.out, ["axis_value", "p", "eta", "phi", "f", "feasible"], lines)
+    print(f"swept {axis}: {len(lines)} points"
           + (f" -> {settings.out}" if settings.out else ""))
     return 0
 
@@ -357,7 +369,8 @@ def _cmd_gain(settings: Settings) -> int:
             rows.append([value, "infeasible", "infeasible", ""])
         else:
             rows.append([value, p_ref, p_here, power_gain_db(p_ref, p_here)])
-    _emit_csv(settings.out, ["axis_value", "p_star_q1", "p_star", "gain_db"], rows)
+    _emit_csv(settings.out, ["axis_value", "p_star_q1", "p_star", "gain_db"],
+              map(_csv_line, rows))
     for row in rows:
         gain = f"{row[3]:.4g} dB" if isinstance(row[3], float) else "infeasible"
         print(f"{axis} = {row[0]:<6g} saving = {gain}")
@@ -388,7 +401,7 @@ def _cmd_simulate(settings: Settings) -> int:
         _emit_csv(
             settings.out,
             ["packet_count", "mean_loss", "std_error", "relative_gap"],
-            [list(row) for row in study],
+            map(_csv_line, study),
         )
         for row in study:
             print(f"packets = {row.packet_count:<8d} mean loss = {row.mean_loss:.6g} "
@@ -399,8 +412,8 @@ def _cmd_simulate(settings: Settings) -> int:
             settings.out,
             ["total_packets", "mean_loss", "std_error", "theoretical_phi",
              "relative_gap"],
-            [[settings.total_packets, report.mean_loss_fraction, report.std_error,
-              report.theoretical_phi, report.relative_gap]],
+            [_csv_line([settings.total_packets, report.mean_loss_fraction, report.std_error,
+                        report.theoretical_phi, report.relative_gap])],
         )
         print(f"f (success prob)  = {f:.6g}")
         print(f"mean loss         = {report.mean_loss_fraction:.6g}")

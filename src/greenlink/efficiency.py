@@ -10,10 +10,17 @@ actually transmit (a busy slot occurs with probability q(1-Phi)/f in
 steady state), plus a fixed circuit draw b that is burned every slot.
 The fixed draw is what pulls the optimum away from pure per-packet
 energy: at low traffic, idling dominates the bill.
+
+efficiency_curve(system, queue, model) reads one link's constants once
+and returns p -> (eta, phi, f, feasible), the fields of an
+EfficiencyPoint after its power. A caller that walks many powers of one
+link, as the sweep command does, calls it once per curve; efficiency()
+is that function applied to a single power, so eta has one rule.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Tuple
 
 from .queueing import QueueParams, full_buffer_log_slope, full_buffer_prob, packet_loss
 from .success import SuccessModel
@@ -22,6 +29,7 @@ __all__ = [
     "SystemParams",
     "EfficiencyPoint",
     "efficiency",
+    "efficiency_curve",
     "stationarity_residual",
     "power_gain_db",
 ]
@@ -75,27 +83,44 @@ class EfficiencyPoint:
     feasible: bool  # phi <= epsilon and p within [p_min, p_max]
 
 
+def efficiency_curve(
+    system: SystemParams, queue: QueueParams, model: SuccessModel
+) -> Callable[[float], Tuple[float, float, float, bool]]:
+    """eta(p) of one link as p -> (eta, phi, f, feasible), its constants read once.
+
+    eta is in bits per joule at transmit power p (watts); feasible means
+    phi <= epsilon and p within [p_min, p_max].
+    """
+    # Looked up here, not at import, so a wrapper installed on
+    # model.success_probability or packet_loss before this call is used.
+    success, loss = model.success_probability, packet_loss
+    q, rate, b, a = queue.arrival_prob_q, system.rate_R, system.fixed_power_b, system.amp_coeff_a
+    epsilon, p_min, p_max = system.loss_bound_epsilon, system.p_min, system.p_max
+
+    def at(p):  # unannotated: annotations would be evaluated at each factory call
+        if not p > 0.0:
+            raise ValueError("transmit power must be positive")
+        f = success(p)
+        phi = loss(queue, f)
+        delivered = q * (1.0 - phi)  # packets out per slot
+        if delivered <= 0.0:
+            # No goodput. phi is exactly 1 when f is 0 or has underflowed
+            # (f <= 1e-300 at any q above ~1e-283), and 1 - phi can round to
+            # zero while f is still normal; eta's numerator is then zero
+            # whatever the power bill, and f is never divided by.
+            eta = 0.0
+        else:
+            eta = rate * delivered / (b + a * p * delivered / f)
+        return eta, phi, f, phi <= epsilon and p_min <= p <= p_max
+
+    return at
+
+
 def efficiency(
     system: SystemParams, queue: QueueParams, model: SuccessModel, p: float
 ) -> EfficiencyPoint:
     """Evaluate eta(p) in bits per joule at transmit power p (watts)."""
-    if not p > 0.0:
-        raise ValueError("transmit power must be positive")
-    f = model.success_probability(p)
-    phi = packet_loss(queue, f)
-    delivered = queue.arrival_prob_q * (1.0 - phi)  # packets out per slot
-    if delivered <= 0.0:
-        # No goodput. phi is exactly 1 when f is 0 or has underflowed
-        # (f <= 1e-300 at any q above ~1e-283), and 1 - phi can round to
-        # zero while f is still normal; eta's numerator is then zero
-        # whatever the power bill, and f is never divided by.
-        eta = 0.0
-    else:
-        eta = system.rate_R * delivered / (
-            system.fixed_power_b + system.amp_coeff_a * p * delivered / f
-        )
-    feasible = phi <= system.loss_bound_epsilon and system.p_min <= p <= system.p_max
-    return EfficiencyPoint(power_p=p, eta=eta, phi=phi, f=f, feasible=feasible)
+    return EfficiencyPoint(p, *efficiency_curve(system, queue, model)(p))
 
 
 def stationarity_residual(

@@ -124,6 +124,12 @@ class QKnownChannel:
         if ratio == math.inf:  # f is 0; an inf log term below would give inf - inf, NaN
             return math.inf
         snr = self.channel_gain_hh * p / self.noise_sigma2
+        if snr == math.inf:
+            # hh p or its quotient overflowed: ln(1 + snr) = L + ln(1 + e^-L)
+            # with L = ln snr taken from logs (snr >= 1 here, so e^-L <= 1).
+            log_snr = (math.log(self.channel_gain_hh) + math.log(p)
+                       - math.log(self.noise_sigma2))
+            return self.spread_kappa * (ratio - (log_snr + math.log1p(math.exp(-log_snr))))
         return self.spread_kappa * (ratio - math.log1p(snr))
 
     def success_probability(self, p: float) -> float:
@@ -137,8 +143,11 @@ class QKnownChannel:
             raise ValueError("derivative requires positive transmit power")
         arg = self._argument(p)
         hh = self.channel_gain_hh
-        return (self.spread_kappa * _INV_SQRT_2PI * math.exp(-0.5 * arg * arg)
-                * hh / (self.noise_sigma2 + hh * p))
+        density = self.spread_kappa * _INV_SQRT_2PI * math.exp(-0.5 * arg * arg)
+        total = self.noise_sigma2 + hh * p
+        if total == math.inf:  # sigma2 + hh p overflowed; hh / total is 1 / (sigma2/hh + p)
+            return density / (self.noise_sigma2 / hh + p)
+        return density * hh / total
 
 
 SuccessModel = Union[ExpUnknownChannel, QKnownChannel]

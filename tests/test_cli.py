@@ -218,6 +218,9 @@ class TestSweep:
          "error: power grid needs 0 < p_lo < p_hi"),
         (["--p-hi-w", "inf"], "error: power grid end p_hi must be finite, got inf"),
         (["--p-lo-w", "inf"], "error: power grid end p_lo must be finite, got inf"),
+        # The limits that set the grid's default ends are named as themselves.
+        (["--pmin-dbm", "9999"], "error: power limits must satisfy 0 < p_min < p_max"),
+        (["--pmax-dbm", "9999"], "error: p_max must be finite, got inf"),
     ])
     def test_errors_write_no_csv(self, tmp_path, capsys, argv, message):
         out = tmp_path / "sweep.csv"
@@ -525,6 +528,12 @@ class TestModelCorners:
         assert exp_out.read_bytes() == q_out.read_bytes()
         _, row = read_rows(exp_out)
         assert (row[5], row[8], row[9]) == ("nan", "nan", "power_cap")
+
+    def test_qfunc_snr_overflow_gives_zero_success(self, capsys):
+        # hh p / sigma2 = 1e600 overflows; the true f is Q(618), which is 0
+        assert main(["eval", "--model", "qfunc", "--kappa", "1", "--R", "2e6",
+                     "--hh", "1e300", "--sigma2-w", "1e-300", "--p-w", "1"]) == 0
+        assert "f        = 0\n" in capsys.readouterr().out
 
     def test_exp_optimum_at_tiny_noise(self, tmp_path):
         out = tmp_path / "opt.csv"

@@ -8,19 +8,33 @@ kappa = 10 at epsilon = 0.01, K = 1000. Re-pin only for a deliberate
 change of output, by running this file as a script:
 
     PYTHONPATH=src python3 tests/test_golden_csv.py
+
+The CLI writes its records without the csv module; two tests hold them to
+the bytes csv.writer writes, on seeded rows of corner cells and on sweep
+CSVs at corner axis values and powers.
 """
 
 import contextlib
 import csv
 import hashlib
 import io
+import math
+import random
 import tempfile
 from pathlib import Path
 
 import pytest
 
 import oracles
-from greenlink.cli import main
+from greenlink import (
+    Binding,
+    ExpUnknownChannel,
+    QueueParams,
+    SystemParams,
+    dbm_to_watts,
+    efficiency,
+)
+from greenlink.cli import _csv_line, main
 
 QFUNC2_B0 = ["--model", "qfunc", "--kappa", "2", "--b-w", "0"]
 QFUNC_QOS = ["--model", "qfunc", "--kappa", "10", "--epsilon", "0.01", "--K", "1000"]
@@ -114,6 +128,64 @@ def test_repinned_optimum_nearer_mpmath_root(tmp_path):
     root = oracles.mp_peak_f_over_p_qfunc(2.0, 4.0, 1e3, OLD_QFUNC2_B0_P_STAR)
     for p in found:
         assert abs(p - root) <= abs(OLD_QFUNC2_B0_P_STAR - root)
+
+
+def stdlib_csv(rows) -> bytes:
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(rows)
+    return text.getvalue().encode()
+
+
+# Cells the CLI can write, and the float corners of repr: nan, +-inf, -0.0, a
+# subnormal, the switch to exponent form at 1e16 and 1e-5, and large ints.
+CORNER_CELLS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1e16, 1e-5,
+                9999999999999998.0, 0.0001, 2**63, -(2**70), 10**30, 0, 1, "infeasible", "",
+                *(b.value for b in Binding)]
+
+
+def test_line_writer_matches_stdlib_csv():
+    rng = random.Random(20)
+    rows = []
+    for _ in range(500):
+        cells = []
+        for _ in range(rng.randint(4, 10)):
+            kind = rng.random()
+            if kind < 0.5:
+                cells.append(rng.choice(CORNER_CELLS))
+            elif kind < 0.8:
+                cells.append(rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-320.0, 308.0))
+            else:
+                cells.append(rng.randint(-(2**80), 2**80))
+        rows.append(cells)
+    assert "".join(map(_csv_line, rows)).encode() == stdlib_csv(rows)
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("q", [5e-324, 1e-5, 1.0]),
+    ("b_over_sigma2", [-0.0, 5e-324, 1e-5, 1e16]),
+    ("p", [5e-324, 1e-5, 0.1, 1e16]),
+])
+def test_sweep_lines_match_stdlib_csv(tmp_path, axis, values):
+    out = tmp_path / "sweep.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep", "--axis", axis, "--values", ",".join(map(repr, values)),
+                     "--p-points", "4", "--p-lo-w", "1e-5", "--p-hi-w", "1e16",
+                     "--out", str(out)]) == 0
+    sigma2 = dbm_to_watts(0.0)
+    model = ExpUnknownChannel(rate_R=4000.0, rate_R0=1000.0, noise_sigma2=sigma2)
+    rows = [["axis_value", "p", "eta", "phi", "f", "feasible"]]
+    # The grid's powers, read back: a float's repr round-trips.
+    powers = [float(row[1]) for row in list(csv.reader(out.read_text().splitlines()))[1:5]]
+    for value in [None] if axis == "p" else values:
+        ratio = value if axis == "b_over_sigma2" else 100.0
+        system = SystemParams(rate_R=4000.0, fixed_power_b=ratio * sigma2, noise_sigma2=sigma2,
+                              p_min=0.01, p_max=dbm_to_watts(35.0))
+        queue = QueueParams(arrival_prob_q=value if axis == "q" else 0.5, buffer_size_K=10)
+        for p in powers:
+            point = efficiency(system, queue, model, p)
+            rows.append([p if value is None else value, p, point.eta, point.phi, point.f,
+                         int(point.feasible)])
+    assert out.read_bytes() == stdlib_csv(rows)
 
 
 if __name__ == "__main__":

@@ -463,6 +463,54 @@ class TestQfuncNoFixedPower:
                 assert p0_ref <= p_min * math.exp(1.001 * step)
 
 
+class TestQfuncMatchesGrid:
+    """maximize_unconstrained and qos_threshold on the qfunc model against dense grids."""
+
+    @given(
+        q=st.floats(-6.0, 0.0).map(lambda e: 10.0 ** e),
+        K=st.floats(0.0, 6.0).map(lambda e: int(round(10.0 ** e))),
+        kappa=st.floats(0.0, 4.0).map(lambda e: 10.0 ** e),
+        b_over_sigma2=st.one_of(st.sampled_from([0.0, 1e4]),
+                                st.floats(-2.0, 4.0).map(lambda e: 10.0 ** e)),
+        log_eps=st.floats(-12.0, 0.0),
+    )
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_matches_grid(self, q, K, kappa, b_over_sigma2, log_eps):
+        b, eps = b_over_sigma2 * 1e-3, 10.0 ** log_eps
+        sysp = SystemParams(rate_R=4000.0, fixed_power_b=b, noise_sigma2=1e-3, p_min=0.01,
+                            p_max=P_MAX, loss_bound_epsilon=eps)
+        qp, model = QueueParams(q, K), q_model(kappa)
+        lo, hi = 1e-6, P_MAX * 1e3  # the optimizer's search range
+        step = math.log(hi / lo) / (GRID_N - 1)
+
+        res = maximize_unconstrained(sysp, qp, model)
+        ref = oracles.grid_argmax_qfunc(q, K, 4000.0, b, 1.0, kappa, 4.0, 1e3, lo, hi, n=GRID_N)
+        best = float(oracles.eta_grid_qfunc(np.array([ref]), q, K, 4000.0, b, 1.0,
+                                            kappa, 4.0, 1e3)[0])
+        if ref > lo * math.exp(2.0 * step):
+            # An interior grid peak: the optimizer's first peak is it, to one
+            # grid step unless the two tie in eta.
+            eta = efficiency(sysp, qp, model, res.p_star).eta
+            assert eta >= best * (1.0 - 1e-8)
+            assert abs(math.log(res.p_star / ref)) <= 1.001 * step or eta <= best * (1.0 + 1e-6)
+        elif not math.isnan(res.p_star):
+            # eta is largest at the search floor (f(0) > 0); a peak found
+            # above it must still be a local maximum on the grid.
+            near = res.p_star * np.exp(np.array([-1.0, 0.0, 1.0]) * step)
+            etas = oracles.eta_grid_qfunc(near, q, K, 4000.0, b, 1.0, kappa, 4.0, 1e3)
+            assert etas[1] >= max(etas[0], etas[2]) * (1.0 - 1e-8)
+
+        # Phi's roundoff can tip the answer either way at the infeasibility edge.
+        phi_max = float(oracles.loss_grid_qfunc(np.array([P_MAX]), q, K, kappa, 4.0, 1e3)[0])
+        edge = abs(eps - phi_max) <= 1e-7 * eps
+        p0 = qos_threshold(sysp, qp, model)
+        p0_ref = oracles.grid_qos_threshold_qfunc(q, K, kappa, 4.0, 1e3, eps, lo, P_MAX, n=GRID_N)
+        if math.isinf(p0) or math.isinf(p0_ref):
+            assert edge or p0 == p0_ref
+        else:
+            assert abs(math.log(p0_ref / p0)) <= 1.001 * math.log(P_MAX / lo) / (GRID_N - 1)
+
+
 class TestLimitOptimizer:
     def test_light_traffic_analytic(self):
         model = ExpUnknownChannel(rate_R=4000.0, rate_R0=1000.0, noise_sigma2=1.0)

@@ -152,6 +152,25 @@ class TestQKnownChannel:
             assert m.success_probability(1.0) == 0.0
             assert m.success_derivative(1.0) == 0.0
 
+    def test_snr_overflow_matches_unscaled_model(self):
+        # hh p overflows at hh = sigma2 = 1e300, but only hh / sigma2 enters f
+        # and f'; R/R0 = 23 sits beside ln(1 + 1e10) = 23.03, so f is near 1/2.
+        plain = q_model(R=23e3, kappa=1.0, hh=1.0, sigma2=1.0)
+        scaled = q_model(R=23e3, kappa=1.0, hh=1e300, sigma2=1e300)
+        p = 1e10
+        assert plain.success_probability(p) == pytest.approx(0.5103, rel=1e-4)
+        assert plain.success_derivative(p) == pytest.approx(3.99e-11, rel=1e-3)
+        assert scaled.success_probability(p) == pytest.approx(
+            plain.success_probability(p), rel=1e-9)
+        assert scaled.success_derivative(p) == pytest.approx(
+            plain.success_derivative(p), rel=1e-9)
+
+    def test_snr_quotient_overflow_gives_zero_success(self):
+        # hh p / sigma2 = 1e600: the log term is 1381.6, far below R/R0 = 2000
+        m = q_model(R=2e6, kappa=1.0, hh=1e300, sigma2=1e-300)
+        assert m.success_probability(1.0) == 0.0
+        assert m.success_derivative(1.0) == 0.0
+
     def test_larger_kappa_sharpens(self):
         m1, m2 = q_model(kappa=1.0), q_model(kappa=6.0)
         p_half = (math.exp(4.0) - 1.0) * 1e-3
