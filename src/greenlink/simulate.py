@@ -15,19 +15,17 @@ x -> min(max(x + d, 0), K) with d = arrival - success, and an arrival
 that meets x = K with a failed draw is lost. A run's words are drawn
 in one fixed order -- the warm-up's arrival then success words, then
 for each chunk its arrival then success words, chunks sized from the
-arrivals still to come -- so its result does not depend on which kernel
-steps it. Both kernels compose the slot maps of a group of steps into
-one clamp map (see ``_group_maps``), so whole-array numpy passes over
-the groups stand in for a Python step per slot. ``SimReport.backend``
-names the kernel that ran:
+arrivals still to come -- so its result does not depend on the block of
+runs it steps in.
 
-* ``"lockstep"``: a block of runs steps together over its warm-up and
-  first chunk on compact per-cell arrays (int8 steps, bool loss flags,
-  states only when occupancy is tracked). A run that needs more than its
-  first chunk (a straggler) finishes per run.
-* ``"per-run"``: each run steps alone over only the slots that can move
-  its occupancy (see ``_step_bits``). It serves blocks with too few runs
-  for lockstep, such as a few long runs.
+Only a run's moves, the slots where its two bits differ, can change x.
+A block of runs steps their moves together (see ``_step``): the slot
+maps of every _GROUP moves compose into one clamp map (see
+``_group_maps``), a log-depth scan of those maps gives the state entering
+each group (see ``_group_entries``), and whole-array numpy passes over
+the groups stand in for a Python step per slot. A run that needs more
+than its first chunk (a straggler) steps each later chunk as a block of
+one.
 """
 
 import math
@@ -40,13 +38,10 @@ from .queueing import QueueParams, packet_loss
 
 __all__ = ["SimConfig", "SimReport", "ConvergenceRow", "simulate", "convergence_study"]
 
-_NO_ARRIVAL_CAP = 2**62  # sentinel arrival budget that a warm-up chunk can never exhaust
 _MAX_CHUNK_SLOTS = 2**22
-# Blocks of fewer runs step one run at a time on the per-run kernel, which
-# wins on long runs. A block holds at most _BLOCK_CELLS run x slot cells
-# (1-5 bytes each), so campaigns of a few long runs fall below it.
-_LOCKSTEP_MIN_RUNS = 8
-_BLOCK_CELLS = 2**20
+_BLOCK_CELLS = 2**20  # run x slot cells drawn per block of runs
+_GROUP = 32  # moves per clamp map
+_NO_STEPS = np.zeros(0, dtype=np.int8)
 _WORD_MASK = 2**64 - 1
 _ZERO_WORDS = (0, 0, 0, 0)
 
@@ -86,7 +81,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Aggregate of a campaign; occupancy fields are None unless tracked."""
+    """Aggregate of a campaign: per-run loss fractions, their mean against
+    the closed form and the slots stepped. Occupancy is None unless tracked."""
 
     mean_loss_fraction: float
     std_error: float
@@ -95,7 +91,6 @@ class SimReport:
     per_run_losses: np.ndarray
     per_run_occupancy: Optional[np.ndarray] = None  # num_runs x (K+1) slot fractions
     slots: int = 0  # slots stepped over all runs, warm-up included
-    backend: str = ""  # "lockstep" or "per-run"; see the module docstring
 
 
 class ConvergenceRow(NamedTuple):
@@ -164,119 +159,119 @@ def _replay(rows, x, K, states):
         np.minimum(x, full, out=x)
 
 
-def _step_bits(arrival, success, K, x, arrivals_left, occ):
-    """Step one run's occupancy x over drawn bits, up to the slot of its
-    arrivals_left-th arrival or the end of the bits.
+def _moves(arrival, success):
+    """Steps d = +-1 of the slots that can move x, and those slots.
 
     Only a slot with exactly one of its two bits set can move x: an
     arrival whose transmission fails (up) adds a packet, or is lost when
     the buffer already holds K; a success without an arrival (down) sends
     one buffered packet, if there is one. An arrival whose transmission
     succeeds leaves x as it is (a packet arriving to an empty buffer is
-    served in the same slot). So only the m moves d = +-1 are stepped, in
-    groups of about sqrt(m / 16) moves (at most 128) laid out time-major:
-    row j holds move j of every group. The groups' maps are chained in plain
-    Python. occ, None or K + 1 int64 counts, gains the slot-start states,
-    each weighted by the slots it lasts. Returns (x, arrivals_left, losses, slots)."""
-    came = np.count_nonzero(arrival)
-    if came >= arrivals_left:
-        n = int(arrival.nonzero()[0][arrivals_left - 1]) + 1
-        arrival, success, came = arrival[:n], success[:n], arrivals_left
+    served in the same slot)."""
     moves = (arrival != success).nonzero()[0]
-    m = moves.size
-    group = max(1, min(128, math.isqrt(m // 16)))
-    groups = -(-m // group)
-    steps = np.zeros(groups * group, dtype=np.int8)  # zero padding: moves that leave x alone
-    np.subtract(arrival[moves], success[moves], dtype=np.int8, out=steps[:m])
-    rows = np.ascontiguousarray(steps.reshape(groups, group).T)
-    dtype = np.int16 if K + group < 2**15 else np.int32  # holds x + A before the clamp
-    entry = []
-    for shift, low, high in zip(*(a.tolist() for a in _group_maps(rows, K, dtype))):
-        entry.append(x)
-        x = min(max(x + shift, low), high)
+    return np.subtract(arrival, success, dtype=np.int8)[moves], moves
+
+
+def _chunk(bitgen, cuts, q, left, track):
+    """Draw the next chunk for left more arrivals and keep its moves up to
+    the slot of the left-th arrival, or to the end of the chunk. Returns
+    ((steps, move slots or None, slots), arrivals still to come)."""
+    arrival, success = _draw(bitgen, _chunk_slots(left, q), cuts)
+    arrivals = arrival.nonzero()[0]
+    if arrivals.size >= left:
+        n = int(arrivals[left - 1]) + 1
+        arrival, success = arrival[:n], success[:n]
+    steps, moves = _moves(arrival, success)
+    return (steps, moves if track else None, arrival.size), max(left - arrivals.size, 0)
+
+
+def _group_entries(shift, low, high, x):
+    """States entering each group from states x entering the first, given
+    the groups' clamp maps (see _group_maps). A log-depth inclusive scan
+    turns map g into the composition of maps 0..g: (A1, L1, H1) then
+    (A2, L2, H2) is (A1 + A2, f2(L1), f2(H1)), f2 being the second map."""
+    shift, low, high = (a.astype(np.int64) for a in (shift, low, high))
+    span = 1
+    while span < shift.shape[0]:
+        after, floor, ceiling = shift[span:], low[span:], high[span:]
+        low_span = np.minimum(np.maximum(low[:-span] + after, floor), ceiling)
+        high_span = np.minimum(np.maximum(high[:-span] + after, floor), ceiling)
+        shift[span:] = shift[:-span] + after
+        low[span:], high[span:] = low_span, high_span
+        span *= 2
+    entry = np.empty(shift.shape, dtype=np.int64)
+    entry[0] = x
+    entry[1:] = np.minimum(np.maximum(x + shift[:-1], low[:-1]), high[:-1])
+    return entry
+
+
+def _step(columns, x, K, occ):
+    """Step a block of runs over their moves from states x, updated in place.
+
+    columns[r] holds run r's warm-up steps and its chunk's (steps, move
+    slots or None, slots). The steps fill the columns of one zero-padded
+    (moves, runs) array, whose zero cells leave x alone and lose nothing,
+    cut into groups of _GROUP moves. Every group's clamp map comes from one
+    pass over the moves, the states entering the groups from a scan of the
+    maps, and every move's state and loss flag from a second pass. occ,
+    None or runs x (K + 1) int64 counts, gains the chunk's slot-start
+    states. Returns each run's losses after its warm-up."""
+    warm = np.array([before.size for before, _ in columns])
+    size = max(before.size + steps.size for before, (steps, _, _) in columns)
+    groups = max(1, -(-size // _GROUP))
+    cells = np.zeros((groups * _GROUP, len(columns)), dtype=np.int8)
+    for r, (before, (steps, _, _)) in enumerate(columns):
+        cells[:before.size, r] = before
+        cells[before.size:before.size + steps.size, r] = steps
+    dtype = np.int16 if K + _GROUP < 2**15 else np.int32  # holds K + a group's summed steps
+    rows = cells.reshape(groups, _GROUP, -1).swapaxes(0, 1)  # rows[j]: move j of every group
+    entry = _group_entries(*_group_maps(rows, K, dtype), x).astype(dtype)
     states = np.empty(rows.shape, dtype=dtype) if occ is not None else None
-    _replay(rows, np.array(entry, dtype=dtype), K, states)
+    _replay(rows, entry, K, states)
+    x[:] = entry[-1]  # entry now holds the states leaving each group
     if occ is not None:
-        gaps = np.diff(moves, prepend=-1)
-        occ += np.bincount(states.T.ravel()[:m], weights=gaps, minlength=K + 1).astype(np.int64)
-        occ[x] += arrival.size - 1 - int(moves[-1]) if m else arrival.size
-    return x, arrivals_left - came, np.count_nonzero(rows), arrival.size
+        # A move's state lasts from the slot after the previous move through
+        # its own, and the state after the last move to the chunk's end.
+        states = states.swapaxes(0, 1).reshape(cells.shape)
+        for r, (before, (_, moves, n)) in enumerate(columns):
+            at = states[before.size:before.size + moves.size, r]
+            gaps = np.diff(moves, prepend=-1)
+            occ[r] += np.bincount(at, weights=gaps, minlength=K + 1).astype(np.int64)
+            occ[r, x[r]] += n - 1 - int(moves[-1]) if moves.size else n
+    flags = cells.view(bool)
+    head = flags[:warm.max()]  # holds the warm-up's loss flags, which do not count
+    return (np.count_nonzero(flags, axis=0)
+            - np.count_nonzero(head & (np.arange(head.shape[0])[:, None] < warm), axis=0))
 
 
-def _finish_run(bitgen, cuts, q, K, x, arrivals_left, occ):
-    """Draw chunks and step them on the per-run kernel until arrivals_left
-    more packets have arrived. Returns (losses, slots)."""
-    losses = slots = 0
-    while arrivals_left > 0:
-        arrival, success = _draw(bitgen, _chunk_slots(arrivals_left, q), cuts)
-        x, arrivals_left, lost, used = _step_bits(arrival, success, K, x, arrivals_left, occ)
-        losses += lost
-        slots += used
-    return losses, slots
-
-
-def _lockstep(bitgen, cuts, first_key: int, runs: int, config: SimConfig, occ_counts):
-    """Step a block of runs together over their warm-up and first chunk.
-
-    Each run's slots are cut into groups of about sqrt(slots / 2). Every
-    group's clamp map comes from one pass over the slots, the state
-    entering each group from one numpy call per group over all runs, and
-    every slot's state and loss flag from a second pass over the slots.
-
-    Run r draws from stream first_key + r. Returns per-run losses, the
-    stragglers as (r, bitgen.state, state, arrivals still to come) after
-    their whole first chunk, and the slots stepped. Adds the first chunk's
-    slot-start states to the block's rows of occ_counts when tracking.
-    """
+def _block(bitgen, cuts, config: SimConfig, first_key: int, losses, occ) -> int:
+    """Step the runs keyed first_key, first_key + 1, ..., one per entry of
+    losses, which gains their losses; occ, None or their rows of occupancy
+    counts, gains their slot-start states. Returns the slots stepped."""
+    q = config.queue.arrival_prob_q
     K = int(config.queue.buffer_size_K)
-    total = config.total_packets
     warm = config.warmup_slots
-    chunk = _chunk_slots(total, config.queue.arrival_prob_q)
-
-    # d = arrival - success, slot-major, up to each run's last arrival. The
-    # zero cells after it are maps that leave x alone and lose nothing, and
-    # the zero rows past the chunk round the slot count up to whole groups.
-    steps = np.zeros((warm + chunk + math.isqrt((warm + chunk) // 2) + 1, runs), dtype=np.int8)
-    used = np.empty(runs, dtype=np.int64)  # first-chunk slots up to the last arrival
-    stragglers = {}  # r: (bitgen.state, arrivals still to come) after the first chunk
-    for r in range(runs):
+    columns, stragglers = [], []
+    for r in range(losses.size):
         _rekey(bitgen, first_key + r)
-        if warm:
-            a, s = _draw(bitgen, warm, cuts)
-            np.subtract(a, s, dtype=np.int8, out=steps[:warm, r])
-        a, s = _draw(bitgen, chunk, cuts)
-        arrivals = a.nonzero()[0]
-        if arrivals.size >= total:
-            n = arrivals[total - 1] + 1
-        else:
-            n = chunk
-            stragglers[r] = (bitgen.state, total - arrivals.size)
-        used[r] = n
-        np.subtract(a[:n], s[:n], dtype=np.int8, out=steps[warm:warm + n, r])
-    slots = warm + int(used.max())
-    group = max(1, math.isqrt(slots // 2))
-    groups = -(-slots // group)
-    steps = steps[:groups * group].reshape(groups, group, runs)
-
-    dtype = np.int16 if K + group < 2**15 else np.int32  # holds x + A before the clamp
-    rows = steps.swapaxes(0, 1)  # rows[j]: slot j of every group
-    shift, low, high = _group_maps(rows, K, dtype)
-    entry = np.empty((groups, runs), dtype=dtype)
-    x = np.full(runs, config.initial_queue_state, dtype=dtype)
-    for g in range(groups):
-        entry[g] = x
-        np.add(x, shift[g], out=x)
-        np.maximum(x, low[g], out=x)
-        np.minimum(x, high[g], out=x)
-    states = np.empty(steps.shape, dtype=dtype) if occ_counts is not None else None
-    _replay(rows, entry, K, None if states is None else states.swapaxes(0, 1))
-    losses = np.count_nonzero(steps.view(bool).reshape(-1, runs)[warm:], axis=0)
-    if states is not None:
-        states = states.reshape(-1, runs)[warm:]
-        for r, n in enumerate(used):
-            occ_counts[r] += np.bincount(states[:n, r], minlength=K + 1)
-    resume = [(r, stream, int(x[r]), left) for r, (stream, left) in stragglers.items()]
-    return losses, resume, runs * warm + int(used.sum())
+        before = _moves(*_draw(bitgen, warm, cuts))[0] if warm else _NO_STEPS
+        chunk, left = _chunk(bitgen, cuts, q, config.total_packets, occ is not None)
+        columns.append((before, chunk))
+        if left:
+            stragglers.append((r, bitgen.state, left))
+    slots = losses.size * warm + sum(n for _, (_, _, n) in columns)
+    x = np.full(losses.size, config.initial_queue_state, dtype=np.int64)
+    losses[:] = _step(columns, x, K, occ)
+    # a straggler, a run that needs more than its first chunk, steps each
+    # later chunk as a block of one
+    for r, stream, left in stragglers:
+        bitgen.state = stream
+        run = slice(r, r + 1)
+        while left:
+            chunk, left = _chunk(bitgen, cuts, q, left, occ is not None)
+            losses[run] += _step([(_NO_STEPS, chunk)], x[run], K, None if occ is None else occ[run])
+            slots += chunk[2]
+    return slots
 
 
 def simulate(config: SimConfig) -> SimReport:
@@ -286,7 +281,6 @@ def simulate(config: SimConfig) -> SimReport:
     K = int(config.queue.buffer_size_K)
     total = config.total_packets
     runs = config.num_runs
-    seed = int(config.seed)
     bitgen = np.random.Philox(key=0)  # re-keyed to each run's stream
     cuts = (_cut(q), _cut(f))
 
@@ -294,31 +288,11 @@ def simulate(config: SimConfig) -> SimReport:
     occ_counts = np.zeros((runs, K + 1), dtype=np.int64) if config.track_occupancy else None
     blocks = -(-runs * (config.warmup_slots + _chunk_slots(total, q)) // _BLOCK_CELLS)
     per_block = -(-runs // blocks)
-    lockstep = per_block >= _LOCKSTEP_MIN_RUNS
     slots = 0
     for lo in range(0, runs, per_block):
-        hi = min(lo + per_block, runs)
-        occ_block = occ_counts[lo:hi] if occ_counts is not None else None
-        if lockstep:
-            lost, resume, used = _lockstep(bitgen, cuts, seed + lo, hi - lo, config, occ_block)
-            losses[lo:hi] = lost
-            slots += used
-        else:
-            resume = []
-            for r in range(hi - lo):
-                _rekey(bitgen, seed + lo + r)
-                state = config.initial_queue_state
-                if config.warmup_slots:
-                    state, _, _, used = _step_bits(*_draw(bitgen, config.warmup_slots, cuts),
-                                                   K, state, _NO_ARRIVAL_CAP, None)
-                    slots += used
-                resume.append((r, bitgen.state, state, total))
-        for r, stream, state, left in resume:
-            bitgen.state = stream
-            occ = occ_block[r] if occ_block is not None else None
-            lost, used = _finish_run(bitgen, cuts, q, K, state, left, occ)
-            losses[lo + r] += lost
-            slots += used
+        block = slice(lo, lo + per_block)
+        occ = occ_counts[block] if occ_counts is not None else None
+        slots += _block(bitgen, cuts, config, int(config.seed) + lo, losses[block], occ)
     per_run = losses / total
     occ_fracs = None
     if occ_counts is not None:
@@ -339,7 +313,6 @@ def simulate(config: SimConfig) -> SimReport:
         per_run_losses=per_run,
         per_run_occupancy=occ_fracs,
         slots=slots,
-        backend="lockstep" if lockstep else "per-run",
     )
 
 

@@ -8,6 +8,7 @@ the downstream efficiency metric a single interior maximum.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from scipy.special import erfc
@@ -65,7 +66,7 @@ class ExpUnknownChannel:
             rate_R=self.rate_R, rate_R0=self.rate_R0, noise_sigma2=self.noise_sigma2
         )
 
-    @property
+    @cached_property  # computed once per model; dataclasses.replace builds a new one
     def power_scale(self) -> float:
         """The constant c in f(p) = exp(-c/p), in watts; inf once 2**(R/R0) leaves float range."""
         ratio = self.rate_R / self.rate_R0

@@ -22,7 +22,8 @@ from greenlink import (
     simulate,
     stationary_distribution,
 )
-from greenlink.simulate import _LOCKSTEP_MIN_RUNS, _chunk_slots, _cut, _draw, _rekey
+from greenlink.simulate import (_GROUP, _chunk_slots, _cut, _draw, _group_entries,
+                                _group_maps, _rekey)
 
 
 def config(q=0.5, f=0.5, K=10, total=1000, runs=100, seed=1234, **kw):
@@ -238,14 +239,13 @@ def campaigns(draw):
     q = draw(st.one_of(st.just(1.0), st.floats(1e-3, 0.05), st.floats(0.05, 1.0)))
     K = draw(st.sampled_from([1, 2, 10, 1000, 100_000]))
     # a few packets at small q leave some runs short of arrivals after
-    # their first chunk, so they finish on the per-run kernel
+    # their first chunk, so they step later chunks as blocks of one
     total = draw(st.integers(1, 3) if q < 0.05 else st.integers(1, 200))
     return SimConfig(
         queue=QueueParams(q, K),
         success_prob_f=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
         total_packets=total,
-        num_runs=draw(st.one_of(st.integers(1, _LOCKSTEP_MIN_RUNS - 1),
-                                st.integers(_LOCKSTEP_MIN_RUNS, 2 * _LOCKSTEP_MIN_RUNS + 3))),
+        num_runs=draw(st.one_of(st.integers(1, 7), st.integers(8, 19))),
         seed=draw(st.integers(0, 2**32)),
         initial_queue_state=draw(st.sampled_from([0, K])),
         warmup_slots=draw(st.sampled_from([0, 37])),
@@ -254,7 +254,7 @@ def campaigns(draw):
 
 
 class TestRunEquivalence:
-    """Whatever kernel steps a campaign, each run is the run simulated alone."""
+    """However a campaign is cut into blocks, each run is the run simulated alone."""
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(campaigns())
@@ -301,22 +301,25 @@ class TestRunEquivalence:
           "72a61e249c61acc399db7620900fa9f328fae92bc35aa8b44e827ee4c87b8e98"]),
     ])
     def test_golden_per_run_path(self, kw, slots, digests):
-        # SHA-256 of the per-run losses and occupancy of campaigns with too
-        # few runs for lockstep, as the per-move loop over each run wrote them
+        # SHA-256 of the per-run losses and occupancy of campaigns of a few
+        # runs, as a per-move loop over each run wrote them
         rep = simulate(config(**kw, track_occupancy=True))
         arrays = [rep.per_run_losses, rep.per_run_occupancy]
         assert [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays] == digests
-        assert (rep.slots, rep.backend) == (slots, "per-run")
+        assert rep.slots == slots
 
     @pytest.mark.parametrize("kw", [
         dict(q=0.5, f=0.5, K=2, total=3000, warmup_slots=500),  # both barriers, often
         # held at the top of a buffer too deep for int16 states
         dict(q=0.9, f=0.3, K=100_000, total=30_000, initial_queue_state=100_000),
+        # states are int16 while K + _GROUP < 2**15: held at the top on
+        # either side of that switch
+        dict(q=0.9, f=0.3, K=2**15 - _GROUP - 1, total=3000, initial_queue_state=2**15 - _GROUP - 1),
+        dict(q=0.9, f=0.3, K=2**15 - _GROUP, total=3000, initial_queue_state=2**15 - _GROUP),
     ])
     def test_few_runs_match_the_slot_loop(self, kw):
         cfg = config(**{"runs": 2, "seed": 77, "track_occupancy": True, **kw})
         rep = simulate(cfg)
-        assert rep.backend == "per-run"
         slots = 0
         for i in range(cfg.num_runs):
             loss, occ, used = reference_run(cfg, i)
@@ -333,6 +336,31 @@ class TestRunEquivalence:
         imported |= {node.module for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom) and node.module}
         assert not any(name.split(".")[0] == "greenlink" for name in imported)
+
+
+class TestGroupScan:
+    """The states entering the groups come from a log-depth scan of the
+    groups' clamp maps x -> min(max(x + A, L), H); a fold one group at a
+    time must give the same states."""
+
+    @pytest.mark.parametrize("groups", [1, 2, 3, 5, 64, 1000])
+    @pytest.mark.parametrize("runs", [1, 7])
+    @pytest.mark.parametrize("K", [1, 10, 40_000])
+    def test_scan_matches_sequential_fold(self, groups, runs, K):
+        rng = np.random.default_rng([groups, runs, K])
+        dtype = np.int16 if K + _GROUP < 2**15 else np.int32
+        # the maps of random moves, each run drifting up or down at its own rate
+        up = rng.uniform(0.0, 1.0, size=runs)
+        moves = rng.uniform(size=(_GROUP, groups, runs))
+        steps = (moves < up).astype(np.int8) - (moves > 0.5 + up / 2).astype(np.int8)
+        shift, low, high = _group_maps(steps, K, dtype)
+        start = rng.integers(0, K + 1, size=runs)
+        x, expected = start.tolist(), []
+        for g in range(groups):
+            expected.append(x)
+            x = [min(max(v + int(a), int(lo)), int(hi))
+                 for v, a, lo, hi in zip(x, shift[g], low[g], high[g])]
+        assert _group_entries(shift, low, high, start).tolist() == expected
 
 
 WORD_CUT_PROBS = [0.0, 1.0, 5e-324, 2.0**-60, 1.0 - 2.0**-53, 0.5, 0.1, 1e-3]
@@ -417,10 +445,9 @@ class TestRawWordDraws:
         assert np.array_equal(np.concatenate([first, bitgen.random_raw(7)]), expected)
 
     def test_straggler_campaign_matches_replays(self):
-        cfg = config(q=0.01, f=0.002, K=1, total=3, runs=3 * _LOCKSTEP_MIN_RUNS, seed=606,
+        cfg = config(q=0.01, f=0.002, K=1, total=3, runs=24, seed=606,
                      warmup_slots=25, track_occupancy=True)
         rep = simulate(cfg)
-        assert rep.backend == "lockstep"
         first_chunk = cfg.warmup_slots + _chunk_slots(cfg.total_packets, 0.01)
         alone = [replay(cfg, i) for i in range(cfg.num_runs)]
         stragglers = [i for i, run in enumerate(alone) if run.slots > first_chunk]
@@ -449,15 +476,10 @@ class TestReportCounters:
         cfg = config(**{"total": 150, "seed": 31, **kw})
         assert simulate(cfg).slots == sum(replay(cfg, i).slots for i in range(cfg.num_runs))
 
-    def test_backend_named(self):
-        many = simulate(config(total=100, runs=2 * _LOCKSTEP_MIN_RUNS)).backend
-        one = simulate(config(total=100, runs=1)).backend
-        assert (many, one) == ("lockstep", "per-run")
-
     def test_installed_numba_changes_nothing(self, tmp_path):
         # The simulator has one code path: a numba package on the path, even
-        # one whose njit cannot compile anything, leaves the kernels and the
-        # per-run results as they are.
+        # one whose njit cannot compile anything, leaves the per-run results
+        # as they are.
         stub = tmp_path / "numba"
         stub.mkdir()
         (stub / "__init__.py").write_text(
@@ -470,15 +492,14 @@ class TestReportCounters:
             "assert numba.STUB\n"
             "reports = [simulate(SimConfig(QueueParams(0.5, 10), 0.5, 100, runs, seed=1234))\n"
             "           for runs in (16, 1)]\n"
-            "print(json.dumps([[r.backend, [v.hex() for v in r.per_run_losses.tolist()]]\n"
+            "print(json.dumps([[v.hex() for v in r.per_run_losses.tolist()]\n"
             "                  for r in reports]))\n")
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), str(src)])}
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        (many, many_losses), (one, one_losses) = json.loads(done.stdout)
-        assert (many, one) == ("lockstep", "per-run")
+        many_losses, one_losses = json.loads(done.stdout)
         for runs, losses in ((16, many_losses), (1, one_losses)):
             expected = simulate(config(total=100, runs=runs)).per_run_losses
             assert [float.fromhex(v) for v in losses] == expected.tolist()

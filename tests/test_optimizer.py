@@ -589,3 +589,29 @@ class TestUnimodalGrid:
         vals = np.array([efficiency(sysp, qp, model, float(p)).eta
                          for p in grid])
         assert oracles.is_unimodal_grid(vals)
+
+
+class TestQfuncTwoPeaks:
+    """The qfunc model's eta can peak twice. On this link, found by comparing
+    the optimizer with a dense grid over the feasible interval, the search
+    settles on the lower peak near p0, 0.77% below a feasible power above it."""
+
+    system = SystemParams(rate_R=2000.0, fixed_power_b=0.017929717222942627,
+                          noise_sigma2=1e-3, p_min=3.3945537965003417e-06,
+                          p_max=9.896711345799469, loss_bound_epsilon=9.289741688526196e-05)
+    queue = QueueParams(0.002920938512645282, 1_000_000)
+    model = QKnownChannel(rate_R=2000.0, rate_R0=1000.0, spread_kappa=1.5,
+                          channel_gain_hh=1.0, noise_sigma2=1e-3)
+
+    def test_higher_peak_is_feasible(self):
+        point = efficiency(self.system, self.queue, self.model, 6.638e-3)
+        assert point.feasible
+        assert point.eta == pytest.approx(325.145, abs=1e-3)
+
+    @pytest.mark.xfail(strict=True, reason="maximize_constrained returns the lower of "
+                                           "eta's two peaks here (eta* = 322.65 bit/J)")
+    def test_constrained_optimum_finds_the_higher_peak(self):
+        best = maximize_constrained(self.system, self.queue, self.model)
+        better = efficiency(self.system, self.queue, self.model, 6.638e-3).eta
+        assert efficiency(self.system, self.queue, self.model,
+                          best.p_star_constrained).eta >= better

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -39,6 +40,16 @@ class TestExpUnknownChannel:
     def test_power_scale(self):
         # scale = (2**(R/R0) - 1) * sigma2 = 15 * 1e-3
         assert exp_model().power_scale == pytest.approx(0.015, rel=1e-14)
+
+    def test_power_scale_follows_replace(self):
+        # the scale is cached on the instance; a replaced model gets its own
+        m = exp_model()
+        assert m.power_scale == pytest.approx(0.015, rel=1e-14)
+        higher = dataclasses.replace(m, rate_R=5000.0)
+        assert higher.power_scale == (2.0 ** 5.0 - 1.0) * 1e-3
+        assert higher.success_probability(0.031) == math.exp(-higher.power_scale / 0.031)
+        assert m.power_scale == pytest.approx(0.015, rel=1e-14)
+        assert m == exp_model()
 
     def test_value_at_scale(self):
         m = exp_model()
