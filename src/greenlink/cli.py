@@ -23,7 +23,7 @@ from dataclasses import make_dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .efficiency import SystemParams, efficiency, efficiency_curve, power_gain_db
-from .optimize import Optimum, maximize_constrained
+from .optimize import _constrain, maximize_constrained, qos_threshold
 from .queueing import QueueParams
 from .simulate import SimConfig, convergence_study, simulate
 from .success import ExpUnknownChannel, QKnownChannel, SuccessModel
@@ -281,12 +281,8 @@ def _cmd_eval(settings: Settings) -> int:
     return 0
 
 
-def _optimum(settings: Settings) -> Optimum:
-    return maximize_constrained(_system(settings), _queue(settings), _model(settings))
-
-
 def _cmd_optimize(settings: Settings) -> int:
-    result = _optimum(settings)
+    result = maximize_constrained(_system(settings), _queue(settings), _model(settings))
     row = [
         settings.q,
         settings.K,
@@ -357,14 +353,25 @@ def _cmd_gain(settings: Settings) -> int:
         settings, "gain",
         {"q": [round(0.05 * i, 2) for i in range(1, 21)], "b_over_sigma2": None},
         "q or b_over_sigma2")
+    # The link is built once: a q-axis row changes only the queue, a b-axis row only
+    # the fixed draw b, on which p0 does not depend, so both p0 are found once.
+    if axis == "q":
+        system, ref_queue, model = _system(settings), QueueParams(1.0, settings.K), _model(settings)
+        ref = maximize_constrained(system, ref_queue, model)  # shared by every row
+    else:  # checked as the first row's link: each row replaces the base b
+        system = _system(replace(settings, b_w=values[0] * settings.sigma2_w))
+        queue, ref_queue, model = _queue(settings), QueueParams(1.0, settings.K), _model(settings)
+        p0_here = qos_threshold(system, queue, model)
+        p0_ref = qos_threshold(system, ref_queue, model)
     rows = []
-    # On the q axis every row shares the full-load reference settings.
-    shared_ref = _optimum(replace(settings, q=1.0)) if axis == "q" else None
     for value in values:
-        local = _on_axis(settings, axis, value)
-        p_here = _optimum(local).p_star_constrained
-        ref = shared_ref if axis == "q" else _optimum(replace(local, q=1.0))
-        p_ref = ref.p_star_constrained
+        if axis == "q":
+            here = maximize_constrained(system, QueueParams(value, settings.K), model)
+        else:
+            local = replace(system, fixed_power_b=value * settings.sigma2_w)
+            here = _constrain(local, queue, model, p0_here)
+            ref = _constrain(local, ref_queue, model, p0_ref)
+        p_here, p_ref = here.p_star_constrained, ref.p_star_constrained
         if p_here is None or p_ref is None:
             rows.append([value, "infeasible", "infeasible", ""])
         else:

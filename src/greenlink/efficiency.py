@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-from .queueing import QueueParams, full_buffer_log_slope, full_buffer_prob, packet_loss
+from .queueing import QueueParams, _full_and_log_slope, packet_loss
 from .success import SuccessModel
 
 __all__ = [
@@ -142,12 +142,12 @@ def stationarity_residual(
     if not p > 0.0:
         raise ValueError("transmit power must be positive")
     f = model.success_probability(p)
-    full = full_buffer_prob(queue, f)
+    full, log_slope = _full_and_log_slope(queue, f)
     delivered = 1.0 - (1.0 - f) * full  # 1 - Phi
     if delivered <= 0.0:  # no goodput, the same rule as in efficiency
         return 1.0
     F = p * model.success_derivative(p) / f
-    H = full * (f + full_buffer_log_slope(queue, f)) * F / delivered
+    H = full * (f + log_slope) * F / delivered
     bH = system.fixed_power_b * H
     X = system.amp_coeff_a * p * queue.arrival_prob_q * delivered / f
     return (bH + X * (F - 1.0)) / (bH + X * (F + 1.0))

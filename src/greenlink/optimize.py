@@ -1,11 +1,13 @@
 """Transmit-power selection for the buffered-transmitter efficiency metric.
 
-For sigmoidal success models eta(p) is quasi-concave, so its maximizer
-is the one sign change, from + to -, of the exact slope
-d ln(eta)/d ln(p) (`stationarity_residual`), found by a Brent
-zero-finder in ln(p). When the slope does not fall from + to - across
-the search range, a walk doubles p from the search floor to the first
-pair (p, 2p) across which it does, and Brent runs inside that pair.
+The search takes eta(p) as quasi-concave, so that its maximizer is the
+one sign change, from + to -, of the exact slope d ln(eta)/d ln(p)
+(`stationarity_residual`), found by a Brent zero-finder in ln(p). That
+held on every exp-model link tested; the qfunc model's slope can change
+sign two or three times, and the search may then settle on a lower
+peak. When the slope does not fall from + to - across the search range,
+a walk doubles p from the search floor to the first pair (p, 2p) across
+which it does, and Brent runs inside that pair.
 Phi is strictly decreasing in p, so the QoS bound Phi <= epsilon is a
 minimum power p0, the zero of Phi - epsilon, and the constrained
 optimum is the best power on [max(p0, p_min), p_max]
@@ -14,6 +16,7 @@ optimum is the best power on [max(p0, p_min), p_max]
 with the fixed draw dropped for q -> 0.
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -52,9 +55,10 @@ class Binding(Enum):
 class Optimum:
     """Result of a power search; constrained fields are None until filled in.
 
-    p_star is the first interior peak of eta, the maximizer when eta is
-    quasi-concave; p_star, eta_star and certificate are nan when eta has
-    no interior peak. bracket is the pair the zero-finder started from,
+    p_star is the first interior peak of eta: the maximizer when eta is
+    quasi-concave, as on every exp-model link tested, but a qfunc link can
+    peak twice. p_star, eta_star and certificate are nan when eta has no
+    interior peak. bracket is the pair the zero-finder started from,
     or the last pair walked when there is no peak; iterations counts
     slope evaluations, the walk's included; and certificate is the
     normalized slope at p_star (near 0 at an interior optimum).
@@ -140,10 +144,7 @@ def maximize_unconstrained(
     _WALK_REACH times the search ceiling, eta has no interior peak:
     p_star and eta_star are nan and bracket is the last pair walked.
     """
-
-    def slope(p: float) -> float:
-        return stationarity_residual(system, queue, model, p)
-
+    slope = functools.partial(stationarity_residual, system, queue, model)
     lo, hi = _search_limits(system)
     r_lo, r_hi = slope(lo), slope(hi)
     calls = 2
@@ -201,11 +202,19 @@ def maximize_constrained(
     interior peak (p_star and eta_star nan) the better of the interval's
     two ends is kept, the floor when eta falls across it.
     """
-    p0 = qos_threshold(system, queue, model)
+    return _constrain(system, queue, model, qos_threshold(system, queue, model))
+
+
+def _constrain(
+    system: SystemParams, queue: QueueParams, model: SuccessModel, p0: float
+) -> Optimum:
+    """maximize_constrained given p0 = qos_threshold(system, queue, model), which
+    does not depend on the fixed draw b: a caller that varies only b finds it once."""
     peak = maximize_unconstrained(system, queue, model)
     walked = peak.bracket != _search_limits(system)  # the fast path keeps the range
     if math.isinf(p0):
-        return replace(peak, p0=p0, binding=Binding.INFEASIBLE)
+        return Optimum(peak.p_star, peak.eta_star, peak.bracket, peak.iterations,
+                       peak.certificate, p0, None, Binding.INFEASIBLE)
     floor = max(p0, system.p_min)
     # The configured floor, not the QoS bound, may be the active one.
     floor_binding = Binding.QOS_BOUND if p0 >= system.p_min else Binding.POWER_CAP
@@ -219,7 +228,8 @@ def maximize_constrained(
                   else efficiency(system, queue, model, p_cc).eta)
         if efficiency(system, queue, model, floor).eta > eta_cc:
             p_cc, binding = floor, floor_binding
-    return replace(peak, p0=p0, p_star_constrained=p_cc, binding=binding)
+    return Optimum(peak.p_star, peak.eta_star, peak.bracket, peak.iterations,
+                   peak.certificate, p0, p_cc, binding)
 
 
 def limit_optimizer(

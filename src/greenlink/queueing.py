@@ -122,8 +122,10 @@ def stationary_distribution(queue: QueueParams, f: float) -> StationaryDistribut
 
 def full_buffer_prob(queue: QueueParams, f: float) -> float:
     """Stationary probability that the buffer holds K packets."""
-    rho = load_rho(queue, f)
-    K = queue.buffer_size_K
+    return _full_given_rho(load_rho(queue, f), queue.buffer_size_K)
+
+
+def _full_given_rho(rho: float, K: int) -> float:
     if math.isinf(rho):
         return 1.0
     if abs(rho - 1.0) < _RHO_UNIT_TOL:
@@ -135,7 +137,12 @@ def full_buffer_prob(queue: QueueParams, f: float) -> float:
 
 
 def full_buffer_log_slope(queue: QueueParams, f: float) -> float:
-    """d ln Pr(full) / d ln rho, which equals K - E[state] under the stationary law.
+    """d ln Pr(full) / d ln rho, which equals K - E[state] under the stationary law."""
+    return _full_and_log_slope(queue, f)[1]
+
+
+def _full_and_log_slope(queue: QueueParams, f: float) -> tuple[float, float]:
+    """(Pr(full), d ln Pr(full) / d ln rho) from one read of rho.
 
     A geometric law on {0..K} with ratio exp(-y), y > 0, has mean
     1/expm1(y) - (K+1)/expm1((K+1) y). Below unit load the state has
@@ -145,15 +152,16 @@ def full_buffer_log_slope(queue: QueueParams, f: float) -> float:
     """
     rho = load_rho(queue, f)
     K = queue.buffer_size_K
+    full = _full_given_rho(rho, K)
     if math.isinf(rho):
-        return 0.0
+        return full, 0.0
     if rho == 0.0:
-        return float(K)
+        return full, float(K)
     if abs(rho - 1.0) < _RHO_UNIT_TOL:
-        return 0.5 * K
+        return full, 0.5 * K
     y = abs(math.log(rho))
     mean = _inv_expm1(y) - (K + 1) * _inv_expm1((K + 1) * y)
-    return mean if rho > 1.0 else K - mean
+    return full, mean if rho > 1.0 else K - mean
 
 
 def _inv_expm1(z: float) -> float:

@@ -2,8 +2,8 @@
 
 Each model maps transmit power p (watts) to the probability f that a
 packet transmitted in one slot is decoded correctly. Both families are
-monotone in p and sigmoidal, rising from 0 toward 1, which is what gives
-the downstream efficiency metric a single interior maximum.
+monotone and sigmoidal in p, rising toward 1. With the exp model eta had
+one interior peak on every link tested; with the qfunc model it can have two.
 """
 
 import math
@@ -28,8 +28,8 @@ def gaussian_q(x: float) -> float:
     """Tail probability of the standard normal, Q(x) = P(Z > x)."""
     # scipy's erfc, not math.erfc: the two differ in the last bit for many x,
     # and published CSVs hold scipy's values. float() turns its numpy
-    # scalar into a plain float for everything downstream.
-    return float(0.5 * erfc(x / _SQRT2))
+    # scalar into a plain float before the halving, the same IEEE product.
+    return 0.5 * float(erfc(x / _SQRT2))
 
 
 def _reject_power(p: float) -> None:

@@ -15,7 +15,7 @@ from greenlink import (
     dbm_to_watts,
     efficiency,
 )
-from greenlink import cli
+from greenlink import cli, optimize
 from greenlink.cli import main
 
 
@@ -264,6 +264,38 @@ class TestGain:
         rows = read_rows(out)[1:]
         assert {row[1] for row in rows} == {read_rows(single)[1][1]}
         assert rows[-1][1] == rows[-1][2]  # the q = 1 row is its own reference
+
+    def test_b_axis_finds_p0_twice(self, monkeypatch, tmp_path):
+        # p0 does not depend on b: one threshold for the rows' queue and one for
+        # the full-load reference, however many rows there are.
+        calls = []
+        original = optimize.qos_threshold
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (optimize, cli):  # every binding gain may call it through
+            monkeypatch.setattr(module, "qos_threshold", counted, raising=False)
+        values = ",".join(str(10.0 ** (k / 4.0)) for k in range(20))
+        assert main(["gain", "--axis", "b_over_sigma2", "--values", values, "--epsilon", "0.01",
+                     "--out", str(tmp_path / "gain.csv")]) == 0
+        assert len(read_rows(tmp_path / "gain.csv")) == 21
+        assert [queue.arrival_prob_q for _, queue, _ in calls] == [0.5, 1.0]
+
+    def test_q_axis_builds_the_link_once(self, monkeypatch, tmp_path):
+        built = {ExpUnknownChannel: 0, SystemParams: 0}
+        for cls in built:
+            original = cls.__post_init__
+
+            def counted(self, cls=cls, original=original):
+                built[cls] += 1
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        assert main(["gain", "--out", str(tmp_path / "gain.csv")]) == 0
+        assert len(read_rows(tmp_path / "gain.csv")) == 21
+        assert built == {ExpUnknownChannel: 1, SystemParams: 1}
 
 
 class TestSimulate:
@@ -540,6 +572,33 @@ class TestModelCorners:
         assert main(["optimize", "--sigma2-w", "1e-200", "--out", str(out)]) == 0
         _, row = read_rows(out)
         assert float(row[5]) == pytest.approx(15e-200, rel=1e-3)
+
+
+class TestQfuncTwoPeaks:
+    """The CLI form of test_optimizer.py's TestQfuncTwoPeaks link, whose eta peaks
+    twice: optimize settles on the lower peak near p0, while the feasible power
+    HIGHER_PEAK_W reads 0.77% more."""
+
+    LINK = ["--model", "qfunc", "--kappa", "1.5", "--R", "2000", "--R0", "1000", "--hh", "1",
+            "--sigma2-w", "0.001", "--b-w", "0.017929717222942627",
+            "--pmin-w", "3.3945537965003417e-06", "--pmax-w", "9.896711345799469",
+            "--epsilon", "9.289741688526196e-05", "--q", "0.002920938512645282",
+            "--K", "1000000"]
+    HIGHER_PEAK_W = 6.638e-3
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the qfunc model's eta can have two "
+                                           "peaks, and optimize returns the lower one here "
+                                           "(eta* = 322.65 bit/J)")
+    def test_optimize_finds_the_higher_peak(self, tmp_path):
+        out = tmp_path / "out.csv"
+
+        def column(argv, index):
+            assert main([*argv, *self.LINK, "--out", str(out)]) == 0
+            return float(read_rows(out)[1][index])
+
+        p_cc = column(["optimize"], 7)
+        at_optimum = column(["eval", "--p-w", repr(p_cc)], 1)
+        assert at_optimum >= column(["eval", "--p-w", repr(self.HIGHER_PEAK_W)], 1)
 
 
 def test_module_entry_point(tmp_path):

@@ -19,9 +19,11 @@ from greenlink import (
     SystemParams,
     efficiency,
     full_buffer_log_slope,
+    full_buffer_prob,
     stationarity_residual,
     stationary_distribution,
 )
+from greenlink.queueing import _RHO_UNIT_TOL, _full_and_log_slope
 
 SIGMA2 = 1e-3
 P_MAX = 10.0 ** 3.5 / 1000.0  # the CLI's 35 dBm cap
@@ -103,6 +105,29 @@ def test_buffer_log_slope_limits():
     assert full_buffer_log_slope(QueueParams(0.5, 7), 1.0) == 7.0  # rho = 0
     assert full_buffer_log_slope(QueueParams(0.5, 7), 0.0) == 0.0  # rho = inf
     assert full_buffer_log_slope(QueueParams(1.0, 7), 0.3) == 0.0  # q = 1
+
+
+# Loads just inside and just outside the band around rho = 1 where the
+# closed forms switch to the uniform law.
+band_edges = st.sampled_from([1.0 + side * m * _RHO_UNIT_TOL
+                              for side in (-1.0, 1.0) for m in (0.999, 1.001)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(q=st.one_of(st.just(1.0), st.floats(min_value=1e-6, max_value=0.999)),
+       K=st.sampled_from([1, 10, 1000, 10**6]),
+       load=st.one_of(st.sampled_from([0.0, math.inf]), band_edges,
+                      st.floats(min_value=-30.0, max_value=30.0).map(math.exp)))
+def test_full_and_log_slope_from_one_read_of_rho(q, K, load):
+    # q = 1 puts rho at inf whatever f is; take f from the load's inverse at q = 1/2.
+    f = f_at_load(q if q < 1.0 else 0.5, load)
+    queue = QueueParams(q, K)
+    full, slope = _full_and_log_slope(queue, f)
+    assert full == full_buffer_prob(queue, f)
+    assert slope == full_buffer_log_slope(queue, f)
+    mean = float(np.dot(np.arange(K + 1), stationary_distribution(queue, f).probs))
+    assert 0.0 <= slope <= K
+    assert abs(slope - (K - mean)) <= 1e-6 + 1e-9 * K
 
 
 @settings(max_examples=200, deadline=None)

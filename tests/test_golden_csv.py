@@ -57,6 +57,12 @@ CASES = {
     "gain-b-exp": ["gain", "--axis", "b_over_sigma2", "--values", "0,1,100", "--q", "0.4"],
     "gain-b-qfunc2": ["gain", "--model", "qfunc", "--kappa", "2", "--axis", "b_over_sigma2",
                       "--values", "0,10", "--q", "0.4"],
+    # b-axis rows share the row's and the full-load reference's p0; in the
+    # second case the reference misses the loss bound (exit 2).
+    "gain-b-qfunc-qos": ["gain", *QFUNC_QOS, "--axis", "b_over_sigma2", "--values", "0,1,100",
+                         "--q", "0.4"],
+    "gain-b-infeasible": ["gain", "--axis", "b_over_sigma2", "--values", "0,1,100", "--q", "0.4",
+                          "--epsilon", "1e-3", "--K", "1000"],
     "sweep-q-exp": ["sweep", "--axis", "q", "--values", "0.2,0.9", "--p-points", "12"],
     "sweep-q-qfunc-qos": ["sweep", *QFUNC_QOS, "--axis", "q", "--values", "1e-5,1",
                           "--p-points", "12"],
@@ -84,6 +90,8 @@ PINS = {
     'gain-q-qfunc-qos': (0, 'cf821968b59685ec29525fa60401921faf46e093049897dacc1d4630dcaab4ae'),
     'gain-b-exp': (0, '484d9a89857d01281069dd7d2d5927f6b8e0e4a1aeeddea24b49038e56d35879'),
     'gain-b-qfunc2': (0, 'e155db460e4a6a769852713d66003db62f2a9dc5501b768485392424c090a1ba'),
+    'gain-b-qfunc-qos': (0, '24cebc15db37b07af651a53b4cacc091f967f364796bf2b54bf8029dfd9c6cd3'),
+    'gain-b-infeasible': (2, '9d6627a0514802530411ddf0cf36fc9f24570d0d8d49b74c931657b86c8c9f2a'),
     'sweep-q-exp': (0, 'c88457f1255c22df54dc8102d5ed77760232ecbe4f4f7976cdb114929e4a5789'),
     'sweep-q-qfunc-qos': (0, 'caa9f950e72b42faf8f15f5a2c0e8d61081f4b61c543878798d48b6107cee14f'),
     'sweep-b-exp': (0, '886050b85eeea395fa3067bb2edf46ce68aee7adfb33f03739e8912afe0de988'),
