@@ -22,7 +22,7 @@ import sys
 from dataclasses import make_dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .efficiency import SystemParams, efficiency, efficiency_curve, power_gain_db
+from .efficiency import SystemParams, _eta, _loss, _success, efficiency, power_gain_db
 from .optimize import _constrain, maximize_constrained, qos_threshold
 from .queueing import QueueParams
 from .simulate import SimConfig, convergence_study, simulate
@@ -244,13 +244,6 @@ def _log_grid(lo: float, hi: float, n: int) -> List[float]:
     return [math.exp(math.log(lo) + step * i) for i in range(n)]
 
 
-def _on_axis(settings: Settings, axis: str, value: float) -> Settings:
-    """Settings with the q axis, or otherwise the b/sigma2 axis, set to value."""
-    if axis == "q":
-        return replace(settings, q=value)
-    return replace(settings, b_over_sigma2=value, b_w=value * settings.sigma2_w)
-
-
 def _axis_values(settings: Settings, command: str, defaults: Dict[str, Optional[List[float]]],
                  choices: str) -> List[float]:
     """The values to run along settings.sweep_axis, which must be a key of defaults:
@@ -321,26 +314,38 @@ def _cmd_optimize(settings: Settings) -> int:
 def _cmd_sweep(settings: Settings) -> int:
     # The link settings are checked before the power grid, so a bad --pmin or
     # --pmax is named as itself, not as the grid end it sets.
-    _system(settings)
+    system = _system(settings)
     powers = _log_grid(settings.p_lo_w, settings.p_hi_w, settings.p_points)
     axis = settings.sweep_axis
     values = _axis_values(settings, "sweep", {"q": None, "b_over_sigma2": None, "p": powers},
                           "q, b_over_sigma2, or p")
     if axis == "p":
-        powers = values
-        curves = [(None, settings)]  # one curve; each row's axis value is its p
-    else:
-        curves = [(repr(v), _on_axis(settings, axis, v)) for v in values]
+        powers, values = values, [None]  # one curve; each row's axis value is its p
 
-    # A row is a _csv_line record; each power's repr and each curve's axis
-    # cell are rendered once.
-    p_cells = [repr(p) for p in powers]
+    def link(value):  # a curve's system, then its queue, each checked as it is built
+        if axis == "b_over_sigma2":
+            return replace(system, fixed_power_b=value * settings.sigma2_w), _queue(settings)
+        return system, QueueParams(value, settings.K) if axis == "q" else _queue(settings)
+
+    # f depends on the power alone, phi and feasibility also on the queue, eta
+    # on the whole link: each, with its repr, is computed once at its level.
+    link(values[0])  # the first curve's link is checked before the model, the model before f
+    model = _model(settings)
+    fs = [_success(model, p) for p in powers]
+    at_power = list(zip(powers, fs, map(repr, powers), map(repr, fs)))
+    by_queue = {}  # queue -> per power (p, f, phi, p cell, the row's cells after eta)
     lines = []
-    for cell, local in curves:
-        at = efficiency_curve(_system(local), _queue(local), _model(local))
-        for p, p_cell in zip(powers, p_cells):
-            eta, phi, f, feasible = at(p)
-            lines.append(f"{cell or p_cell},{p_cell},{eta!r},{phi!r},{f!r},{feasible:d}\r\n")
+    for value in values:
+        local, queue = link(value)
+        known = by_queue.get(queue)
+        if known is None:
+            known = by_queue[queue] = []
+            for p, f, p_cell, f_cell in at_power:
+                phi, feasible = _loss(local, queue, p, f)
+                known.append((p, f, phi, p_cell, f"{phi!r},{f_cell},{feasible:d}\r\n"))
+        cell = None if value is None else repr(value)
+        lines += [f"{cell or p_cell},{p_cell},{_eta(local, queue, p, f, phi)!r},{tail}"
+                  for p, f, phi, p_cell, tail in known]
     _emit_csv(settings.out, ["axis_value", "p", "eta", "phi", "f", "feasible"], lines)
     print(f"swept {axis}: {len(lines)} points"
           + (f" -> {settings.out}" if settings.out else ""))
@@ -365,8 +370,9 @@ def _cmd_gain(settings: Settings) -> int:
         p0_ref = qos_threshold(system, ref_queue, model)
     rows = []
     for value in values:
-        if axis == "q":
-            here = maximize_constrained(system, QueueParams(value, settings.K), model)
+        if axis == "q":  # a full-load row is its own reference
+            here = ref if value == 1.0 else maximize_constrained(
+                system, QueueParams(value, settings.K), model)
         else:
             local = replace(system, fixed_power_b=value * settings.sigma2_w)
             here = _constrain(local, queue, model, p0_here)

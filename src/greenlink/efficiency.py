@@ -11,11 +11,16 @@ steady state), plus a fixed circuit draw b that is burned every slot.
 The fixed draw is what pulls the optimum away from pure per-packet
 energy: at low traffic, idling dominates the bill.
 
-efficiency_curve(system, queue, model) reads one link's constants once
-and returns p -> (eta, phi, f, feasible), the fields of an
-EfficiencyPoint after its power. A caller that walks many powers of one
-link, as the sweep command does, calls it once per curve; efficiency()
-is that function applied to a single power, so eta has one rule.
+efficiency_curve(system, queue, model) returns p -> (eta, phi, f,
+feasible), the fields of an EfficiencyPoint after its power, and
+efficiency() is that function at a single power. Both are built from
+three private rules, one per level of dependence: _success gives f,
+which depends on neither q nor b; _loss gives phi and feasibility, which
+do not depend on b; _eta gives eta from p, f and phi. The sweep command
+calls each at its own level, f once per power, phi once per power and
+distinct queue, eta once per curve and power, so each quantity still
+has one rule. The rules look model.success_probability and packet_loss
+up at each call, so a wrapper installed on either is used.
 """
 
 import math
@@ -83,35 +88,47 @@ class EfficiencyPoint:
     feasible: bool  # phi <= epsilon and p within [p_min, p_max]
 
 
+def _success(model: SuccessModel, p: float) -> float:
+    """f(p) at a transmit power p > 0 (watts)."""
+    if not p > 0.0:
+        raise ValueError("transmit power must be positive")
+    return model.success_probability(p)
+
+
+def _loss(system: SystemParams, queue: QueueParams, p: float, f: float) -> Tuple[float, bool]:
+    """(phi, feasible) at power p with success probability f; b is not read."""
+    phi = packet_loss(queue, f)
+    return phi, phi <= system.loss_bound_epsilon and system.p_min <= p <= system.p_max
+
+
+def _eta(system: SystemParams, queue: QueueParams, p: float, f: float, phi: float) -> float:
+    """eta in bits per joule at power p, success probability f and loss fraction phi."""
+    delivered = queue.arrival_prob_q * (1.0 - phi)  # packets out per slot
+    if delivered <= 0.0:
+        # No goodput. phi is exactly 1 when f is 0 or has underflowed
+        # (f <= 1e-300 at any q above ~1e-283), and 1 - phi can round to
+        # zero while f is still normal; eta's numerator is then zero
+        # whatever the power bill, and f is never divided by.
+        return 0.0
+    return system.rate_R * delivered / (
+        system.fixed_power_b + system.amp_coeff_a * p * delivered / f)
+
+
 def efficiency_curve(
     system: SystemParams, queue: QueueParams, model: SuccessModel
 ) -> Callable[[float], Tuple[float, float, float, bool]]:
-    """eta(p) of one link as p -> (eta, phi, f, feasible), its constants read once.
+    """eta(p) of one link as p -> (eta, phi, f, feasible).
 
     eta is in bits per joule at transmit power p (watts); feasible means
-    phi <= epsilon and p within [p_min, p_max].
+    phi <= epsilon and p within [p_min, p_max]. Each call finds f and phi
+    afresh; the sweep command, whose curves share them, calls the rules
+    this is built from instead.
     """
-    # Looked up here, not at import, so a wrapper installed on
-    # model.success_probability or packet_loss before this call is used.
-    success, loss = model.success_probability, packet_loss
-    q, rate, b, a = queue.arrival_prob_q, system.rate_R, system.fixed_power_b, system.amp_coeff_a
-    epsilon, p_min, p_max = system.loss_bound_epsilon, system.p_min, system.p_max
 
     def at(p):  # unannotated: annotations would be evaluated at each factory call
-        if not p > 0.0:
-            raise ValueError("transmit power must be positive")
-        f = success(p)
-        phi = loss(queue, f)
-        delivered = q * (1.0 - phi)  # packets out per slot
-        if delivered <= 0.0:
-            # No goodput. phi is exactly 1 when f is 0 or has underflowed
-            # (f <= 1e-300 at any q above ~1e-283), and 1 - phi can round to
-            # zero while f is still normal; eta's numerator is then zero
-            # whatever the power bill, and f is never divided by.
-            eta = 0.0
-        else:
-            eta = rate * delivered / (b + a * p * delivered / f)
-        return eta, phi, f, phi <= epsilon and p_min <= p <= p_max
+        f = _success(model, p)
+        phi, feasible = _loss(system, queue, p, f)
+        return _eta(system, queue, p, f, phi), phi, f, feasible
 
     return at
 

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import math
 import runpy
 import subprocess
@@ -15,7 +16,7 @@ from greenlink import (
     dbm_to_watts,
     efficiency,
 )
-from greenlink import cli, optimize
+from greenlink import cli, optimize, queueing
 from greenlink.cli import main
 
 
@@ -228,6 +229,56 @@ class TestSweep:
         assert capsys.readouterr().err == message + "\n"
         assert not out.exists()
 
+    # Which error wins: the first curve's system and queue are checked before
+    # the model, the model before the powers, and a later curve's queue when
+    # that curve is reached.
+    @pytest.mark.parametrize("argv, message", [
+        (["--axis", "q", "--values", "0,0.5", "--model", "qfunc", "--kappa", "-1"],
+         "error: arrival probability must lie in (0, 1]"),
+        (["--axis", "b_over_sigma2", "--values", "-1,2", "--model", "qfunc", "--kappa", "-1"],
+         "error: fixed power draw cannot be negative"),
+        (["--axis", "q", "--values", "0.5,0"], "error: arrival probability must lie in (0, 1]"),
+        (["--axis", "p", "--values", "0.1,-1"], "error: transmit power must be positive"),
+        (["--axis", "p", "--values", "nan"], "error: transmit power must be positive"),
+        (["--axis", "p", "--values", "0.1,inf"], "error: transmit power must be finite, got inf"),
+    ])
+    def test_error_precedence(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", message + "\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis, queues", [("q", 3), ("b_over_sigma2", 1)])
+    def test_f_once_per_power_phi_once_per_queue(self, monkeypatch, tmp_path, axis, queues):
+        # f depends on neither q nor b, and phi not on b: one model per sweep,
+        # one f per power, one phi per power and distinct queue.
+        counts = {"models": 0, "f": 0, "phi": 0}
+        init, success = ExpUnknownChannel.__post_init__, ExpUnknownChannel.success_probability
+        loss = queueing.packet_loss
+
+        def built(self):
+            counts["models"] += 1
+            init(self)
+
+        def f_counted(self, p):
+            counts["f"] += 1
+            return success(self, p)
+
+        def phi_counted(*args):
+            counts["phi"] += 1
+            return loss(*args)
+
+        monkeypatch.setattr(ExpUnknownChannel, "__post_init__", built)
+        monkeypatch.setattr(ExpUnknownChannel, "success_probability", f_counted)
+        # The package's name efficiency is the function; the module is looked up.
+        for module in (importlib.import_module("greenlink.efficiency"), queueing):
+            monkeypatch.setattr(module, "packet_loss", phi_counted)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--axis", axis, "--values", "0.2,0.5,1", "--p-points", "7",
+                     "--out", str(out)]) == 0
+        assert len(read_rows(out)) == 1 + 3 * 7
+        assert counts == {"models": 1, "f": 7, "phi": 7 * queues}
+
     def test_one_point_grid_writes_no_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--axis", "p", "--p-points", "1", "--out", str(out)]) == 1
@@ -282,6 +333,22 @@ class TestGain:
                      "--out", str(tmp_path / "gain.csv")]) == 0
         assert len(read_rows(tmp_path / "gain.csv")) == 21
         assert [queue.arrival_prob_q for _, queue, _ in calls] == [0.5, 1.0]
+
+    def test_full_load_row_reuses_the_reference(self, monkeypatch, tmp_path):
+        # The default grid ends at q = 1, whose optimum is the reference itself.
+        queues = []
+        original = cli.maximize_constrained
+
+        def counted(system, queue, model):
+            queues.append(queue.arrival_prob_q)
+            return original(system, queue, model)
+
+        monkeypatch.setattr(cli, "maximize_constrained", counted)
+        out = tmp_path / "gain.csv"
+        assert main(["gain", "--out", str(out)]) == 0
+        assert queues == [1.0] + [round(0.05 * i, 2) for i in range(1, 20)]
+        rows = read_rows(out)
+        assert len(rows) == 21 and rows[-1][0] == "1.0" and rows[-1][1] == rows[-1][2]
 
     def test_q_axis_builds_the_link_once(self, monkeypatch, tmp_path):
         built = {ExpUnknownChannel: 0, SystemParams: 0}

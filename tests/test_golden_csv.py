@@ -9,9 +9,10 @@ change of output, by running this file as a script:
 
     PYTHONPATH=src python3 tests/test_golden_csv.py
 
-The CLI writes its records without the csv module; two tests hold them to
-the bytes csv.writer writes, on seeded rows of corner cells and on sweep
-CSVs at corner axis values and powers.
+The CLI writes its records without the csv module; three tests hold them
+to the bytes csv.writer writes: on seeded rows of corner cells, on sweep
+CSVs at corner axis values and powers, and on sweeps whose curves share f
+and phi, at the qfunc model's f = 0 corner and at q = 1.
 """
 
 import contextlib
@@ -29,6 +30,7 @@ import oracles
 from greenlink import (
     Binding,
     ExpUnknownChannel,
+    QKnownChannel,
     QueueParams,
     SystemParams,
     dbm_to_watts,
@@ -168,32 +170,59 @@ def test_line_writer_matches_stdlib_csv():
     assert "".join(map(_csv_line, rows)).encode() == stdlib_csv(rows)
 
 
+def check_sweep_against_stdlib(out, axis, values, kappa=None, q=0.5):
+    """Run a sweep and compare its CSV with csv.writer over efficiency() per row."""
+    flags = [] if kappa is None else ["--model", "qfunc", "--kappa", repr(kappa)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep", *flags, "--q", repr(q), "--axis", axis,
+                     "--values", ",".join(map(repr, values)),
+                     "--p-points", "4", "--p-lo-w", "1e-5", "--p-hi-w", "1e16",
+                     "--out", str(out)]) == 0
+    sigma2 = dbm_to_watts(0.0)
+    if kappa is None:
+        model = ExpUnknownChannel(rate_R=4000.0, rate_R0=1000.0, noise_sigma2=sigma2)
+    else:
+        model = QKnownChannel(rate_R=4000.0, rate_R0=1000.0, spread_kappa=kappa,
+                              channel_gain_hh=1.0, noise_sigma2=sigma2)
+    rows = [["axis_value", "p", "eta", "phi", "f", "feasible"]]
+    # The p axis's values, or the grid's powers read back: a float's repr round-trips.
+    powers = values if axis == "p" else [
+        float(row[1]) for row in list(csv.reader(out.read_text().splitlines()))[1:5]]
+    for value in [None] if axis == "p" else values:
+        ratio = value if axis == "b_over_sigma2" else 100.0
+        system = SystemParams(rate_R=4000.0, fixed_power_b=ratio * sigma2, noise_sigma2=sigma2,
+                              p_min=0.01, p_max=dbm_to_watts(35.0))
+        queue = QueueParams(arrival_prob_q=value if axis == "q" else q, buffer_size_K=10)
+        for p in powers:
+            point = efficiency(system, queue, model, p)
+            rows.append([p if value is None else value, p, point.eta, point.phi, point.f,
+                         int(point.feasible)])
+    assert out.read_bytes() == stdlib_csv(rows)
+    return rows[1:]
+
+
 @pytest.mark.parametrize("axis, values", [
     ("q", [5e-324, 1e-5, 1.0]),
     ("b_over_sigma2", [-0.0, 5e-324, 1e-5, 1e16]),
     ("p", [5e-324, 1e-5, 0.1, 1e16]),
 ])
 def test_sweep_lines_match_stdlib_csv(tmp_path, axis, values):
-    out = tmp_path / "sweep.csv"
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["sweep", "--axis", axis, "--values", ",".join(map(repr, values)),
-                     "--p-points", "4", "--p-lo-w", "1e-5", "--p-hi-w", "1e16",
-                     "--out", str(out)]) == 0
-    sigma2 = dbm_to_watts(0.0)
-    model = ExpUnknownChannel(rate_R=4000.0, rate_R0=1000.0, noise_sigma2=sigma2)
-    rows = [["axis_value", "p", "eta", "phi", "f", "feasible"]]
-    # The grid's powers, read back: a float's repr round-trips.
-    powers = [float(row[1]) for row in list(csv.reader(out.read_text().splitlines()))[1:5]]
-    for value in [None] if axis == "p" else values:
-        ratio = value if axis == "b_over_sigma2" else 100.0
-        system = SystemParams(rate_R=4000.0, fixed_power_b=ratio * sigma2, noise_sigma2=sigma2,
-                              p_min=0.01, p_max=dbm_to_watts(35.0))
-        queue = QueueParams(arrival_prob_q=value if axis == "q" else 0.5, buffer_size_K=10)
-        for p in powers:
-            point = efficiency(system, queue, model, p)
-            rows.append([p if value is None else value, p, point.eta, point.phi, point.f,
-                         int(point.feasible)])
-    assert out.read_bytes() == stdlib_csv(rows)
+    check_sweep_against_stdlib(tmp_path / "sweep.csv", axis, values)
+
+
+# kappa = 100 puts f's underflow to 0, and eta's no-goodput branch, at the
+# grid's lowest power 1e-5 W (on the p axis also where 1 - phi rounds to 0
+# while f is normal); q = 1 gives an infinite load on the b axis.
+@pytest.mark.parametrize("kappa, q, axis, values", [
+    (None, 1.0, "b_over_sigma2", [0.0, 1e-5, 1.0, 1e16]),
+    (100.0, 0.5, "q", [1e-5, 0.5, 1.0]),
+    (100.0, 1.0, "b_over_sigma2", [0.0, 1.0, 1e4]),
+    (100.0, 0.5, "p", [1e-5, 0.0377, 0.04, 0.0536, 2.0]),
+])
+def test_shared_column_sweep_lines_match_stdlib_csv(tmp_path, kappa, q, axis, values):
+    rows = check_sweep_against_stdlib(tmp_path / "sweep.csv", axis, values, kappa, q)
+    if kappa is not None:  # the no-goodput branch was reached
+        assert any(row[2] == 0.0 and row[4] == 0.0 for row in rows)
 
 
 if __name__ == "__main__":
