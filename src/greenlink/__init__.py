@@ -9,7 +9,8 @@ The pieces, bottom to top:
 - efficiency: the cross-layer bits-per-joule metric eta(p) combining
   goodput, amplifier power, and fixed circuit draw.
 - optimize: unconstrained and QoS/power-cap-constrained maximization of
-  eta, exact up to tolerance thanks to quasi-concavity.
+  eta at the first peak of its exact slope; that is the maximum on every
+  exp-model link tested, while a qfunc link can peak twice.
 - simulate: Monte Carlo queue simulation validating the closed forms.
 - cli / units: experiment runner and dBm boundary conversions.
 """
@@ -18,7 +19,6 @@ from .efficiency import (
     EfficiencyPoint,
     SystemParams,
     efficiency,
-    efficiency_curve,
     power_gain_db,
     stationarity_residual,
 )
@@ -67,7 +67,6 @@ __all__ = [
     "convergence_study",
     "dbm_to_watts",
     "efficiency",
-    "efficiency_curve",
     "full_buffer_log_slope",
     "full_buffer_prob",
     "gaussian_q",

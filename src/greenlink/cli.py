@@ -433,6 +433,7 @@ def _cmd_simulate(settings: Settings) -> int:
         print(f"std error         = {report.std_error:.3g}")
         print(f"closed-form loss  = {report.theoretical_phi:.6g}")
         print(f"relative gap      = {100 * report.relative_gap:+.3f}%")
+        print(f"slots simulated   = {report.slots}")  # warm-up included
     return 0
 
 

@@ -11,30 +11,28 @@ steady state), plus a fixed circuit draw b that is burned every slot.
 The fixed draw is what pulls the optimum away from pure per-packet
 energy: at low traffic, idling dominates the bill.
 
-efficiency_curve(system, queue, model) returns p -> (eta, phi, f,
-feasible), the fields of an EfficiencyPoint after its power, and
-efficiency() is that function at a single power. Both are built from
-three private rules, one per level of dependence: _success gives f,
-which depends on neither q nor b; _loss gives phi and feasibility, which
-do not depend on b; _eta gives eta from p, f and phi. The sweep command
-calls each at its own level, f once per power, phi once per power and
-distinct queue, eta once per curve and power, so each quantity still
-has one rule. The rules look model.success_probability and packet_loss
-up at each call, so a wrapper installed on either is used.
+efficiency() composes three private rules, one per level of
+dependence: _success gives f, which depends on neither q nor b; _loss
+gives phi and feasibility, which do not depend on b; _eta gives eta from
+p, f and phi. The sweep command calls each at its own level, f once per
+power, phi once per power and distinct queue, eta once per curve and
+power, so each quantity has one rule. The rules look
+model.success_probability and packet_loss up at each call, so a wrapper
+installed on either is used.
 """
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
-from .queueing import QueueParams, _full_and_log_slope, packet_loss
+from .queueing import QueueParams, _full_and_log_slope, _full_over_q, packet_loss
 from .success import SuccessModel
 
 __all__ = [
     "SystemParams",
     "EfficiencyPoint",
     "efficiency",
-    "efficiency_curve",
     "stationarity_residual",
     "power_gain_db",
 ]
@@ -110,34 +108,19 @@ def _eta(system: SystemParams, queue: QueueParams, p: float, f: float, phi: floa
         # zero while f is still normal; eta's numerator is then zero
         # whatever the power bill, and f is never divided by.
         return 0.0
-    return system.rate_R * delivered / (
-        system.fixed_power_b + system.amp_coeff_a * p * delivered / f)
-
-
-def efficiency_curve(
-    system: SystemParams, queue: QueueParams, model: SuccessModel
-) -> Callable[[float], Tuple[float, float, float, bool]]:
-    """eta(p) of one link as p -> (eta, phi, f, feasible).
-
-    eta is in bits per joule at transmit power p (watts); feasible means
-    phi <= epsilon and p within [p_min, p_max]. Each call finds f and phi
-    afresh; the sweep command, whose curves share them, calls the rules
-    this is built from instead.
-    """
-
-    def at(p):  # unannotated: annotations would be evaluated at each factory call
-        f = _success(model, p)
-        phi, feasible = _loss(system, queue, p, f)
-        return _eta(system, queue, p, f, phi), phi, f, feasible
-
-    return at
+    bill = system.fixed_power_b + system.amp_coeff_a * p * delivered / f
+    if bill == 0.0:  # b = 0 and a p delivered / f underflowed (q -> 0): eta = R f / (a p)
+        return system.rate_R * f / (system.amp_coeff_a * p)
+    return system.rate_R * delivered / bill
 
 
 def efficiency(
     system: SystemParams, queue: QueueParams, model: SuccessModel, p: float
 ) -> EfficiencyPoint:
     """Evaluate eta(p) in bits per joule at transmit power p (watts)."""
-    return EfficiencyPoint(p, *efficiency_curve(system, queue, model)(p))
+    f = _success(model, p)
+    phi, feasible = _loss(system, queue, p, f)
+    return EfficiencyPoint(p, _eta(system, queue, p, f, phi), phi, f, feasible)
 
 
 def stationarity_residual(
@@ -152,21 +135,25 @@ def stationarity_residual(
     the slope is (b H + X (F - 1)) / (b + X). Returned is
     (b H + X (F - 1)) / (b H + X (F + 1)): same sign (positive below the
     maximizer, negative above it), smooth, and with a magnitude that
-    certifies an optimum even where one term is tiny (q -> 0). Where eta
-    is identically zero (1 - Phi rounds to 0, as it does once f
-    underflows, at low power) it is +1.
+    certifies an optimum even where one term is tiny (q -> 0). Where X
+    is below the smallest normal float, both terms are divided by q, so a
+    subnormal q cannot underflow them to 0/0. Where eta is identically
+    zero (1 - Phi rounds to 0, as it does once f underflows, at low
+    power) it is +1.
     """
-    if not p > 0.0:
-        raise ValueError("transmit power must be positive")
-    f = model.success_probability(p)
+    f = _success(model, p)
     full, log_slope = _full_and_log_slope(queue, f)
     delivered = 1.0 - (1.0 - f) * full  # 1 - Phi
     if delivered <= 0.0:  # no goodput, the same rule as in efficiency
         return 1.0
     F = p * model.success_derivative(p) / f
+    a_p = system.amp_coeff_a * p
+    X = a_p * queue.arrival_prob_q * delivered / f
+    if X < sys.float_info.min:
+        # Both terms are proportional to q: divide it out, Pr(full) / q included.
+        full, X = _full_over_q(queue, f), a_p * delivered / f
     H = full * (f + log_slope) * F / delivered
     bH = system.fixed_power_b * H
-    X = system.amp_coeff_a * p * queue.arrival_prob_q * delivered / f
     return (bH + X * (F - 1.0)) / (bH + X * (F + 1.0))
 
 

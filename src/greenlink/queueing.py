@@ -61,12 +61,29 @@ def _check_f(f: float) -> None:
 
 def load_rho(queue: QueueParams, f: float) -> float:
     """Load ratio rho = q(1-f) / ((1-q)f); inf when (1-q)f is 0 in floating point."""
+    return _load_and_full(queue, f)[0]
+
+
+def _load_and_full(queue: QueueParams, f: float) -> tuple[float, float]:
+    """(rho, Pr(full)) from one read of the queue law.
+
+    Pr(full) = rho**K (1 - rho) / (1 - rho**(K+1)). Above unit load it is
+    taken over 1/rho so rho**K cannot overflow (rho = inf gives 1), and
+    within _RHO_UNIT_TOL of rho = 1, where both forms cancel, the uniform
+    law's 1/(K+1) is used. rho is inf when (1-q)f is 0: f = 0, q = 1, or a
+    product that underflows.
+    """
     _check_f(f)
     q = queue.arrival_prob_q
     den = (1.0 - q) * f
-    if den == 0.0:  # f = 0, q = 1, or a product that underflows
-        return math.inf
-    return q * (1.0 - f) / den
+    rho = q * (1.0 - f) / den if den != 0.0 else math.inf
+    K = queue.buffer_size_K
+    if abs(rho - 1.0) < _RHO_UNIT_TOL:
+        return rho, 1.0 / (K + 1)
+    if rho < 1.0:
+        return rho, rho**K * (1.0 - rho) / (1.0 - rho ** (K + 1))
+    r = 1.0 / rho
+    return rho, (1.0 - r) / (1.0 - r ** (K + 1))
 
 
 def transition_matrix(queue: QueueParams, f: float) -> np.ndarray:
@@ -122,18 +139,7 @@ def stationary_distribution(queue: QueueParams, f: float) -> StationaryDistribut
 
 def full_buffer_prob(queue: QueueParams, f: float) -> float:
     """Stationary probability that the buffer holds K packets."""
-    return _full_given_rho(load_rho(queue, f), queue.buffer_size_K)
-
-
-def _full_given_rho(rho: float, K: int) -> float:
-    if math.isinf(rho):
-        return 1.0
-    if abs(rho - 1.0) < _RHO_UNIT_TOL:
-        return 1.0 / (K + 1)
-    if rho < 1.0:
-        return rho**K * (1.0 - rho) / (1.0 - rho ** (K + 1))
-    r = 1.0 / rho
-    return (1.0 - r) / (1.0 - r ** (K + 1))
+    return _load_and_full(queue, f)[1]
 
 
 def full_buffer_log_slope(queue: QueueParams, f: float) -> float:
@@ -150,24 +156,31 @@ def _full_and_log_slope(queue: QueueParams, f: float) -> tuple[float, float]:
     1/rho (y = ln rho), giving K - E. Balanced load gives K/2, rho = inf
     gives 0 and rho = 0 gives K.
     """
-    rho = load_rho(queue, f)
+    rho, full = _load_and_full(queue, f)
     K = queue.buffer_size_K
-    full = _full_given_rho(rho, K)
-    if math.isinf(rho):
-        return full, 0.0
     if rho == 0.0:
         return full, float(K)
     if abs(rho - 1.0) < _RHO_UNIT_TOL:
         return full, 0.5 * K
     y = abs(math.log(rho))
-    mean = _inv_expm1(y) - (K + 1) * _inv_expm1((K + 1) * y)
+    z = (K + 1) * y
+    # 1/expm1(t) as exp(-t) / -expm1(-t): a large t underflows to 0, not overflows
+    mean = math.exp(-y) / -math.expm1(-y) - (K + 1) * (math.exp(-z) / -math.expm1(-z))
     return full, mean if rho > 1.0 else K - mean
 
 
-def _inv_expm1(z: float) -> float:
-    # 1 / expm1(z) for z > 0, written so that large z underflows to 0
-    # instead of overflowing.
-    return math.exp(-z) / -math.expm1(-z)
+def _full_over_q(queue: QueueParams, f: float) -> float:
+    """Pr(full) / q without the product q (1 - f), which loses bits once q is subnormal.
+
+    Below unit load Pr(full) / q = (rho / q) rho**(K-1) (1 - rho) / (1 - rho**(K+1)),
+    where rho / q = (1 - f) / ((1 - q) f) does not shrink with q. At or above
+    unit load Pr(full) >= 1/(K+1) and is divided by q as it stands.
+    """
+    rho, full = _load_and_full(queue, f)
+    q, K = queue.arrival_prob_q, queue.buffer_size_K
+    if rho > 1.0 - _RHO_UNIT_TOL:
+        return full / q
+    return (1.0 - f) / ((1.0 - q) * f) * rho ** (K - 1) * (1.0 - rho) / (1.0 - rho ** (K + 1))
 
 
 def packet_loss(queue: QueueParams, f: float) -> float:
@@ -176,4 +189,4 @@ def packet_loss(queue: QueueParams, f: float) -> float:
     A drop needs a full buffer and a failed head-of-line transmission in
     the same slot, so f = 1 gives zero loss at any load.
     """
-    return (1.0 - f) * full_buffer_prob(queue, f)
+    return (1.0 - f) * _load_and_full(queue, f)[1]

@@ -12,9 +12,11 @@ from greenlink import (
     ExpUnknownChannel,
     QKnownChannel,
     QueueParams,
+    SimConfig,
     SystemParams,
     dbm_to_watts,
     efficiency,
+    simulate,
 )
 from greenlink import cli, optimize, queueing
 from greenlink.cli import main
@@ -41,6 +43,14 @@ class TestEval:
         assert eta == pytest.approx(4000.0 * f / p, rel=1e-12)
         assert phi == pytest.approx(1.0 - f, rel=1e-12)
         assert feasible == 1
+
+    def test_no_idle_draw_at_the_smallest_arrival_probability(self, tmp_path):
+        # b = 0: eta = R f / (a p) at any q, also where a p q (1 - phi) / f underflows
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--q", "5e-324", "--b-w", "0", "--p-w", "0.02",
+                     "--out", str(out)]) == 0
+        _, row = read_rows(out)
+        assert float(row[1]) == pytest.approx(4000.0 * float(row[3]) / 0.02, rel=1e-15)
 
     def test_dbm_and_watt_flags_agree(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -94,6 +104,16 @@ class TestOptimize:
         assert row[9] == "qos_bound"
         assert float(row[7]) == float(row[6])  # clamps to p0
         assert float(row[7]) > float(row[5])
+
+    @pytest.mark.parametrize("b_over_sigma2", ["0", "100"])
+    def test_smallest_arrival_probability(self, tmp_path, b_over_sigma2):
+        # q = 5e-324 underflows both terms of the slope unless q is divided out.
+        out = tmp_path / "opt.csv"
+        assert main(["optimize", "--q", "5e-324", "--K", "1", "--b-over-sigma2",
+                     b_over_sigma2, "--out", str(out)]) == 0
+        _, row = read_rows(out)
+        assert row[9] == "interior"
+        assert float(row[7]) > 0.0 and float(row[8]) > 0.0
 
     @pytest.mark.parametrize("kappa, p_min, p_star, binding", [
         ("0.5", 0.01, "nan", "power_cap"),  # eta has no interior peak
@@ -377,6 +397,14 @@ class TestSimulate:
         assert int(row[0]) == 500
         assert 0.0 < float(row[1]) < 1.0
         assert float(row[3]) == pytest.approx(1 / 22, rel=1e-12)
+
+    def test_prints_slots_simulated(self, capsys):
+        assert main(["simulate", "--f", "0.5", "--total-packets", "300", "--num-runs", "20",
+                     "--seed", "5", "--warmup-slots", "40"]) == 0
+        config = SimConfig(queue=QueueParams(0.5, 10), success_prob_f=0.5, total_packets=300,
+                           num_runs=20, seed=5, warmup_slots=40)
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line == f"slots simulated   = {simulate(config).slots}"
 
     def test_seed_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -3,14 +3,15 @@
 The exact residual, the buffer helper K - E[state] and the qfunc
 derivative are checked over the parameter corners that break things:
 q down to 1e-6, K up to 1e6, kappa from 2 to 100, b = 0, and loads
-within 1e-9 of rho = 1.
+within 1e-9 of rho = 1. The queue readers are held bit for bit to the
+regime ladder on rho they replaced, and Pr(full) / q to its q -> 0 limit.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from greenlink import (
     ExpUnknownChannel,
@@ -20,10 +21,12 @@ from greenlink import (
     efficiency,
     full_buffer_log_slope,
     full_buffer_prob,
+    load_rho,
+    packet_loss,
     stationarity_residual,
     stationary_distribution,
 )
-from greenlink.queueing import _RHO_UNIT_TOL, _full_and_log_slope
+from greenlink.queueing import _RHO_UNIT_TOL, _full_and_log_slope, _full_over_q
 
 SIGMA2 = 1e-3
 P_MAX = 10.0 ** 3.5 / 1000.0  # the CLI's 35 dBm cap
@@ -128,6 +131,87 @@ def test_full_and_log_slope_from_one_read_of_rho(q, K, load):
     mean = float(np.dot(np.arange(K + 1), stationary_distribution(queue, f).probs))
     assert 0.0 <= slope <= K
     assert abs(slope - (K - mean)) <= 1e-6 + 1e-9 * K
+
+
+# The queue law as it stood before rho and Pr(full) were read by one helper:
+# load_rho, then a regime ladder on rho, then the log slope from 1/expm1.
+def ladder_load_rho(queue, f):
+    if not 0.0 <= f <= 1.0:
+        raise ValueError("success probability must lie in [0, 1]")
+    q = queue.arrival_prob_q
+    den = (1.0 - q) * f
+    if den == 0.0:
+        return math.inf
+    return q * (1.0 - f) / den
+
+
+def ladder_full_given_rho(rho, K):
+    if math.isinf(rho):
+        return 1.0
+    if abs(rho - 1.0) < _RHO_UNIT_TOL:
+        return 1.0 / (K + 1)
+    if rho < 1.0:
+        return rho**K * (1.0 - rho) / (1.0 - rho ** (K + 1))
+    r = 1.0 / rho
+    return (1.0 - r) / (1.0 - r ** (K + 1))
+
+
+def ladder_inv_expm1(z):
+    return math.exp(-z) / -math.expm1(-z)
+
+
+def ladder_full_and_log_slope(queue, f):
+    rho = ladder_load_rho(queue, f)
+    K = queue.buffer_size_K
+    full = ladder_full_given_rho(rho, K)
+    if math.isinf(rho):
+        return full, 0.0
+    if rho == 0.0:
+        return full, float(K)
+    if abs(rho - 1.0) < _RHO_UNIT_TOL:
+        return full, 0.5 * K
+    y = abs(math.log(rho))
+    mean = ladder_inv_expm1(y) - (K + 1) * ladder_inv_expm1((K + 1) * y)
+    return full, mean if rho > 1.0 else K - mean
+
+
+# f = 5e-320 at q < 1 leaves (1 - q) f nonzero, and q (1 - f) / ((1 - q) f) overflows.
+edge_fs = st.sampled_from([0.0, 5e-324, 5e-320, 1.0 - 2.0 ** -53, 1.0])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(q=st.one_of(st.sampled_from([1.0, 0.5]), st.floats(min_value=1e-6, max_value=0.999)),
+       K=st.sampled_from([1, 2, 10, 1000, 10**6]),
+       load=st.one_of(st.sampled_from([0.0, math.inf]), band_edges,
+                      st.floats(min_value=-30.0, max_value=30.0).map(math.exp)),
+       edge_f=st.one_of(st.none(), edge_fs))
+@example(q=0.5, K=1, load=1.0, edge_f=5e-320)
+@example(q=0.5, K=10**6, load=1.0, edge_f=1.0 - 2.0 ** -53)
+def test_queue_readers_match_the_ladder_bit_for_bit(q, K, load, edge_f):
+    f = f_at_load(q if q < 1.0 else 0.5, load) if edge_f is None else edge_f
+    queue = QueueParams(q, K)
+    if (q, edge_f) == (0.5, 5e-320):  # the overflow input reaches the overflow
+        assert (1.0 - q) * f != 0.0 and ladder_load_rho(queue, f) == math.inf
+    rho = ladder_load_rho(queue, f)
+    full = ladder_full_given_rho(rho, K)
+    assert load_rho(queue, f) == rho
+    assert full_buffer_prob(queue, f) == full
+    assert packet_loss(queue, f) == (1.0 - f) * full
+    assert _full_and_log_slope(queue, f) == ladder_full_and_log_slope(queue, f)
+
+
+@pytest.mark.parametrize("f", [1e-20, 0.3, 0.999])
+def test_full_over_q_keeps_its_limit_as_q_goes_subnormal(f):
+    # With K = 1, Pr(full) = rho / (1 + rho), so Pr(full) / q -> (1 - f) / f as q -> 0.
+    for q in (1e-300, 1e-310, 5e-324):
+        assert _full_over_q(QueueParams(q, 1), f) == pytest.approx((1.0 - f) / f, rel=1e-15)
+    # With normal q it is Pr(full) / q, in every load regime.
+    for q, K, load in [(0.3, 2, 0.01), (0.3, 10, 1.0), (0.3, 1000, 1e-9), (0.3, 7, 3.0),
+                       (1.0, 5, 1.0)]:
+        g = f_at_load(q if q < 1.0 else 0.5, load)
+        queue = QueueParams(q, K)
+        assert _full_over_q(queue, g) == pytest.approx(full_buffer_prob(queue, g) / q,
+                                                       rel=1e-13)
 
 
 @settings(max_examples=200, deadline=None)

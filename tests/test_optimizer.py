@@ -511,6 +511,26 @@ class TestQfuncMatchesGrid:
             assert abs(math.log(p0_ref / p0)) <= 1.001 * math.log(P_MAX / lo) / (GRID_N - 1)
 
 
+class TestSubnormalArrivals:
+    """q -> 0: both terms of the slope scale with q, and below about 1e-308 they
+    underflow unless q is divided out first. p* and p** hold their q = 1e-300 values."""
+
+    @given(
+        q=st.floats(math.log10(5e-324), -300.0).map(lambda e: max(5e-324, 10.0 ** e)),
+        K=st.sampled_from([1, 2, 10, 1000, 10**6]),
+        b_over_sigma2=st.sampled_from([0.0, 1.0, 1e4]),
+        model=st.sampled_from([exp_model(), q_model(10.0)]),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_optimum_holds_down_to_the_smallest_q(self, q, K, b_over_sigma2, model):
+        sysp = cli_default_system(b_over_sigma2)
+        got = maximize_constrained(sysp, QueueParams(q, K), model)
+        ref = maximize_constrained(sysp, QueueParams(1e-300, K), model)
+        assert got.p_star == pytest.approx(ref.p_star, rel=1e-12)
+        assert got.p_star_constrained == pytest.approx(ref.p_star_constrained, rel=1e-12)
+        assert got.binding is ref.binding
+
+
 class TestLimitOptimizer:
     def test_light_traffic_analytic(self):
         model = ExpUnknownChannel(rate_R=4000.0, rate_R0=1000.0, noise_sigma2=1.0)
