@@ -19,15 +19,20 @@ power, phi once per power and distinct queue, eta once per curve and
 power, so each quantity has one rule. The rules look
 model.success_probability and packet_loss up at each call, so a wrapper
 installed on either is used.
+
+The exact slope has one rule too: _slope_reader(system, queue, model)
+binds a, b, q and the model's link reader p -> (f, f') once and returns
+p -> slope, so a power search builds it once and each power reads f and
+f' in one call. stationarity_residual is that reader built for one call.
 """
 
 import math
 import sys
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Tuple
 
 from .queueing import QueueParams, _full_and_log_slope, _full_over_q, packet_loss
-from .success import SuccessModel
+from .success import SuccessModel, _link_reader
 
 __all__ = [
     "SystemParams",
@@ -141,20 +146,40 @@ def stationarity_residual(
     zero (1 - Phi rounds to 0, as it does once f underflows, at low
     power) it is +1.
     """
-    f = _success(model, p)
-    full, log_slope = _full_and_log_slope(queue, f)
-    delivered = 1.0 - (1.0 - f) * full  # 1 - Phi
-    if delivered <= 0.0:  # no goodput, the same rule as in efficiency
-        return 1.0
-    F = p * model.success_derivative(p) / f
-    a_p = system.amp_coeff_a * p
-    X = a_p * queue.arrival_prob_q * delivered / f
-    if X < sys.float_info.min:
-        # Both terms are proportional to q: divide it out, Pr(full) / q included.
-        full, X = _full_over_q(queue, f), a_p * delivered / f
-    H = full * (f + log_slope) * F / delivered
-    bH = system.fixed_power_b * H
-    return (bH + X * (F - 1.0)) / (bH + X * (F + 1.0))
+    return _slope_reader(system, queue, model)(p)
+
+
+def _slope_reader(
+    system: SystemParams, queue: QueueParams, model: SuccessModel
+) -> Callable[[float], float]:
+    """p -> stationarity_residual(system, queue, model, p), built once per search.
+
+    a, b, q and the model's link reader p -> (f, f') are bound once, and
+    each power reads f and f' in one call.
+    """
+    read = _link_reader(model)
+    a, b, q = system.amp_coeff_a, system.fixed_power_b, queue.arrival_prob_q
+    tiny = sys.float_info.min
+
+    def slope(p: float) -> float:
+        if not 0.0 < p < math.inf:
+            _success(model, p)  # the p > 0 rule, then the model's own for p = inf
+        f, df = read(p)
+        full, log_slope = _full_and_log_slope(queue, f)
+        delivered = 1.0 - (1.0 - f) * full  # 1 - Phi
+        if delivered <= 0.0:  # no goodput, the same rule as in efficiency
+            return 1.0
+        F = p * df / f
+        a_p = a * p
+        X = a_p * q * delivered / f
+        if X < tiny:
+            # Both terms are proportional to q: divide it out, Pr(full) / q included.
+            full, X = _full_over_q(queue, f), a_p * delivered / f
+        H = full * (f + log_slope) * F / delivered
+        bH = b * H
+        return (bH + X * (F - 1.0)) / (bH + X * (F + 1.0))
+
+    return slope
 
 
 def power_gain_db(p_star_q1: float, p_star: float) -> float:

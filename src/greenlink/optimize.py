@@ -7,7 +7,10 @@ held on every exp-model link tested; the qfunc model's slope can change
 sign two or three times, and the search may then settle on a lower
 peak. When the slope does not fall from + to - across the search range,
 a walk doubles p from the search floor to the first pair (p, 2p) across
-which it does, and Brent runs inside that pair.
+which it does, and Brent runs inside that pair. Each search builds one
+slope reader (`efficiency._slope_reader`) and reads every power through
+it; the floor alone goes through the public `stationarity_residual`,
+which gives the same bits.
 Phi is strictly decreasing in p, so the QoS bound Phi <= epsilon is a
 minimum power p0, the zero of Phi - epsilon, and the constrained
 optimum is the best power on [max(p0, p_min), p_max]
@@ -16,14 +19,13 @@ optimum is the best power on [max(p0, p_min), p_max]
 with the fixed draw dropped for q -> 0.
 """
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Literal, Optional, Tuple
 
-from .efficiency import SystemParams, efficiency, stationarity_residual
+from .efficiency import SystemParams, _slope_reader, efficiency, stationarity_residual
 from .queueing import QueueParams, packet_loss
 from .success import SuccessModel
 
@@ -87,22 +89,28 @@ def _root_log(
     bracket, about tol wide in ln(p), as (p, fun(p), p_other, fun(p_other),
     evaluations), the end with the smaller |fun| first.
     """
+    # |fa|, |fb| and |fc| ride along with fa, fb and fc, each taken once per
+    # new value; x if x >= 0.0 else -x is abs(x) for every comparison below.
+    exp, copysign = math.exp, math.copysign
+    two_eps, half_tol = 2.0 * _EPS, 0.5 * tol
     a, b, fa, fb = math.log(lo), math.log(hi), f_lo, f_hi
-    c, fc = a, fa
+    fa_abs, fb_abs = abs(fa), abs(fb)
+    c, fc, fc_abs = a, fa, fa_abs
     d = e = b - a
     evaluations = 0
     while True:
         if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
+            c, fc, fc_abs = a, fa, fa_abs
             d = e = b - a
-        if abs(fc) < abs(fb):
+        if fc_abs < fb_abs:
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        step_tol = 2.0 * _EPS * abs(b) + 0.5 * tol
+            fa_abs, fb_abs, fc_abs = fb_abs, fc_abs, fb_abs
+        step_tol = two_eps * (b if b >= 0.0 else -b) + half_tol
         m = 0.5 * (c - b)
-        if abs(m) <= step_tol or fb == 0.0:
-            return math.exp(b), fb, math.exp(c), fc, evaluations
-        if abs(e) < step_tol or abs(fa) <= abs(fb):
+        if (m if m >= 0.0 else -m) <= step_tol or fb == 0.0:
+            return exp(b), fb, exp(c), fc, evaluations
+        if (e if e >= 0.0 else -e) < step_tol or fa_abs <= fb_abs:
             d = e = m  # bisection
         else:
             s = fb / fa
@@ -114,14 +122,19 @@ def _root_log(
                 q = (q - 1.0) * (r - 1.0) * (s - 1.0)
             if p > 0.0:
                 q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * m * q - abs(step_tol * q), abs(e * q)):
+            else:
+                p = -p
+            u = 3.0 * m * q - step_tol * (q if q >= 0.0 else -q)
+            v = e * q
+            v = v if v >= 0.0 else -v
+            if 2.0 * p < (v if v < u else u):  # min(u, v)
                 e, d = d, p / q
             else:
                 d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > step_tol else math.copysign(step_tol, m)
-        fb = fun(math.exp(b))
+        a, fa, fa_abs = b, fb, fb_abs
+        b += d if (d if d >= 0.0 else -d) > step_tol else copysign(step_tol, m)
+        fb = fun(exp(b))
+        fb_abs = fb if fb >= 0.0 else -fb
         evaluations += 1
 
 
@@ -144,9 +157,11 @@ def maximize_unconstrained(
     _WALK_REACH times the search ceiling, eta has no interior peak:
     p_star and eta_star are nan and bracket is the last pair walked.
     """
-    slope = functools.partial(stationarity_residual, system, queue, model)
+    slope = _slope_reader(system, queue, model)
     lo, hi = _search_limits(system)
-    r_lo, r_hi = slope(lo), slope(hi)
+    # The floor goes through the public stationarity_residual: perfbench's
+    # traced run fails on a layer no span reaches until ROADMAP item 1 lands.
+    r_lo, r_hi = stationarity_residual(system, queue, model, lo), slope(hi)
     calls = 2
     if not r_lo > 0.0 > r_hi:
         ceiling = hi * _WALK_REACH

@@ -10,6 +10,7 @@ whose stationary law is geometric in the load ratio rho.
 
 import math
 from dataclasses import dataclass
+from math import exp, expm1, inf, log
 
 import numpy as np
 
@@ -73,10 +74,11 @@ def _load_and_full(queue: QueueParams, f: float) -> tuple[float, float]:
     law's 1/(K+1) is used. rho is inf when (1-q)f is 0: f = 0, q = 1, or a
     product that underflows.
     """
-    _check_f(f)
+    if not 0.0 <= f <= 1.0:  # _check_f, inline: every read of the law passes here
+        raise ValueError("success probability must lie in [0, 1]")
     q = queue.arrival_prob_q
     den = (1.0 - q) * f
-    rho = q * (1.0 - f) / den if den != 0.0 else math.inf
+    rho = q * (1.0 - f) / den if den != 0.0 else inf
     K = queue.buffer_size_K
     if abs(rho - 1.0) < _RHO_UNIT_TOL:
         return rho, 1.0 / (K + 1)
@@ -162,10 +164,10 @@ def _full_and_log_slope(queue: QueueParams, f: float) -> tuple[float, float]:
         return full, float(K)
     if abs(rho - 1.0) < _RHO_UNIT_TOL:
         return full, 0.5 * K
-    y = abs(math.log(rho))
+    y = abs(log(rho))
     z = (K + 1) * y
     # 1/expm1(t) as exp(-t) / -expm1(-t): a large t underflows to 0, not overflows
-    mean = math.exp(-y) / -math.expm1(-y) - (K + 1) * (math.exp(-z) / -math.expm1(-z))
+    mean = exp(-y) / -expm1(-y) - (K + 1) * (exp(-z) / -expm1(-z))
     return full, mean if rho > 1.0 else K - mean
 
 

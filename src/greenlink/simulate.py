@@ -39,6 +39,7 @@ from .queueing import QueueParams, packet_loss
 __all__ = ["SimConfig", "SimReport", "ConvergenceRow", "simulate", "convergence_study"]
 
 _MAX_CHUNK_SLOTS = 2**22
+_MAX_RUN_SLOTS = 2**53  # the most slots a run may be expected to last, total_packets / q
 _BLOCK_CELLS = 2**20  # run x slot cells drawn per block of runs
 _GROUP = 32  # moves per clamp map
 _NO_STEPS = np.zeros(0, dtype=np.int8)
@@ -70,6 +71,13 @@ class SimConfig:
             raise ValueError("need at least one packet per run")
         if self.num_runs < 1:
             raise ValueError("need at least one run")
+        # A run lasts about total_packets / q slots: beyond 2**53 (inf at a
+        # vanishing q) it can neither be sized in chunks nor end.
+        q = self.queue.arrival_prob_q
+        if not self.total_packets <= _MAX_RUN_SLOTS * q:
+            raise ValueError(f"arrival probability q = {q!r} is too small for total_packets = "
+                             f"{self.total_packets}: a run lasts about total_packets / q "
+                             "slots, which must not exceed 2**53")
         # Run i draws from the Philox stream keyed seed + i, a 128-bit key.
         if not 0 <= int(self.seed) <= 2**128 - int(self.num_runs):
             raise ValueError(f"seed must lie in [0, 2**128 - num_runs], got {self.seed}")

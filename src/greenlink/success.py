@@ -4,12 +4,16 @@ Each model maps transmit power p (watts) to the probability f that a
 packet transmitted in one slot is decoded correctly. Both families are
 monotone and sigmoidal in p, rising toward 1. With the exp model eta had
 one interior peak on every link tested; with the qfunc model it can have two.
+
+Each model builds one link reader, p -> (f, df/dp), the first time it is
+asked for it (_link_reader). success_derivative reads through it, so f'
+has one formula, and a power search reads f and f' in one call.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Union
+from functools import cached_property, partial
+from typing import Callable, Tuple, Union
 
 from scipy.special import erfc
 
@@ -37,6 +41,13 @@ def _reject_power(p: float) -> None:
     if p == math.inf:
         raise ValueError(f"transmit power must be finite, got {p!r}")
     raise ValueError("transmit power must be nonnegative")
+
+
+def _reject_derivative_power(p: float) -> None:
+    """Name what is wrong with a transmit power outside (0, inf) for f'."""
+    if p == math.inf:
+        raise ValueError(f"transmit power must be finite, got {p!r}")
+    raise ValueError("derivative requires positive transmit power")
 
 
 def _require_positive(**fields: float) -> None:
@@ -83,15 +94,14 @@ class ExpUnknownChannel:
 
     def success_derivative(self, p: float) -> float:
         """df/dp = f(p) * c / p**2, exact for this family."""
-        if not p > 0.0:
-            raise ValueError("derivative requires positive transmit power")
-        f = self.success_probability(p)
-        if f == 0.0:
-            return 0.0  # also where c is inf, and 0 * inf is nan
-        p_squared = p * p
-        if p_squared == 0.0:  # p below ~1.5e-162
-            return f * self.power_scale / p / p
-        return f * self.power_scale / p_squared
+        if not 0.0 < p < math.inf:
+            _reject_derivative_power(p)
+        return self._reader(p)[1]
+
+    @cached_property
+    def _reader(self) -> Callable[[float], Tuple[float, float]]:
+        """p -> (f, df/dp) for 0 < p < inf, built once per model."""
+        return partial(_exp_f_and_df, self.power_scale)
 
 
 @dataclass(frozen=True)
@@ -120,35 +130,74 @@ class QKnownChannel:
             noise_sigma2=self.noise_sigma2,
         )
 
-    def _argument(self, p: float) -> float:
-        ratio = self.rate_R / self.rate_R0
-        if ratio == math.inf:  # f is 0; an inf log term below would give inf - inf, NaN
-            return math.inf
-        snr = self.channel_gain_hh * p / self.noise_sigma2
-        if snr == math.inf:
-            # hh p or its quotient overflowed: ln(1 + snr) = L + ln(1 + e^-L)
-            # with L = ln snr taken from logs (snr >= 1 here, so e^-L <= 1).
-            log_snr = (math.log(self.channel_gain_hh) + math.log(p)
-                       - math.log(self.noise_sigma2))
-            return self.spread_kappa * (ratio - (log_snr + math.log1p(math.exp(-log_snr))))
-        return self.spread_kappa * (ratio - math.log1p(snr))
+    @cached_property  # the link constants, fixed once per model
+    def _link(self) -> Tuple[float, float, float, float]:
+        return (self.rate_R / self.rate_R0, self.spread_kappa, self.channel_gain_hh,
+                self.noise_sigma2)
 
     def success_probability(self, p: float) -> float:
         if not 0.0 <= p < math.inf:
             _reject_power(p)
-        return gaussian_q(self._argument(p))
+        return gaussian_q(_q_argument(*self._link, p))
 
     def success_derivative(self, p: float) -> float:
         """df/dp = kappa * phi(arg) * hh / (sigma2 + hh p), phi the normal pdf; exact."""
-        if not p > 0.0:
-            raise ValueError("derivative requires positive transmit power")
-        arg = self._argument(p)
-        hh = self.channel_gain_hh
-        density = self.spread_kappa * _INV_SQRT_2PI * math.exp(-0.5 * arg * arg)
-        total = self.noise_sigma2 + hh * p
-        if total == math.inf:  # sigma2 + hh p overflowed; hh / total is 1 / (sigma2/hh + p)
-            return density / (self.noise_sigma2 / hh + p)
-        return density * hh / total
+        if not 0.0 < p < math.inf:
+            _reject_derivative_power(p)
+        return self._reader(p)[1]
+
+    @cached_property
+    def _reader(self) -> Callable[[float], Tuple[float, float]]:
+        """p -> (f, df/dp) for 0 < p < inf, built once per model."""
+        return partial(_q_f_and_df, *self._link)
 
 
 SuccessModel = Union[ExpUnknownChannel, QKnownChannel]
+
+
+def _exp_f_and_df(c: float, p: float) -> Tuple[float, float]:
+    """(f, df/dp) of f = exp(-c/p) at 0 < p < inf."""
+    f = math.exp(-c / p)
+    if f == 0.0:
+        return f, 0.0  # also where c is inf, and 0 * inf is nan
+    p_squared = p * p
+    if p_squared == 0.0:  # p below ~1.5e-162
+        return f, f * c / p / p
+    return f, f * c / p_squared
+
+
+def _q_argument(ratio: float, kappa: float, hh: float, sigma2: float, p: float) -> float:
+    """The Q-function's argument kappa (R/R0 - ln(1 + hh p / sigma2)) at 0 <= p < inf.
+
+    The log term is finite, so R/R0 = inf gives inf (f = 0).
+    """
+    snr = hh * p / sigma2
+    if snr == math.inf:
+        # hh p or its quotient overflowed: ln(1 + snr) = L + ln(1 + e^-L)
+        # with L = ln snr taken from logs (snr >= 1 here, so e^-L <= 1).
+        log_snr = math.log(hh) + math.log(p) - math.log(sigma2)
+        return kappa * (ratio - (log_snr + math.log1p(math.exp(-log_snr))))
+    return kappa * (ratio - math.log1p(snr))
+
+
+def _q_f_and_df(ratio: float, kappa: float, hh: float, sigma2: float,
+                p: float) -> Tuple[float, float]:
+    """(f, df/dp) of the qfunc model at 0 < p < inf, from one argument."""
+    arg = _q_argument(ratio, kappa, hh, sigma2, p)
+    density = kappa * _INV_SQRT_2PI * math.exp(-0.5 * arg * arg)
+    total = sigma2 + hh * p
+    if total == math.inf:  # sigma2 + hh p overflowed; hh / total is 1 / (sigma2/hh + p)
+        return gaussian_q(arg), density / (sigma2 / hh + p)
+    return gaussian_q(arg), density * hh / total
+
+
+def _link_reader(model: SuccessModel) -> Callable[[float], Tuple[float, float]]:
+    """The model's reader p -> (f(p), f'(p)) for 0 < p < inf.
+
+    A model without one, any object with success_probability and
+    success_derivative, is read through those two methods.
+    """
+    try:
+        return model._reader
+    except AttributeError:
+        return lambda p: (model.success_probability(p), model.success_derivative(p))

@@ -406,6 +406,19 @@ class TestSimulate:
         line = capsys.readouterr().out.splitlines()[-1]
         assert line == f"slots simulated   = {simulate(config).slots}"
 
+    def test_smallest_arrival_probability_rejected(self, monkeypatch, capsys):
+        # total_packets / q overflows: the config names q, and no campaign starts
+        def never(config):
+            raise AssertionError("a campaign started")
+
+        monkeypatch.setattr(cli, "simulate", never)
+        assert main(["simulate", "--q", "5e-324", "--K", "1", "--f", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: arrival probability q = 5e-324 is too small for "
+                                "total_packets = 1000: a run lasts about total_packets / q "
+                                "slots, which must not exceed 2**53\n")
+
     def test_seed_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["simulate", "--f", "0.6", "--total-packets", "400",

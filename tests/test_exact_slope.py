@@ -5,9 +5,12 @@ derivative are checked over the parameter corners that break things:
 q down to 1e-6, K up to 1e6, kappa from 2 to 100, b = 0, and loads
 within 1e-9 of rho = 1. The queue readers are held bit for bit to the
 regime ladder on rho they replaced, and Pr(full) / q to its q -> 0 limit.
+The optimizer's slope reader is held bit for bit to the slope composed
+from the models' public f and f', as it was before the reader.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from greenlink import (
     ExpUnknownChannel,
+    gaussian_q,
     QKnownChannel,
     QueueParams,
     SystemParams,
@@ -26,6 +30,7 @@ from greenlink import (
     stationarity_residual,
     stationary_distribution,
 )
+from greenlink.efficiency import _slope_reader
 from greenlink.queueing import _RHO_UNIT_TOL, _full_and_log_slope, _full_over_q
 
 SIGMA2 = 1e-3
@@ -226,3 +231,141 @@ def test_qfunc_derivative_matches_central_difference(kappa, hh, arg):
     central = (model.success_probability(p + h)
                - model.success_probability(p - h)) / (2.0 * h)
     assert model.success_derivative(p) == pytest.approx(central, rel=1e-5)
+
+
+# -- The slope reader against the slope it replaced ---------------------------
+# Copies of the slope as it was composed before each search built one reader:
+# a power read f through success_probability, then f' (the exp model reading f
+# again, the qfunc model its argument again), then the queue law.
+
+WALK_REACH = P_MAX * 1e3 * 2.0 ** 60  # the walk stops at the first power past this
+INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def composed_argument(model, p):
+    ratio = model.rate_R / model.rate_R0
+    if ratio == math.inf:
+        return math.inf
+    snr = model.channel_gain_hh * p / model.noise_sigma2
+    if snr == math.inf:
+        log_snr = (math.log(model.channel_gain_hh) + math.log(p)
+                   - math.log(model.noise_sigma2))
+        return model.spread_kappa * (ratio - (log_snr + math.log1p(math.exp(-log_snr))))
+    return model.spread_kappa * (ratio - math.log1p(snr))
+
+
+def composed_derivative(model, p):
+    if isinstance(model, ExpUnknownChannel):
+        f = model.success_probability(p)
+        if f == 0.0:
+            return 0.0
+        p_squared = p * p
+        if p_squared == 0.0:
+            return f * model.power_scale / p / p
+        return f * model.power_scale / p_squared
+    if isinstance(model, QKnownChannel):
+        arg = composed_argument(model, p)
+        hh = model.channel_gain_hh
+        density = model.spread_kappa * INV_SQRT_2PI * math.exp(-0.5 * arg * arg)
+        total = model.noise_sigma2 + hh * p
+        if total == math.inf:
+            return density / (model.noise_sigma2 / hh + p)
+        return density * hh / total
+    return model.success_derivative(p)
+
+
+def composed_residual(system, queue, model, p):
+    f = model.success_probability(p)
+    full, log_slope = _full_and_log_slope(queue, f)
+    delivered = 1.0 - (1.0 - f) * full
+    if delivered <= 0.0:
+        return 1.0
+    F = p * composed_derivative(model, p) / f
+    a_p = system.amp_coeff_a * p
+    X = a_p * queue.arrival_prob_q * delivered / f
+    if X < sys.float_info.min:
+        full, X = _full_over_q(queue, f), a_p * delivered / f
+    H = full * (f + log_slope) * F / delivered
+    bH = system.fixed_power_b * H
+    return (bH + X * (F - 1.0)) / (bH + X * (F + 1.0))
+
+
+class HillModel:
+    """f = p / (p + s): only the two public methods, so the slope reads through them."""
+
+    def __init__(self, s):
+        self.s = s
+
+    def success_probability(self, p):
+        return p / (p + self.s)
+
+    def success_derivative(self, p):
+        return self.s / (p + self.s) / (p + self.s)
+
+
+def same(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+def reader_model(kind, sigma2, kappa, hh, rate_R0):
+    if kind == "exp":
+        return ExpUnknownChannel(rate_R=4000.0, rate_R0=rate_R0, noise_sigma2=sigma2)
+    if kind == "qfunc":
+        return QKnownChannel(rate_R=4000.0, rate_R0=rate_R0, spread_kappa=kappa,
+                             channel_gain_hh=hh, noise_sigma2=sigma2)
+    return HillModel(sigma2)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["exp", "qfunc", "stub"]),
+       sigma2=st.sampled_from([SIGMA2, 1e-200, 1e306]),  # p p underflows, sigma2 + hh p overflows
+       kappa=st.floats(min_value=0.5, max_value=100.0),
+       hh=st.sampled_from([0.05, 1.0, 30.0, 1e300]),
+       # R/R0 = 4, beyond 2**(R/R0)'s float range (the exp model's c is inf), and inf
+       rate_R0=st.sampled_from([1000.0, 3.6, 1e-320]),
+       q=st.one_of(st.sampled_from([1.0, 0.5, 1e-300, 5e-324]),
+                   st.floats(min_value=math.log(5e-324), max_value=0.0).map(math.exp)),
+       K=st.sampled_from([1, 2, 10, 1000, 10**6]),
+       ratio=st.sampled_from([0.0, 1.0, 1e4]),
+       a=st.sampled_from([1.0, 2.5]),
+       powers=st.lists(st.one_of(
+           st.sampled_from([SIGMA2 * 1e-3, P_MAX * 1e3, WALK_REACH, 2.0 * WALK_REACH]),
+           st.floats(min_value=math.log(5e-324),
+                     max_value=math.log(2.0 * WALK_REACH)).map(math.exp)), max_size=3),
+       offsets=st.lists(st.floats(min_value=-10.0, max_value=5.0), max_size=3))
+@example(kind="qfunc", sigma2=SIGMA2, kappa=2.0, hh=1e300, rate_R0=1e-320, q=0.5, K=10,
+         ratio=1.0, a=1.0, powers=[1e10], offsets=[])  # R/R0 and hh p / sigma2 both inf
+@example(kind="exp", sigma2=1e-200, kappa=2.0, hh=1.0, rate_R0=1000.0, q=5e-324, K=10**6,
+         ratio=0.0, a=2.5, powers=[], offsets=[0.0])  # p p underflows; q subnormal
+def test_slope_reader_matches_the_composed_slope_bit_for_bit(kind, sigma2, kappa, hh, rate_R0,
+                                                             q, K, ratio, a, powers, offsets):
+    model = reader_model(kind, sigma2, kappa, hh, rate_R0)
+    system = SystemParams(rate_R=4000.0, fixed_power_b=ratio * SIGMA2, noise_sigma2=SIGMA2,
+                          p_min=0.01, p_max=P_MAX, amp_coeff_a=a)
+    queue = QueueParams(q, K)
+    slope = _slope_reader(system, queue, model)  # one reader for every power, as in a search
+    # offsets are ln(p / sigma2): where f climbs, at any noise power
+    for p in powers + [sigma2 * math.exp(t) for t in offsets]:
+        want = composed_residual(system, queue, model, p)
+        assert same(slope(p), want)
+        assert same(stationarity_residual(system, queue, model, p), want)
+        if kind == "stub":
+            continue
+        f, df = model._reader(p)
+        assert f == model.success_probability(p)
+        assert same(df, composed_derivative(model, p))
+        assert same(model.success_derivative(p), df)
+        if kind == "qfunc":
+            assert f == gaussian_q(composed_argument(model, p))
+
+
+def test_slope_reader_keeps_the_power_checks():
+    system = SystemParams(rate_R=4000.0, fixed_power_b=SIGMA2, noise_sigma2=SIGMA2,
+                          p_min=0.01, p_max=P_MAX)
+    for model in (make_model(None), make_model(10.0)):
+        slope = _slope_reader(system, QueueParams(0.5, 10), model)
+        for p in (0.0, -1.0, math.nan, -math.inf):
+            with pytest.raises(ValueError, match=r"^transmit power must be positive$"):
+                slope(p)
+        with pytest.raises(ValueError, match=r"^transmit power must be finite, got inf$"):
+            slope(math.inf)

@@ -54,6 +54,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             config(f=1.2)
 
+    @pytest.mark.parametrize("q, total", [(5e-324, 1), (5e-324, 1000), (1e-300, 1),
+                                          (1e-12, 10**4), (2.0**-44, 2**10), (0.5, 2**60)])
+    def test_run_too_long_to_finish(self, q, total):
+        # a run lasts about total / q slots: inf, or beyond 2**53. Only the
+        # config is built; no campaign starts.
+        with pytest.raises(ValueError, match=rf"^arrival probability q = {q!r} is too small "
+                                             rf"for total_packets = {total}: "):
+            config(q=q, total=total)
+
+    def test_run_length_at_the_bound(self):
+        # 2**10 / 2**-43 = 2**53 slots a run is still accepted
+        assert config(q=2.0**-43, total=2**10).total_packets == 2**10
+
     @pytest.mark.parametrize("kw", [dict(total=100.0), dict(runs=20.0),
                                     dict(warmup_slots=5.0), dict(initial_queue_state=1.0)])
     def test_counts_must_be_integers(self, kw):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from greenlink import (
     qos_threshold,
     stationarity_residual,
 )
+from greenlink.optimize import _root_log
 
 
 def make_system(b=0.1, sigma2=1e-3, p_min=1e-4, p_max=10.0, eps=1.0, a=1.0):
@@ -635,3 +637,101 @@ class TestQfuncTwoPeaks:
         better = efficiency(self.system, self.queue, self.model, 6.638e-3).eta
         assert efficiency(self.system, self.queue, self.model,
                           best.p_star_constrained).eta >= better
+
+
+def reference_root_log(fun, lo, hi, f_lo, f_hi, tol):
+    """Brent's zero-finder in ln(p) as written with abs() and min(), kept to pin _root_log."""
+    eps = sys.float_info.epsilon
+    a, b, fa, fb = math.log(lo), math.log(hi), f_lo, f_hi
+    c, fc = a, fa
+    d = e = b - a
+    evaluations = 0
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        step_tol = 2.0 * eps * abs(b) + 0.5 * tol
+        m = 0.5 * (c - b)
+        if abs(m) <= step_tol or fb == 0.0:
+            return math.exp(b), fb, math.exp(c), fc, evaluations
+        if abs(e) < step_tol or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(step_tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > step_tol else math.copysign(step_tol, m)
+        fb = fun(math.exp(b))
+        evaluations += 1
+
+
+def bracketed_function(shape, root, scale, height, sign):
+    """A function of p with one sign change at ln p = root; several shapes
+    hold |f| flat (plateaus) or equal on both sides of the root (ties)."""
+    def g(x):
+        t = scale * (x - root)
+        if shape == "tanh":
+            return math.tanh(t)
+        if shape == "plateau":  # flat at +-height beyond |t| = height
+            return max(-height, min(height, t))
+        if shape == "steps":  # +-height/2, +-3 height/2, ...: ties across the root
+            return height * (math.floor(t) + 0.5)
+        if shape == "sign":  # |f| = height everywhere
+            return math.copysign(height, t)
+        if shape == "dead band":  # exactly zero near the root
+            return 0.0 if abs(t) < height else t
+        if shape == "nan band":  # nan near the root
+            return math.nan if 0.0 < t < height else t
+        return t * t * t + height * t  # cubic
+    return lambda p: sign * g(math.log(p))
+
+
+class TestRootLog:
+    @given(shape=st.sampled_from(["tanh", "plateau", "steps", "sign", "dead band",
+                                  "nan band", "cubic"]),
+           log_lo=st.floats(min_value=-30.0, max_value=10.0),
+           width=st.floats(min_value=1e-6, max_value=80.0),
+           where=st.floats(min_value=0.01, max_value=0.99),
+           scale=st.sampled_from([1e-3, 0.3, 1.0, 7.0, 1e4]),
+           height=st.sampled_from([1e-300, 0.25, 1.0, 3.0]),
+           sign=st.sampled_from([1.0, -1.0]),
+           tol=st.sampled_from([1e-14, 1e-9, 1e-3]))
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    def test_matches_the_abs_and_min_form(self, shape, log_lo, width, where, scale, height,
+                                          sign, tol):
+        # Same iterates, so the same five returned values: bit for bit.
+        fun = bracketed_function(shape, log_lo + where * width, scale, height, sign)
+        lo, hi = math.exp(log_lo), math.exp(log_lo + width)
+        f_lo, f_hi = fun(lo), fun(hi)
+        if not f_lo * f_hi < 0.0 or lo >= hi:
+            return
+        seen = {"new": [], "reference": []}
+
+        def recorded(name):
+            def read(p):
+                seen[name].append(p)
+                assert len(seen[name]) < 10_000
+                return fun(p)
+            return read
+
+        got = _root_log(recorded("new"), lo, hi, f_lo, f_hi, tol)
+        want = reference_root_log(recorded("reference"), lo, hi, f_lo, f_hi, tol)
+        assert seen["new"] == seen["reference"]
+        assert len(got) == len(want) == 5
+        for x, y in zip(got, want):
+            assert x == y or (math.isnan(x) and math.isnan(y))

@@ -260,3 +260,14 @@ def test_infinite_power_rejected_by_name(model):
         model.success_probability(math.inf)
     with pytest.raises(ValueError, match=r"^transmit power must be nonnegative$"):
         model.success_probability(-math.inf)
+
+
+@pytest.mark.parametrize("model", [exp_model(), q_model()])
+def test_infinite_power_rejected_by_the_derivative(model):
+    # f' at p = inf is rejected as f is; the qfunc model read 0.0 there
+    with pytest.raises(ValueError, match=r"^transmit power must be finite, got inf$"):
+        model.success_derivative(math.inf)
+    with pytest.raises(ValueError, match=r"^derivative requires positive transmit power$"):
+        model.success_derivative(-math.inf)
+    with pytest.raises(ValueError, match=r"^derivative requires positive transmit power$"):
+        model.success_derivative(0.0)
