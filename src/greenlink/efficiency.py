@@ -142,7 +142,9 @@ def stationarity_residual(
     maximizer, negative above it), smooth, and with a magnitude that
     certifies an optimum even where one term is tiny (q -> 0). Where X
     is below the smallest normal float, both terms are divided by q, so a
-    subnormal q cannot underflow them to 0/0. Where eta is identically
+    subnormal q cannot underflow them to 0/0; where a p underflows and
+    b H is 0 they still are, and the slope is the limit
+    (u + F - 1) / (u + F + 1) with u = b H / X. Where eta is identically
     zero (1 - Phi rounds to 0, as it does once f underflows, at low
     power) it is +1.
     """
@@ -177,7 +179,13 @@ def _slope_reader(
             full, X = _full_over_q(queue, f), a_p * delivered / f
         H = full * (f + log_slope) * F / delivered
         bH = b * H
-        return (bH + X * (F - 1.0)) / (bH + X * (F + 1.0))
+        below = bH + X * (F + 1.0)
+        if below == 0.0:
+            # X and b H are both 0 (a p underflowed): the limit with u = b H / X,
+            # in which p cancels (full holds Pr(full) / q here); +1 at u or F = inf
+            u = b / a * full * (f + log_slope) * df / delivered / delivered
+            return (u + F - 1.0) / (u + F + 1.0) if u + F < math.inf else 1.0
+        return (bH + X * (F - 1.0)) / below
 
     return slope
 

@@ -12,11 +12,13 @@ Every slot draws an arrival bit (probability q) and a success bit
 cut (see ``_cut``); the bit is the one ``Generator.random() < p`` gives
 on the same word. The occupancy x follows the slot map
 x -> min(max(x + d, 0), K) with d = arrival - success, and an arrival
-that meets x = K with a failed draw is lost. A run's words are drawn
-in one fixed order -- the warm-up's arrival then success words, then
-for each chunk its arrival then success words, chunks sized from the
-arrivals still to come -- so its result does not depend on the block of
-runs it steps in.
+that meets x = K with a failed draw is lost. A run's words lie in one
+fixed order in its stream -- the warm-up's arrival then success words,
+then for each chunk its arrival then success words, chunks sized from
+the arrivals still to come -- so its result does not depend on the block
+of runs it steps in. Words after the run's last needed arrival are
+skipped by moving the Philox counter, never drawn (see ``_chunk``); every
+word a slot reads keeps its stream position.
 
 Only a run's moves, the slots where its two bits differ, can change x.
 A block of runs steps their moves together (see ``_step``): the slot
@@ -39,6 +41,7 @@ from .queueing import QueueParams, packet_loss
 __all__ = ["SimConfig", "SimReport", "ConvergenceRow", "simulate", "convergence_study"]
 
 _MAX_CHUNK_SLOTS = 2**22
+_SLACK_SLOTS = 4096  # slots the first arrival draw adds to its bound (see _first_slots)
 _MAX_RUN_SLOTS = 2**53  # the most slots a run may be expected to last, total_packets / q
 _BLOCK_CELLS = 2**20  # run x slot cells drawn per block of runs
 _GROUP = 32  # moves per clamp map
@@ -177,20 +180,75 @@ def _moves(arrival, success):
     succeeds leaves x as it is (a packet arriving to an empty buffer is
     served in the same slot)."""
     moves = (arrival != success).nonzero()[0]
-    return np.subtract(arrival, success, dtype=np.int8)[moves], moves
+    steps = arrival[moves].view(np.int8) * np.int8(2)  # up where the arrival bit is set
+    steps -= 1
+    return steps, moves
+
+
+def _first_slots(left: int, q: float, n: int) -> int:
+    # The left-th arrival comes after a negative-binomial wait of mean left / q
+    # slots and standard deviation sqrt(left (1 - q)) / q: a first draw of 4
+    # deviations past the mean, plus a slack that keeps short runs on one
+    # whole-chunk draw, misses it less than about 3e-5 of the time.
+    return min(n, int((left + 4 * math.sqrt(left * (1 - q))) / q) + _SLACK_SLOTS)
+
+
+def _skip(bitgen: np.random.Philox, words: int) -> None:
+    """Move bitgen past its next words raw words, as drawing them would.
+    Philox.advance(k) moves the counter k 4-word blocks on and empties the
+    buffer, so only the words still buffered and the last partial block are
+    drawn and dropped."""
+    held = 4 - bitgen.state["buffer_pos"]
+    if words > held:
+        words -= held
+        bitgen.advance(words // 4)
+        words %= 4
+    bitgen.random_raw(words)
+
+
+def _cut_at(arrival, left: int, count: int) -> int:
+    """Slots up to and including the left-th of the count >= left arrivals.
+    The count - left arrivals after it lie near the end, so the search looks
+    at a tail of about twice their expected span, and widens it if it falls
+    short."""
+    after = count - left
+    tail = 2 * (after + 1) * arrival.size // count + 64
+    while True:
+        start = max(arrival.size - tail, 0)
+        late = arrival[start:].nonzero()[0]
+        if late.size > after:
+            return start + int(late[late.size - after - 1]) + 1
+        tail *= 4
 
 
 def _chunk(bitgen, cuts, q, left, track):
     """Draw the next chunk for left more arrivals and keep its moves up to
     the slot of the left-th arrival, or to the end of the chunk. Returns
-    ((steps, move slots or None, slots), arrivals still to come)."""
-    arrival, success = _draw(bitgen, _chunk_slots(left, q), cuts)
-    arrivals = arrival.nonzero()[0]
-    if arrivals.size >= left:
-        n = int(arrivals[left - 1]) + 1
-        arrival, success = arrival[:n], success[:n]
+    ((steps, move slots or None, slots), arrivals still to come).
+
+    A chunk of n slots owns the stream's next n arrival words, then its n
+    success words. Its arrival words are drawn in a first piece of
+    _first_slots words, and the rest only if that piece holds fewer than
+    left arrivals. A run that ends in the chunk skips its unread arrival
+    words by moving the counter (see _skip) and draws the success words of
+    its slots alone; a run that does not draws all n, so its next chunk
+    starts on the same word whatever was drawn. Every word a slot reads
+    keeps its stream position."""
+    (arrive, arrive_bound), (succeed, succeed_bound) = cuts
+    n = _chunk_slots(left, q)
+    arrival = arrive(bitgen.random_raw(_first_slots(left, q, n)), arrive_bound)
+    count = np.count_nonzero(arrival)
+    if count < left and arrival.size < n:
+        rest = arrive(bitgen.random_raw(n - arrival.size), arrive_bound)
+        arrival = np.concatenate([arrival, rest])
+        count += np.count_nonzero(rest)
+    if count >= left:
+        if arrival.size < n:
+            _skip(bitgen, n - arrival.size)
+        arrival = arrival[:_cut_at(arrival, left, count)]
+    success = succeed(bitgen.random_raw(arrival.size), succeed_bound)
     steps, moves = _moves(arrival, success)
-    return (steps, moves if track else None, arrival.size), max(left - arrivals.size, 0)
+    return (steps, moves if track else None, arrival.size), max(left - count, 0)
 
 
 def _group_entries(shift, low, high, x):

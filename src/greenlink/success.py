@@ -26,6 +26,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_LN2 = math.log(2.0)
 
 
 def gaussian_q(x: float) -> float:
@@ -83,6 +84,8 @@ class ExpUnknownChannel:
         ratio = self.rate_R / self.rate_R0
         if ratio >= 1024.0:
             return math.inf
+        if ratio < 1.0:  # 2**ratio - 1 cancels: all of it below ratio ~ 1e-16
+            return math.expm1(ratio * _LN2) * self.noise_sigma2
         return (2.0 ** ratio - 1.0) * self.noise_sigma2
 
     def success_probability(self, p: float) -> float:

@@ -660,6 +660,18 @@ class TestModelCorners:
         # R/R0 = 2000: 2**(R/R0) leaves float range and f is 0 at any power
         assert main([*argv, "--R", "2e6"]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["gain", "--model", "exp", "--K", "2", "--a", "1e-300", "--sigma2-w", "1e-300",
+         "--pmin-w", "1e-300", "--pmax-w", "3.16", "--axis", "b_over_sigma2",
+         "--values", "1,1e4"],
+        ["optimize", "--b-over-sigma2", "1", "--R", "2e6", "--R0", "1e300", "--a", "1e-300",
+         "--sigma2-w", "1e-300", "--pmax-w", "0.02"],
+    ], ids=lambda argv: argv[0])
+    def test_slope_where_a_p_and_b_h_underflow(self, argv, capsys):
+        # a p below the smallest subnormal, with b H 0 too, made the slope 0/0
+        assert main(argv) in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_exp_and_qfunc_agree_where_f_is_zero(self, tmp_path):
         exp_out, q_out = tmp_path / "exp.csv", tmp_path / "qfunc.csv"
         assert main(["optimize", "--R", "2e6", "--out", str(exp_out)]) == 0

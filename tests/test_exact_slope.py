@@ -359,6 +359,23 @@ def test_slope_reader_matches_the_composed_slope_bit_for_bit(kind, sigma2, kappa
             assert f == gaussian_q(composed_argument(model, p))
 
 
+@pytest.mark.parametrize("kind", ["exp", "qfunc"])
+@pytest.mark.parametrize("q, K", [(0.5, 2), (1e-3, 10), (1.0, 1)])
+def test_slope_takes_its_limit_where_a_p_and_b_h_underflow(kind, q, K):
+    # the slope reads a and b only through b / a. With b = 0 and a p below
+    # the smallest subnormal its ratio was 0/0; the limit is the slope of
+    # the same link at a = 1, where nothing underflows
+    sigma2 = 1e-300
+    model = reader_model(kind, sigma2, 2.0, 1.0, 1000.0)
+    tiny, unit = (_slope_reader(SystemParams(rate_R=4000.0, fixed_power_b=0.0,
+                                             noise_sigma2=sigma2, p_min=1e-300, p_max=1.0,
+                                             amp_coeff_a=a), QueueParams(q, K), model)
+                  for a in (1e-300, 1.0))
+    for p in [sigma2 * 10.0 ** (k / 4.0) for k in range(-4, 13)]:
+        assert 1e-300 * p == 0.0
+        assert tiny(p) == pytest.approx(unit(p), abs=4 * EPS)
+
+
 def test_slope_reader_keeps_the_power_checks():
     system = SystemParams(rate_R=4000.0, fixed_power_b=SIGMA2, noise_sigma2=SIGMA2,
                           p_min=0.01, p_max=P_MAX)

@@ -22,8 +22,10 @@ from greenlink import (
     simulate,
     stationary_distribution,
 )
-from greenlink.simulate import (_GROUP, _chunk_slots, _cut, _draw, _group_entries,
-                                _group_maps, _rekey)
+from greenlink.simulate import (_GROUP, _chunk_slots, _cut, _cut_at, _draw,
+                                _group_entries, _group_maps, _rekey, _skip)
+
+SIM = sys.modules["greenlink.simulate"]  # the package's simulate attribute is the function
 
 
 def config(q=0.5, f=0.5, K=10, total=1000, runs=100, seed=1234, **kw):
@@ -473,6 +475,83 @@ class TestRawWordDraws:
             loss, occ, slots = reference_run(cfg, i)
             assert (rep.per_run_losses[i], alone[i].slots) == (loss, slots)
             assert np.array_equal(rep.per_run_occupancy[i], occ)
+
+
+class TestChunkDraws:
+    """A chunk draws its arrival words in a bounded first piece, draws the
+    rest only when that piece misses the run's last arrival, skips the
+    unread rest by moving the Philox counter, and draws only the success
+    words its slots read. Whichever of these it does, every slot reads the
+    words a straight draw of the whole stream puts there."""
+
+    @pytest.mark.parametrize("counter", [(0, 0, 0, 0), (2**64 - 3, 0, 0, 0)])
+    @pytest.mark.parametrize("used", range(4))  # words already taken from the 4-word buffer
+    def test_skip_lands_where_a_straight_draw_would(self, counter, used):
+        state = np.random.Philox(key=2**64 + 5).state
+        state["state"]["counter"] = counter  # the second one carries past 2**64 as it skips
+        stream = np.random.Philox()
+        stream.state = state
+        straight = stream.random_raw(used + 100_012)
+        for words in [*range(10), 3999, 4001, 100_003]:
+            skipping = np.random.Philox()
+            skipping.state = state
+            skipping.random_raw(used)
+            _skip(skipping, words)
+            assert np.array_equal(skipping.random_raw(9), straight[used + words:][:9]), words
+
+    @pytest.mark.parametrize("size, spread", [(1, 1.0), (50, 0.3), (5000, 0.02), (5000, 1.0)])
+    def test_cut_at_finds_the_left_th_arrival(self, size, spread):
+        # arrivals spread evenly, or bunched at the start so that the first
+        # tail holds too few of them and the search widens
+        rng = np.random.default_rng([size, int(spread * 100)])
+        for bunched in (False, True):
+            arrival = rng.random(size) < spread
+            arrival[0] = True
+            if bunched:
+                arrival = np.sort(arrival)[::-1]
+            at = arrival.nonzero()[0]
+            for left in {1, min(2, at.size), at.size // 2 + 1, max(at.size - 1, 1), at.size}:
+                assert _cut_at(arrival, left, at.size) == at[left - 1] + 1
+
+    @pytest.mark.parametrize("kw,first,paths", [
+        # first pieces that hold the last arrival and skip the rest
+        (dict(q=0.9, f=0.3, K=10, total=27_000), None, {("skip", False)}),
+        (dict(q=0.9, f=0.0, K=10, total=27_000), None, {("skip", False)}),
+        (dict(q=0.9, f=1.0, K=10, total=27_000), None, {("skip", False)}),
+        (dict(q=1.0, f=0.5, K=10, total=30_000, warmup_slots=3000), None, {("skip", False)}),
+        (dict(q=0.9, f=0.25, K=200, total=27_000, warmup_slots=3000), None, {("skip", False)}),
+        # first pieces of half a chunk, which miss and draw the rest
+        (dict(q=0.5, f=0.45, K=10, total=5000, warmup_slots=200), "half", {("miss", False)}),
+        # stragglers, some of whose later chunks skip
+        (dict(q=0.01, f=0.002, K=1, total=3, runs=24, seed=606, warmup_slots=25), "half",
+         {("skip", True), ("miss", False)}),
+        # a short run keeps one whole-chunk draw
+        (dict(q=0.5, f=0.5, K=10, total=1000, warmup_slots=50), None, {("whole", False)}),
+    ])
+    def test_each_path_matches_the_slot_loop(self, kw, first, paths, monkeypatch):
+        if first == "half":
+            monkeypatch.setattr(SIM, "_first_slots", lambda left, q, n: n // 2)
+        seen, chunk = set(), SIM._chunk
+
+        def spy(bitgen, cuts, q, left, track):
+            out = chunk(bitgen, cuts, q, left, track)
+            n = _chunk_slots(left, q)
+            piece, slots, after = SIM._first_slots(left, q, n), out[0][2], out[1]
+            path = "whole" if piece == n else "skip" if not after and slots <= piece else "miss"
+            seen.add((path, left < kw["total"]))
+            return out
+
+        monkeypatch.setattr(SIM, "_chunk", spy)
+        cfg = config(**{"runs": 2, "seed": 91, "track_occupancy": True, **kw})
+        rep = simulate(cfg)
+        assert paths <= seen
+        slots = 0
+        for i in range(cfg.num_runs):
+            loss, occ, used = reference_run(cfg, i)
+            assert rep.per_run_losses[i] == loss
+            assert np.array_equal(rep.per_run_occupancy[i], occ)
+            slots += used
+        assert rep.slots == slots
 
 
 class TestReportCounters:

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -50,6 +52,17 @@ class TestExpUnknownChannel:
         assert higher.success_probability(0.031) == math.exp(-higher.power_scale / 0.031)
         assert m.power_scale == pytest.approx(0.015, rel=1e-14)
         assert m == exp_model()
+
+    def test_power_scale_against_mpmath(self):
+        # 2**ratio - 1 cancels at small R/R0 (to 0, f = 1, below ~1e-16);
+        # the scale must stay within 2 ulps of 50 digits all the way down
+        ratios = [1e-300, 5e-17, 1e-16, 1e-15, 1e-10, 1e-3, 0.5, math.nextafter(1.0, 0.0),
+                  1.0, 4.0, *10.0 ** np.random.default_rng(8).uniform(-300.0, 0.0, 300)]
+        for ratio in ratios:
+            with mpmath.workdps(50):
+                exact = mpmath.expm1(mpmath.mpf(ratio) * mpmath.log(2))
+            c = exp_model(R=ratio, R0=1.0, sigma2=1.0).power_scale
+            assert abs(mpmath.mpf(c) - exact) <= 2 * math.ulp(float(exact)), ratio
 
     def test_value_at_scale(self):
         m = exp_model()
