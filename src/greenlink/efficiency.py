@@ -20,18 +20,18 @@ power, so each quantity has one rule. The rules look
 model.success_probability and packet_loss up at each call, so a wrapper
 installed on either is used.
 
-The exact slope has one rule too: _slope_reader(system, queue, model)
-binds a, b, q and the model's link reader p -> (f, f') once and returns
-p -> slope, so a power search builds it once and each power reads f and
-f' in one call. stationarity_residual is that reader built for one call.
+The exact slope has one rule and one form too: _slope_reader(system,
+queue, model) binds b/a and the model's link reader p -> (f, f') once
+and returns p -> (u + F - 1)/(u + F + 1), so a power search builds it
+once, and each power reads f and f' in one call and the queue law in
+one read. stationarity_residual is that reader built for one call.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-from .queueing import QueueParams, _full_and_log_slope, _full_over_q, packet_loss
+from .queueing import QueueParams, _full_and_log_slope, packet_loss
 from .success import SuccessModel, _link_reader
 
 __all__ = [
@@ -133,20 +133,19 @@ def stationarity_residual(
 ) -> float:
     """Normalized exact slope d ln(eta) / d ln(p) at p, in [-1, 1].
 
-    With F = p f'/f, X = a p g/f (g = q(1 - Phi)) and the buffer term
+    With F = p f'/f, X = a p q (1 - Phi)/f and the buffer term
+    H = -p Phi'/(1 - Phi) >= 0, the slope is (b H + X (F - 1)) / (b + X).
+    Returned is its numerator over b H + X (F + 1), in the form
 
-        H = Pr(full) (f + K - E[state]) F / (1 - Phi) = -p Phi' / (1 - Phi) >= 0,
+        (u + F - 1) / (u + F + 1),
+        u = b H / X = (b/a) (Pr(full)/q) (f + K - E[state]) f' / (1 - Phi)**2,
 
-    the slope is (b H + X (F - 1)) / (b + X). Returned is
-    (b H + X (F - 1)) / (b H + X (F + 1)): same sign (positive below the
-    maximizer, negative above it), smooth, and with a magnitude that
-    certifies an optimum even where one term is tiny (q -> 0). Where X
-    is below the smallest normal float, both terms are divided by q, so a
-    subnormal q cannot underflow them to 0/0; where a p underflows and
-    b H is 0 they still are, and the slope is the limit
-    (u + F - 1) / (u + F + 1) with u = b H / X. Where eta is identically
-    zero (1 - Phi rounds to 0, as it does once f underflows, at low
-    power) it is +1.
+    which has the slope's sign (positive below the maximizer, negative
+    above it), is smooth, and has a magnitude that certifies an optimum
+    even where one term of the slope is tiny. Neither u nor F holds a
+    bare factor of p or q, so a subnormal q or noise power leaves them in
+    range. It is +1 where u + F is inf, and where eta is identically zero
+    (1 - Phi rounds to 0, as it does once f underflows, at low power).
     """
     return _slope_reader(system, queue, model)(p)
 
@@ -156,36 +155,23 @@ def _slope_reader(
 ) -> Callable[[float], float]:
     """p -> stationarity_residual(system, queue, model, p), built once per search.
 
-    a, b, q and the model's link reader p -> (f, f') are bound once, and
-    each power reads f and f' in one call.
+    b/a and the model's link reader p -> (f, f') are bound once, and each
+    power reads f and f' in one call and the queue law in one read.
     """
     read = _link_reader(model)
-    a, b, q = system.amp_coeff_a, system.fixed_power_b, queue.arrival_prob_q
-    tiny = sys.float_info.min
+    b_over_a = system.fixed_power_b / system.amp_coeff_a
 
     def slope(p: float) -> float:
         if not 0.0 < p < math.inf:
             _success(model, p)  # the p > 0 rule, then the model's own for p = inf
         f, df = read(p)
-        full, log_slope = _full_and_log_slope(queue, f)
+        full, full_q, log_slope = _full_and_log_slope(queue, f)
         delivered = 1.0 - (1.0 - f) * full  # 1 - Phi
         if delivered <= 0.0:  # no goodput, the same rule as in efficiency
             return 1.0
         F = p * df / f
-        a_p = a * p
-        X = a_p * q * delivered / f
-        if X < tiny:
-            # Both terms are proportional to q: divide it out, Pr(full) / q included.
-            full, X = _full_over_q(queue, f), a_p * delivered / f
-        H = full * (f + log_slope) * F / delivered
-        bH = b * H
-        below = bH + X * (F + 1.0)
-        if below == 0.0:
-            # X and b H are both 0 (a p underflowed): the limit with u = b H / X,
-            # in which p cancels (full holds Pr(full) / q here); +1 at u or F = inf
-            u = b / a * full * (f + log_slope) * df / delivered / delivered
-            return (u + F - 1.0) / (u + F + 1.0) if u + F < math.inf else 1.0
-        return (bH + X * (F - 1.0)) / below
+        u = b_over_a * full_q * (f + log_slope) * df / delivered / delivered
+        return (u + F - 1.0) / (u + F + 1.0) if u + F < math.inf else 1.0
 
     return slope
 

@@ -146,11 +146,16 @@ def full_buffer_prob(queue: QueueParams, f: float) -> float:
 
 def full_buffer_log_slope(queue: QueueParams, f: float) -> float:
     """d ln Pr(full) / d ln rho, which equals K - E[state] under the stationary law."""
-    return _full_and_log_slope(queue, f)[1]
+    return _full_and_log_slope(queue, f)[2]
 
 
-def _full_and_log_slope(queue: QueueParams, f: float) -> tuple[float, float]:
-    """(Pr(full), d ln Pr(full) / d ln rho) from one read of rho.
+def _full_and_log_slope(queue: QueueParams, f: float) -> tuple[float, float, float]:
+    """(Pr(full), Pr(full) / q, d ln Pr(full) / d ln rho) from one read of the law.
+
+    Below unit load Pr(full) / q is (rho / q) rho**(K-1) (1 - rho) / (1 - rho**(K+1)),
+    where rho / q = (1 - f) / ((1 - q) f) does not shrink with q, so a
+    subnormal q, whose product q (1 - f) has lost its bits, is divided out.
+    At or above unit load Pr(full) >= 1/(K+1) is divided by q as it stands.
 
     A geometric law on {0..K} with ratio exp(-y), y > 0, has mean
     1/expm1(y) - (K+1)/expm1((K+1) y). Below unit load the state has
@@ -159,30 +164,21 @@ def _full_and_log_slope(queue: QueueParams, f: float) -> tuple[float, float]:
     gives 0 and rho = 0 gives K.
     """
     rho, full = _load_and_full(queue, f)
-    K = queue.buffer_size_K
+    q, K = queue.arrival_prob_q, queue.buffer_size_K
+    if rho > 1.0 - _RHO_UNIT_TOL:
+        full_q = full / q
+    else:
+        rho_over_q = (1.0 - f) / ((1.0 - q) * f)
+        full_q = rho_over_q * rho ** (K - 1) * (1.0 - rho) / (1.0 - rho ** (K + 1))
     if rho == 0.0:
-        return full, float(K)
+        return full, full_q, float(K)
     if abs(rho - 1.0) < _RHO_UNIT_TOL:
-        return full, 0.5 * K
+        return full, full_q, 0.5 * K
     y = abs(log(rho))
     z = (K + 1) * y
     # 1/expm1(t) as exp(-t) / -expm1(-t): a large t underflows to 0, not overflows
     mean = exp(-y) / -expm1(-y) - (K + 1) * (exp(-z) / -expm1(-z))
-    return full, mean if rho > 1.0 else K - mean
-
-
-def _full_over_q(queue: QueueParams, f: float) -> float:
-    """Pr(full) / q without the product q (1 - f), which loses bits once q is subnormal.
-
-    Below unit load Pr(full) / q = (rho / q) rho**(K-1) (1 - rho) / (1 - rho**(K+1)),
-    where rho / q = (1 - f) / ((1 - q) f) does not shrink with q. At or above
-    unit load Pr(full) >= 1/(K+1) and is divided by q as it stands.
-    """
-    rho, full = _load_and_full(queue, f)
-    q, K = queue.arrival_prob_q, queue.buffer_size_K
-    if rho > 1.0 - _RHO_UNIT_TOL:
-        return full / q
-    return (1.0 - f) / ((1.0 - q) * f) * rho ** (K - 1) * (1.0 - rho) / (1.0 - rho ** (K + 1))
+    return full, full_q, mean if rho > 1.0 else K - mean
 
 
 def packet_loss(queue: QueueParams, f: float) -> float:

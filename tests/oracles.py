@@ -4,11 +4,13 @@ Each oracle reaches its number by a different route than the code under
 test: the stationary law comes from iterating the transition matrix
 instead of the geometric closed form, optima come from dense grid scans
 instead of a zero-finder on the slope, the qfunc model's peak of f/p
-comes from an mpmath root at 50 digits, and the expected loss of a
-finite simulation run comes from an exact layered recursion instead of
-random sampling.  Grid scans do reuse the geometric formula for the
-full-buffer probability; that formula is itself pinned against the
-matrix fixed point, so the chain of evidence stays acyclic.
+comes from an mpmath root at 50 digits, the exact slope comes from
+mpmath derivatives of the birth-death law at 60 digits instead of its
+closed form, and the expected loss of a finite simulation run comes from
+an exact layered recursion instead of random sampling.  Grid scans do
+reuse the geometric formula for the full-buffer probability; that
+formula is itself pinned against the matrix fixed point, so the chain of
+evidence stays acyclic.
 """
 
 from __future__ import annotations
@@ -200,6 +202,54 @@ def mp_peak_f_over_p_qfunc(kappa: float, rate_ratio: float,
             f = mpmath.erfc(arg / mpmath.sqrt(2)) / 2
             return kappa * mpmath.npdf(arg) * snr / (1 + snr) / f - 1
         return float(mpmath.exp(mpmath.findroot(log_slope, mpmath.log(guess))))
+
+
+def mp_exp_success(rate_ratio: float, sigma2: float):
+    """p -> (f, 1 - f) in mpmath for f = exp(-c/p), c = (2**(R/R0) - 1) sigma2."""
+    def success(p):
+        x = (mpmath.mpf(2) ** rate_ratio - 1) * sigma2 / p  # c / p
+        return mpmath.exp(-x), -mpmath.expm1(-x)
+    return success
+
+
+def mp_qfunc_success(kappa: float, rate_ratio: float, hh: float, sigma2: float):
+    """p -> (f, 1 - f) in mpmath for f = Q(kappa (R/R0 - ln(1 + hh p / sigma2)))."""
+    def success(p):
+        arg = kappa * (rate_ratio - mpmath.log1p(hh * p / mpmath.mpf(sigma2)))
+        return mpmath.erfc(arg / mpmath.sqrt(2)) / 2, mpmath.erfc(-arg / mpmath.sqrt(2)) / 2
+    return success
+
+
+def mp_stationarity_residual(success, p: float, q: float, K: int, b: float,
+                             a: float) -> float:
+    """The normalized slope (b H + X (F - 1)) / (b H + X (F + 1)) at 60 digits.
+
+    success is p -> (f, 1 - f) in mpmath. Pr(full) is the birth-death
+    law's rho**K (1 - rho) / (1 - rho**(K+1)), rho = q (1 - f) / ((1 - q) f),
+    and Phi = (1 - f) Pr(full). F = d ln f / d ln p and
+    H = -(d Phi / d ln p) / (1 - Phi) are taken by mpmath.diff in ln p,
+    and X = a p q (1 - Phi) / f. ln eta itself is not differentiated: at
+    q <= 1e-300 its change across any step is below 60 digits.
+    """
+    with mpmath.workdps(60):
+        q_mp, b_mp, a_mp = mpmath.mpf(q), mpmath.mpf(b), mpmath.mpf(a)
+
+        def phi(t):
+            f, fail = success(mpmath.exp(t))
+            if q_mp == 1:
+                return fail
+            rho = q_mp * fail / ((1 - q_mp) * f)
+            if rho == 1:
+                return fail / (K + 1)
+            return fail * rho ** K * (1 - rho) / (1 - rho ** (K + 1))
+
+        t = mpmath.log(mpmath.mpf(p))
+        f = success(mpmath.exp(t))[0]
+        delivered = 1 - phi(t)
+        F = mpmath.diff(lambda s: mpmath.log(success(mpmath.exp(s))[0]), t)
+        H = -mpmath.diff(phi, t) / delivered
+        X = a_mp * mpmath.exp(t) * q_mp * delivered / f
+        return float((b_mp * H + X * (F - 1)) / (b_mp * H + X * (F + 1)))
 
 
 def is_unimodal_grid(values, rel_tol: float = 1e-9) -> bool:

@@ -693,6 +693,14 @@ class TestModelCorners:
         _, row = read_rows(out)
         assert float(row[5]) == pytest.approx(15e-200, rel=1e-3)
 
+    def test_optimum_at_subnormal_noise(self, tmp_path):
+        # b = 100 sigma2 and p* scale with sigma2, which is subnormal here
+        out = tmp_path / "opt.csv"
+        assert main(["optimize", "--out", str(out)]) == 0
+        default = float(read_rows(out)[1][5])
+        assert main(["optimize", "--sigma2-w", "1e-310", "--out", str(out)]) == 0
+        assert float(read_rows(out)[1][5]) == pytest.approx(1e-307 * default, rel=1e-12, abs=0.0)
+
 
 class TestQfuncTwoPeaks:
     """The CLI form of test_optimizer.py's TestQfuncTwoPeaks link, whose eta peaks

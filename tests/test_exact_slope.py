@@ -5,17 +5,19 @@ derivative are checked over the parameter corners that break things:
 q down to 1e-6, K up to 1e6, kappa from 2 to 100, b = 0, and loads
 within 1e-9 of rho = 1. The queue readers are held bit for bit to the
 regime ladder on rho they replaced, and Pr(full) / q to its q -> 0 limit.
-The optimizer's slope reader is held bit for bit to the slope composed
-from the models' public f and f', as it was before the reader.
+The optimizer's slope reader is held bit for bit to the ratio-form slope
+composed from the models' public f and f', as it was before the reader,
+and reads the queue law once a power; the public slope is held within
+1e-9 to a 60-digit mpmath residual from the birth-death law.
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import oracles
 from greenlink import (
     ExpUnknownChannel,
     gaussian_q,
@@ -30,8 +32,9 @@ from greenlink import (
     stationarity_residual,
     stationary_distribution,
 )
+from greenlink import queueing
 from greenlink.efficiency import _slope_reader
-from greenlink.queueing import _RHO_UNIT_TOL, _full_and_log_slope, _full_over_q
+from greenlink.queueing import _RHO_UNIT_TOL, _full_and_log_slope
 
 SIGMA2 = 1e-3
 P_MAX = 10.0 ** 3.5 / 1000.0  # the CLI's 35 dBm cap
@@ -130,7 +133,7 @@ def test_full_and_log_slope_from_one_read_of_rho(q, K, load):
     # q = 1 puts rho at inf whatever f is; take f from the load's inverse at q = 1/2.
     f = f_at_load(q if q < 1.0 else 0.5, load)
     queue = QueueParams(q, K)
-    full, slope = _full_and_log_slope(queue, f)
+    full, _, slope = _full_and_log_slope(queue, f)
     assert full == full_buffer_prob(queue, f)
     assert slope == full_buffer_log_slope(queue, f)
     mean = float(np.dot(np.arange(K + 1), stationary_distribution(queue, f).probs))
@@ -202,21 +205,23 @@ def test_queue_readers_match_the_ladder_bit_for_bit(q, K, load, edge_f):
     assert load_rho(queue, f) == rho
     assert full_buffer_prob(queue, f) == full
     assert packet_loss(queue, f) == (1.0 - f) * full
-    assert _full_and_log_slope(queue, f) == ladder_full_and_log_slope(queue, f)
+    full, _, slope = _full_and_log_slope(queue, f)
+    assert (full, slope) == ladder_full_and_log_slope(queue, f)
 
 
 @pytest.mark.parametrize("f", [1e-20, 0.3, 0.999])
 def test_full_over_q_keeps_its_limit_as_q_goes_subnormal(f):
     # With K = 1, Pr(full) = rho / (1 + rho), so Pr(full) / q -> (1 - f) / f as q -> 0.
     for q in (1e-300, 1e-310, 5e-324):
-        assert _full_over_q(QueueParams(q, 1), f) == pytest.approx((1.0 - f) / f, rel=1e-15)
+        assert _full_and_log_slope(QueueParams(q, 1), f)[1] == pytest.approx((1.0 - f) / f,
+                                                                             rel=1e-15)
     # With normal q it is Pr(full) / q, in every load regime.
     for q, K, load in [(0.3, 2, 0.01), (0.3, 10, 1.0), (0.3, 1000, 1e-9), (0.3, 7, 3.0),
                        (1.0, 5, 1.0)]:
         g = f_at_load(q if q < 1.0 else 0.5, load)
         queue = QueueParams(q, K)
-        assert _full_over_q(queue, g) == pytest.approx(full_buffer_prob(queue, g) / q,
-                                                       rel=1e-13)
+        assert _full_and_log_slope(queue, g)[1] == pytest.approx(full_buffer_prob(queue, g) / q,
+                                                                 rel=1e-13)
 
 
 @settings(max_examples=200, deadline=None)
@@ -236,7 +241,8 @@ def test_qfunc_derivative_matches_central_difference(kappa, hh, arg):
 # -- The slope reader against the slope it replaced ---------------------------
 # Copies of the slope as it was composed before each search built one reader:
 # a power read f through success_probability, then f' (the exp model reading f
-# again, the qfunc model its argument again), then the queue law.
+# again, the qfunc model its argument again), then the queue law. The copy
+# takes the slope's one form, (u + F - 1) / (u + F + 1).
 
 WALK_REACH = P_MAX * 1e3 * 2.0 ** 60  # the walk stops at the first power past this
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -276,18 +282,15 @@ def composed_derivative(model, p):
 
 def composed_residual(system, queue, model, p):
     f = model.success_probability(p)
-    full, log_slope = _full_and_log_slope(queue, f)
+    full, full_q, log_slope = _full_and_log_slope(queue, f)
     delivered = 1.0 - (1.0 - f) * full
     if delivered <= 0.0:
         return 1.0
-    F = p * composed_derivative(model, p) / f
-    a_p = system.amp_coeff_a * p
-    X = a_p * queue.arrival_prob_q * delivered / f
-    if X < sys.float_info.min:
-        full, X = _full_over_q(queue, f), a_p * delivered / f
-    H = full * (f + log_slope) * F / delivered
-    bH = system.fixed_power_b * H
-    return (bH + X * (F - 1.0)) / (bH + X * (F + 1.0))
+    df = composed_derivative(model, p)
+    F = p * df / f
+    b_over_a = system.fixed_power_b / system.amp_coeff_a
+    u = b_over_a * full_q * (f + log_slope) * df / delivered / delivered
+    return (u + F - 1.0) / (u + F + 1.0) if u + F < math.inf else 1.0
 
 
 class HillModel:
@@ -376,6 +379,23 @@ def test_slope_takes_its_limit_where_a_p_and_b_h_underflow(kind, q, K):
         assert tiny(p) == pytest.approx(unit(p), abs=4 * EPS)
 
 
+def test_each_slope_reads_the_queue_law_once(monkeypatch):
+    reads = []
+    read = queueing._load_and_full
+    monkeypatch.setattr(queueing, "_load_and_full",
+                        lambda queue, f: reads.append(f) or read(queue, f))
+    system = SystemParams(rate_R=4000.0, fixed_power_b=SIGMA2, noise_sigma2=SIGMA2,
+                          p_min=0.01, p_max=P_MAX)
+    powers = [SIGMA2 * math.exp(t) for t in (-1.0, 3.0, 5.0)]
+    for model in (make_model(None), make_model(10.0)):
+        for q in (1.0, 0.5, 5e-324):  # Pr(full) / q by both of its regimes
+            slope = _slope_reader(system, QueueParams(q, 10), model)
+            reads.clear()
+            for p in powers:
+                slope(p)
+            assert len(reads) == len(powers)
+
+
 def test_slope_reader_keeps_the_power_checks():
     system = SystemParams(rate_R=4000.0, fixed_power_b=SIGMA2, noise_sigma2=SIGMA2,
                           p_min=0.01, p_max=P_MAX)
@@ -386,3 +406,30 @@ def test_slope_reader_keeps_the_power_checks():
                 slope(p)
         with pytest.raises(ValueError, match=r"^transmit power must be finite, got inf$"):
             slope(math.inf)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kappa=st.sampled_from([None, 2.0, 10.0]),
+       q=st.one_of(st.sampled_from([1.0, 0.5, 1e-6, 1e-300, 5e-324]),
+                   st.floats(min_value=math.log(5e-324), max_value=0.0).map(math.exp)),
+       K=st.sampled_from([1, 10, 1000]),
+       ratio=b_ratios,
+       sigma2=st.sampled_from([SIGMA2, 1e-310]),
+       offsets=st.lists(st.floats(min_value=-3.0, max_value=6.0), min_size=2, max_size=8))
+def test_slope_matches_the_mpmath_residual(kappa, q, K, ratio, sigma2, offsets):
+    model = reader_model("exp" if kappa is None else "qfunc", sigma2, kappa, 1.0, 1000.0)
+    success = (oracles.mp_exp_success(4.0, sigma2) if kappa is None
+               else oracles.mp_qfunc_success(kappa, 4.0, 1.0, sigma2))
+    system = SystemParams(rate_R=4000.0, fixed_power_b=ratio * sigma2, noise_sigma2=sigma2,
+                          p_min=0.01, p_max=P_MAX)
+    queue = QueueParams(q, K)
+    for p in [sigma2 * math.exp(t) for t in offsets]:
+        # Below f = 1e-6, 1 - Phi is taken by a subtraction that keeps few
+        # bits (ROADMAP item 4); at subnormal noise the exp model's f'
+        # overflows to inf, where the slope reads +1. Neither point tests
+        # the slope's formula, so both are skipped.
+        if model.success_probability(p) < 1e-6 or model.success_derivative(p) == math.inf:
+            continue
+        want = oracles.mp_stationarity_residual(success, p, q, K, system.fixed_power_b, 1.0)
+        assert stationarity_residual(system, queue, model, p) == pytest.approx(
+            want, rel=0.0, abs=1e-9)

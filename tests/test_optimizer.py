@@ -533,6 +533,40 @@ class TestSubnormalArrivals:
         assert got.binding is ref.binding
 
 
+def p_star_over_noise(kappa, b_over_sigma2, sigma2):
+    # q = 0.5, K = 10 and the CLI's power range; b scales with the noise power
+    model = (ExpUnknownChannel(rate_R=4000.0, rate_R0=1000.0, noise_sigma2=sigma2)
+             if kappa is None else
+             QKnownChannel(rate_R=4000.0, rate_R0=1000.0, spread_kappa=kappa,
+                           channel_gain_hh=1.0, noise_sigma2=sigma2))
+    sysp = SystemParams(rate_R=4000.0, fixed_power_b=b_over_sigma2 * sigma2,
+                        noise_sigma2=sigma2, p_min=0.01, p_max=10.0 ** 3.5 / 1000.0)
+    return maximize_unconstrained(sysp, QueueParams(0.5, 10), model).p_star / sigma2
+
+
+class TestSubnormalNoise:
+    """sigma2 below the smallest normal float: p, b and a p are subnormal near
+    the peak, and the slope's ratio form holds none of them bare, so p*/sigma2
+    holds its sigma2 = 1e-3 value."""
+
+    @pytest.mark.parametrize("sigma2", [1e-310, 3e-310, 1e-309])
+    @pytest.mark.parametrize("kappa, b_over_sigma2", [
+        (None, 100.0), (None, 1e4),
+        *[(kappa, ratio) for kappa in (2.0, 10.0) for ratio in (1.0, 100.0, 1e4)],
+    ])
+    def test_optimum_scales_with_the_noise(self, kappa, b_over_sigma2, sigma2):
+        assert p_star_over_noise(kappa, b_over_sigma2, sigma2) == pytest.approx(
+            p_star_over_noise(kappa, b_over_sigma2, 1e-3), rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason="the peak, about 1.6e-309 W, lies where the exp "
+                                           "model's f' = f c / p**2 overflows to inf, so the "
+                                           "slope reads +1 there and p*/sigma2 reads 19.76 "
+                                           "against 15.92")
+    def test_exp_optimum_where_f_prime_overflows(self):
+        assert p_star_over_noise(None, 1.0, 1e-310) == pytest.approx(
+            p_star_over_noise(None, 1.0, 1e-3), rel=1e-12)
+
+
 class TestLimitOptimizer:
     def test_light_traffic_analytic(self):
         model = ExpUnknownChannel(rate_R=4000.0, rate_R0=1000.0, noise_sigma2=1.0)
