@@ -115,7 +115,8 @@ def _eta(system: SystemParams, queue: QueueParams, p: float, f: float, phi: floa
         return 0.0
     bill = system.fixed_power_b + system.amp_coeff_a * p * delivered / f
     if bill == 0.0:  # b = 0 and a p delivered / f underflowed (q -> 0): eta = R f / (a p)
-        return system.rate_R * f / (system.amp_coeff_a * p)
+        a_p = system.amp_coeff_a * p  # divided out one factor at a time where it underflows
+        return system.rate_R * f / a_p if a_p else system.rate_R * f / system.amp_coeff_a / p
     return system.rate_R * delivered / bill
 
 

@@ -21,13 +21,13 @@ skipped by moving the Philox counter, never drawn (see ``_chunk``); every
 word a slot reads keeps its stream position.
 
 Only a run's moves, the slots where its two bits differ, can change x.
-A block of runs steps their moves together (see ``_step``): the slot
-maps of every _GROUP moves compose into one clamp map (see
+A block of runs steps a chunk of moves per run at once (see ``_step``):
+the slot maps of every _GROUP moves compose into one clamp map (see
 ``_group_maps``), a log-depth scan of those maps gives the state entering
 each group (see ``_group_entries``), and whole-array numpy passes over
-the groups stand in for a Python step per slot. A run that needs more
-than its first chunk (a straggler) steps each later chunk as a block of
-one.
+the groups stand in for a Python step per slot. A block's warm-ups step
+first, as a block of their own whose losses are dropped, then its first
+chunks; a run that needs more (a straggler) steps each later chunk alone.
 """
 
 import math
@@ -45,7 +45,6 @@ _SLACK_SLOTS = 4096  # slots the first arrival draw adds to its bound (see _firs
 _MAX_RUN_SLOTS = 2**53  # the most slots a run may be expected to last, total_packets / q
 _BLOCK_CELLS = 2**20  # run x slot cells drawn per block of runs
 _GROUP = 32  # moves per clamp map
-_NO_STEPS = np.zeros(0, dtype=np.int8)
 _WORD_MASK = 2**64 - 1
 _ZERO_WORDS = (0, 0, 0, 0)
 
@@ -271,24 +270,21 @@ def _group_entries(shift, low, high, x):
     return entry
 
 
-def _step(columns, x, K, occ):
-    """Step a block of runs over their moves from states x, updated in place.
+def _step(chunks, x, K, occ):
+    """Step a block of runs over their chunks' moves from states x, updated in place.
 
-    columns[r] holds run r's warm-up steps and its chunk's (steps, move
-    slots or None, slots). The steps fill the columns of one zero-padded
-    (moves, runs) array, whose zero cells leave x alone and lose nothing,
-    cut into groups of _GROUP moves. Every group's clamp map comes from one
-    pass over the moves, the states entering the groups from a scan of the
-    maps, and every move's state and loss flag from a second pass. occ,
-    None or runs x (K + 1) int64 counts, gains the chunk's slot-start
-    states. Returns each run's losses after its warm-up."""
-    warm = np.array([before.size for before, _ in columns])
-    size = max(before.size + steps.size for before, (steps, _, _) in columns)
+    chunks[r] holds run r's (steps, move slots or None, slots). The steps
+    fill the columns of one zero-padded (moves, runs) array, whose zero
+    cells leave x alone and lose nothing, cut into groups of _GROUP moves.
+    Every group's clamp map comes from one pass over the moves, the states
+    entering the groups from a scan of the maps, and every move's state and
+    loss flag from a second pass. occ, None or runs x (K + 1) int64 counts,
+    gains the chunks' slot-start states. Returns each run's losses."""
+    size = max(steps.size for steps, _, _ in chunks)
     groups = max(1, -(-size // _GROUP))
-    cells = np.zeros((groups * _GROUP, len(columns)), dtype=np.int8)
-    for r, (before, (steps, _, _)) in enumerate(columns):
-        cells[:before.size, r] = before
-        cells[before.size:before.size + steps.size, r] = steps
+    cells = np.zeros((groups * _GROUP, len(chunks)), dtype=np.int8)
+    for r, (steps, _, _) in enumerate(chunks):
+        cells[:steps.size, r] = steps
     dtype = np.int16 if K + _GROUP < 2**15 else np.int32  # holds K + a group's summed steps
     rows = cells.reshape(groups, _GROUP, -1).swapaxes(0, 1)  # rows[j]: move j of every group
     entry = _group_entries(*_group_maps(rows, K, dtype), x).astype(dtype)
@@ -299,35 +295,35 @@ def _step(columns, x, K, occ):
         # A move's state lasts from the slot after the previous move through
         # its own, and the state after the last move to the chunk's end.
         states = states.swapaxes(0, 1).reshape(cells.shape)
-        for r, (before, (_, moves, n)) in enumerate(columns):
-            at = states[before.size:before.size + moves.size, r]
-            gaps = np.diff(moves, prepend=-1)
+        for r, (_, moves, n) in enumerate(chunks):
+            at, gaps = states[:moves.size, r], np.diff(moves, prepend=-1)
             occ[r] += np.bincount(at, weights=gaps, minlength=K + 1).astype(np.int64)
             occ[r, x[r]] += n - 1 - int(moves[-1]) if moves.size else n
-    flags = cells.view(bool)
-    head = flags[:warm.max()]  # holds the warm-up's loss flags, which do not count
-    return (np.count_nonzero(flags, axis=0)
-            - np.count_nonzero(head & (np.arange(head.shape[0])[:, None] < warm), axis=0))
+    return np.count_nonzero(cells.view(bool), axis=0)
 
 
 def _block(bitgen, cuts, config: SimConfig, first_key: int, losses, occ) -> int:
     """Step the runs keyed first_key, first_key + 1, ..., one per entry of
     losses, which gains their losses; occ, None or their rows of occupancy
-    counts, gains their slot-start states. Returns the slots stepped."""
+    counts, gains their slot-start states. Their warm-ups step first, as a
+    block whose losses and states do not count. Returns the slots stepped."""
     q = config.queue.arrival_prob_q
     K = int(config.queue.buffer_size_K)
     warm = config.warmup_slots
-    columns, stragglers = [], []
+    warmups, chunks, stragglers = [], [], []
     for r in range(losses.size):
         _rekey(bitgen, first_key + r)
-        before = _moves(*_draw(bitgen, warm, cuts))[0] if warm else _NO_STEPS
+        if warm:
+            warmups.append((_moves(*_draw(bitgen, warm, cuts))[0], None, warm))
         chunk, left = _chunk(bitgen, cuts, q, config.total_packets, occ is not None)
-        columns.append((before, chunk))
+        chunks.append(chunk)
         if left:
             stragglers.append((r, bitgen.state, left))
-    slots = losses.size * warm + sum(n for _, (_, _, n) in columns)
+    slots = sum(n for _, _, n in warmups + chunks)
     x = np.full(losses.size, config.initial_queue_state, dtype=np.int64)
-    losses[:] = _step(columns, x, K, occ)
+    if warmups:
+        _step(warmups, x, K, None)
+    losses[:] = _step(chunks, x, K, occ)
     # a straggler, a run that needs more than its first chunk, steps each
     # later chunk as a block of one
     for r, stream, left in stragglers:
@@ -335,7 +331,7 @@ def _block(bitgen, cuts, config: SimConfig, first_key: int, losses, occ) -> int:
         run = slice(r, r + 1)
         while left:
             chunk, left = _chunk(bitgen, cuts, q, left, occ is not None)
-            losses[run] += _step([(_NO_STEPS, chunk)], x[run], K, None if occ is None else occ[run])
+            losses[run] += _step([chunk], x[run], K, None if occ is None else occ[run])
             slots += chunk[2]
     return slots
 

@@ -6,8 +6,10 @@ instead of the geometric closed form, optima come from dense grid scans
 instead of a zero-finder on the slope, the qfunc model's peak of f/p
 comes from an mpmath root at 50 digits, the exact slope comes from
 mpmath derivatives of the birth-death law at 60 digits instead of its
-closed form, and the expected loss of a finite simulation run comes from
-an exact layered recursion instead of random sampling.  Grid scans do
+closed form, Pr(full), the loss fraction and both ends of the stationary
+law come from the geometric law at 60 digits with no load regimes, and
+the expected loss of a finite simulation run comes from an exact layered
+recursion instead of random sampling.  Grid scans do
 reuse the geometric formula for the full-buffer probability; that
 formula is itself pinned against the matrix fixed point, so the chain of
 evidence stays acyclic.
@@ -250,6 +252,44 @@ def mp_stationarity_residual(success, p: float, q: float, K: int, b: float,
         H = -mpmath.diff(phi, t) / delivered
         X = a_mp * mpmath.exp(t) * q_mp * delivered / f
         return float((b_mp * H + X * (F - 1)) / (b_mp * H + X * (F + 1)))
+
+
+def _mp_law_ends(q: float, f: float, K: int):
+    """(Pr(empty), Pr(full)) of the birth-death law as mpmath numbers.
+
+    The chain on {0..K} steps up with probability q (1 - f) and down with
+    (1 - q) f, so its stationary law is proportional to rho**s with
+    rho = q (1 - f) / ((1 - q) f), taken from the float inputs as given.
+    Pr(empty) = (1 - rho) / (1 - rho**(K+1)) and Pr(full) = rho**K Pr(empty);
+    rho = 1 gives the uniform 1/(K+1), and a zero down-step (f = 0 or
+    q = 1) puts all the mass on the full state.
+    """
+    q_mp, f_mp = mpmath.mpf(q), mpmath.mpf(f)
+    down = (1 - q_mp) * f_mp
+    if down == 0:
+        return mpmath.mpf(0), mpmath.mpf(1)
+    rho = q_mp * (1 - f_mp) / down
+    if rho == 1:
+        return mpmath.mpf(1) / (K + 1), mpmath.mpf(1) / (K + 1)
+    empty = (1 - rho) / (1 - rho ** (K + 1))
+    return empty, rho ** K * empty
+
+
+def mp_stationary_ends(q: float, f: float, K: int) -> tuple[float, float]:
+    """(Pr(empty), Pr(full)) of the stationary law, at 60 digits."""
+    with mpmath.workdps(60):
+        return tuple(float(end) for end in _mp_law_ends(q, f, K))
+
+
+def mp_full_buffer_prob(q: float, f: float, K: int) -> float:
+    """Stationary Pr(full), at 60 digits."""
+    return mp_stationary_ends(q, f, K)[1]
+
+
+def mp_loss(q: float, f: float, K: int) -> float:
+    """Loss fraction Phi = (1 - f) Pr(full), at 60 digits."""
+    with mpmath.workdps(60):
+        return float((1 - mpmath.mpf(f)) * _mp_law_ends(q, f, K)[1])
 
 
 def is_unimodal_grid(values, rel_tol: float = 1e-9) -> bool:

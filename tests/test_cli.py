@@ -672,6 +672,26 @@ class TestModelCorners:
         assert main(argv) in (0, 2)
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, check", [
+        (["eval", "--sigma2-w", "1e-40", "--p-w", "1e-30"], lambda row: row["eta"] == "inf"),
+        # c = 15 sigma2 = 1.5e-29 W, where f/p peaks: the optimum as q -> 0 at b = 0
+        (["optimize", "--sigma2-w", "1e-30", "--pmax-w", "1e-28"],
+         lambda row: (float(row["p_star"]) == pytest.approx(1.5e-29, rel=1e-12)
+                      and row["eta_star"] == "inf")),
+        (["gain", "--sigma2-w", "1e-30", "--pmax-w", "1e-28", "--values", "1e-300"],
+         lambda row: row["gain_db"] == "0.0"),
+        (["sweep", "--sigma2-w", "1e-30", "--pmax-w", "1e-28", "--values", "1e-300"],
+         lambda row: not math.isnan(float(row["eta"]))),
+    ], ids=["eval", "optimize", "gain", "sweep"])
+    def test_no_fixed_power_where_a_p_underflows(self, argv, check, tmp_path):
+        # b = 0 with a p below the smallest subnormal: eta = R f / (a p) divided by 0
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--a", "1e-300", "--b-w", "0", "--q", "1e-300",
+                     "--pmin-w", "1e-31", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(check(row) for row in rows)
+
     def test_exp_and_qfunc_agree_where_f_is_zero(self, tmp_path):
         exp_out, q_out = tmp_path / "exp.csv", tmp_path / "qfunc.csv"
         assert main(["optimize", "--R", "2e6", "--out", str(exp_out)]) == 0

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,6 +101,16 @@ class TestEfficiency:
             got = [efficiency(sysp, QueueParams(q, K), model, p).eta
                    for p in (0.005, 0.02, 0.1, 1.0)]
             assert got == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("R", [4000.0, 1e-30])
+    def test_no_fixed_power_where_a_p_underflows(self, R):
+        # b = 0 and q = 1e-300 underflow the bill, and a p = 1e-330 underflows
+        # too: eta is still R f / (a p), inf at R = 4000 and about 1e300 at
+        # R = 1e-30, not a division by zero.
+        sysp = make_system(b=0.0, sigma2=1e-40, p_min=1e-31, a=1e-300, R=R)
+        pt = efficiency(sysp, QueueParams(1e-300, 10), exp_model(R=R, sigma2=1e-40), 1e-30)
+        exact = mpmath.mpf(R) * pt.f / (mpmath.mpf(1e-300) * mpmath.mpf(1e-30))
+        assert pt.eta == pytest.approx(float(exact), rel=1e-15)
 
     def test_saturated_arrivals_reduction(self):
         # q = 1: eta = R f / (b + p); f(1) = exp(-0.15) = 0.8607

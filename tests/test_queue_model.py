@@ -65,6 +65,11 @@ class TestLoadRho:
 
 
 class TestTransitionMatrix:
+    @pytest.mark.parametrize("bad_f", [-0.2, 1.2, math.nan])
+    def test_f_domain(self, bad_f):
+        with pytest.raises(ValueError, match="success probability"):
+            transition_matrix(QueueParams(0.5, 5), bad_f)
+
     def test_two_state_example(self):
         P = transition_matrix(QueueParams(0.5, 1), 0.5)
         assert P == pytest.approx(np.array([[0.75, 0.25], [0.25, 0.75]]))
