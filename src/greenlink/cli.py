@@ -313,10 +313,11 @@ def _cmd_optimize(settings: Settings) -> int:
 
 def _cmd_sweep(settings: Settings) -> int:
     # The link settings are checked before the power grid, so a bad --pmin or
-    # --pmax is named as itself, not as the grid end it sets.
-    system = _system(settings)
-    powers = _log_grid(settings.p_lo_w, settings.p_hi_w, settings.p_points)
+    # --pmax is named as itself, not as the grid end it sets. A b-axis curve
+    # replaces b and checks its own, so the base b is not checked there.
     axis = settings.sweep_axis
+    system = _system(replace(settings, b_w=0.0) if axis == "b_over_sigma2" else settings)
+    powers = _log_grid(settings.p_lo_w, settings.p_hi_w, settings.p_points)
     values = _axis_values(settings, "sweep", {"q": None, "b_over_sigma2": None, "p": powers},
                           "q, b_over_sigma2, or p")
     if axis == "p":

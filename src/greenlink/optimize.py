@@ -228,8 +228,7 @@ def _constrain(
     peak = maximize_unconstrained(system, queue, model)
     walked = peak.bracket != _search_limits(system)  # the fast path keeps the range
     if math.isinf(p0):
-        return Optimum(peak.p_star, peak.eta_star, peak.bracket, peak.iterations,
-                       peak.certificate, p0, None, Binding.INFEASIBLE)
+        return replace(peak, p0=p0, binding=Binding.INFEASIBLE)
     floor = max(p0, system.p_min)
     # The configured floor, not the QoS bound, may be the active one.
     floor_binding = Binding.QOS_BOUND if p0 >= system.p_min else Binding.POWER_CAP
@@ -243,8 +242,7 @@ def _constrain(
                   else efficiency(system, queue, model, p_cc).eta)
         if efficiency(system, queue, model, floor).eta > eta_cc:
             p_cc, binding = floor, floor_binding
-    return Optimum(peak.p_star, peak.eta_star, peak.bracket, peak.iterations,
-                   peak.certificate, p0, p_cc, binding)
+    return replace(peak, p0=p0, p_star_constrained=p_cc, binding=binding)
 
 
 def limit_optimizer(

@@ -8,7 +8,6 @@ are independent. The queue length is a birth-death chain on {0, ..., K}
 whose stationary law is geometric in the load ratio rho.
 """
 
-import math
 from dataclasses import dataclass
 from math import exp, expm1, inf, log
 
@@ -116,27 +115,21 @@ def transition_matrix(queue: QueueParams, f: float) -> np.ndarray:
 def stationary_distribution(queue: QueueParams, f: float) -> StationaryDistribution:
     """Closed-form stationary law: probs[s] proportional to rho**s.
 
-    The three load regimes use different but algebraically equivalent
-    normalizations so that neither rho**K overflow (rho > 1) nor
-    cancellation near rho = 1 corrupts the result. f = 0 (or q = 1 with
-    f < 1) pins the chain at the full state.
+    The weights are t**j with t = min(rho, 1/rho) <= 1, j counted from the
+    empty end below unit load and from the full end above it, so no weight
+    overflows; their sum normalizes them. rho = inf (f = 0, or q = 1 with
+    f < 1) gives t = 0, all mass on the full state, and rho = 0 (f = 1) all
+    mass on the empty state. Within _RHO_UNIT_TOL of rho = 1 the law is
+    uniform, as in full_buffer_prob.
     """
     rho = load_rho(queue, f)
     K = queue.buffer_size_K
-    if math.isinf(rho):
-        probs = np.zeros(K + 1)
-        probs[K] = 1.0
-    elif abs(rho - 1.0) < _RHO_UNIT_TOL:
-        probs = np.full(K + 1, 1.0 / (K + 1))
-    elif rho < 1.0:
-        weights = rho ** np.arange(K + 1)
-        probs = weights / weights.sum()
-    else:
-        # Divide the geometric weights by rho**K: same law, no overflow.
-        r = 1.0 / rho
-        weights = r ** np.arange(K, -1, -1.0)
-        probs = weights / weights.sum()
-    return StationaryDistribution(probs=probs, load_rho=rho)
+    if abs(rho - 1.0) < _RHO_UNIT_TOL:
+        return StationaryDistribution(probs=np.full(K + 1, 1.0 / (K + 1)), load_rho=rho)
+    below = rho < 1.0
+    j = np.arange(K + 1.0)
+    weights = (rho if below else 1.0 / rho) ** (j if below else K - j)
+    return StationaryDistribution(probs=weights / weights.sum(), load_rho=rho)
 
 
 def full_buffer_prob(queue: QueueParams, f: float) -> float:

@@ -36,7 +36,7 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .queueing import QueueParams, packet_loss
+from .queueing import QueueParams, _check_f, packet_loss
 
 __all__ = ["SimConfig", "SimReport", "ConvergenceRow", "simulate", "convergence_study"]
 
@@ -63,8 +63,7 @@ class SimConfig:
     track_occupancy: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.success_prob_f <= 1.0:
-            raise ValueError("success probability must lie in [0, 1]")
+        _check_f(self.success_prob_f)
         counts = (self.total_packets, self.num_runs, self.seed,
                   self.initial_queue_state, self.warmup_slots)
         if not all(isinstance(n, (int, np.integer)) for n in counts):

@@ -37,18 +37,12 @@ def gaussian_q(x: float) -> float:
     return 0.5 * float(erfc(x / _SQRT2))
 
 
-def _reject_power(p: float) -> None:
-    """Name what is wrong with a transmit power outside [0, inf)."""
+def _reject_power(p: float, below: str) -> None:
+    """Name what is wrong with a transmit power outside a model's domain:
+    p = inf is not finite, and any other p (nan included) is below it."""
     if p == math.inf:
         raise ValueError(f"transmit power must be finite, got {p!r}")
-    raise ValueError("transmit power must be nonnegative")
-
-
-def _reject_derivative_power(p: float) -> None:
-    """Name what is wrong with a transmit power outside (0, inf) for f'."""
-    if p == math.inf:
-        raise ValueError(f"transmit power must be finite, got {p!r}")
-    raise ValueError("derivative requires positive transmit power")
+    raise ValueError(below)
 
 
 def _require_positive(**fields: float) -> None:
@@ -90,7 +84,7 @@ class ExpUnknownChannel:
 
     def success_probability(self, p: float) -> float:
         if not 0.0 <= p < math.inf:
-            _reject_power(p)
+            _reject_power(p, "transmit power must be nonnegative")
         if p == 0.0:
             return 0.0  # limit of exp(-c/p) as p -> 0+
         return math.exp(-self.power_scale / p)
@@ -98,7 +92,7 @@ class ExpUnknownChannel:
     def success_derivative(self, p: float) -> float:
         """df/dp = f(p) * c / p**2, exact for this family."""
         if not 0.0 < p < math.inf:
-            _reject_derivative_power(p)
+            _reject_power(p, "derivative requires positive transmit power")
         return self._reader(p)[1]
 
     @cached_property
@@ -140,13 +134,13 @@ class QKnownChannel:
 
     def success_probability(self, p: float) -> float:
         if not 0.0 <= p < math.inf:
-            _reject_power(p)
+            _reject_power(p, "transmit power must be nonnegative")
         return gaussian_q(_q_argument(*self._link, p))
 
     def success_derivative(self, p: float) -> float:
         """df/dp = kappa * phi(arg) * hh / (sigma2 + hh p), phi the normal pdf; exact."""
         if not 0.0 < p < math.inf:
-            _reject_derivative_power(p)
+            _reject_power(p, "derivative requires positive transmit power")
         return self._reader(p)[1]
 
     @cached_property

@@ -254,6 +254,20 @@ def test_negative_list_value_reaches_validation(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "gain"])
+@pytest.mark.parametrize("axis, bad_base", [("q", ["--q", "5"]),
+                                            ("b_over_sigma2", ["--b-w", "-1"])])
+def test_axis_ignores_the_base_value_it_replaces(tmp_path, command, axis, bad_base):
+    # Every row replaces the base q or b on its axis, so a base no row reads
+    # is not checked; the CSV is the one a valid base gives.
+    argv = [command, "--axis", axis, "--values", "0.25,0.5"]
+    argv += ["--p-points", "5"] if command == "sweep" else []
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    assert cli.main(argv + ["--out", str(good)]) == 0
+    assert cli.main(argv + bad_base + ["--out", str(bad)]) == 0
+    assert bad.read_bytes() == good.read_bytes()
+
+
 def test_negative_exponent_value(tmp_path):
     out = tmp_path / "eval.csv"
     assert cli.main(["eval", "--p-dbm", "-1e1", "--out", str(out)]) == 0

@@ -53,7 +53,7 @@ class TestValidation:
             config(warmup_slots=-1)
 
     def test_bad_success_prob(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^success probability must lie in \[0, 1\]$"):
             config(f=1.2)
 
     @pytest.mark.parametrize("q, total", [(5e-324, 1), (5e-324, 1000), (1e-300, 1),

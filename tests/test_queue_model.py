@@ -137,6 +137,13 @@ class TestStationaryDistribution:
         d = stationary_distribution(QueueParams(0.5, 5), 0.0)
         assert d.probs[-1] == 1.0
 
+    def test_point_mass_when_lossless(self):
+        # f = 1 gives rho = 0: every packet leaves in its slot.
+        d = stationary_distribution(QueueParams(0.5, 5), 1.0)
+        assert d.load_rho == 0.0
+        assert d.probs[0] == 1.0
+        assert (d.probs[1:] == 0.0).all()
+
     @given(probs, probs, buffer_sizes)
     @settings(deadline=None)
     def test_normalized_and_geometric(self, q, f, K):
