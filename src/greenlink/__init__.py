@@ -13,74 +13,26 @@ The pieces, bottom to top:
   exp-model link tested, while a qfunc link can peak twice.
 - simulate: Monte Carlo queue simulation validating the closed forms.
 - cli / units: experiment runner and dBm boundary conversions.
+
+Each module's __all__ lists its public names, all exported here;
+greenlink.simulate and greenlink.efficiency are functions, not modules.
 """
 
-from .efficiency import (
-    EfficiencyPoint,
-    SystemParams,
-    efficiency,
-    power_gain_db,
-    stationarity_residual,
-)
-from .optimize import (
-    Binding,
-    Optimum,
-    limit_optimizer,
-    maximize_constrained,
-    maximize_unconstrained,
-    qos_threshold,
-)
-from .queueing import (
-    QueueParams,
-    StationaryDistribution,
-    full_buffer_log_slope,
-    full_buffer_prob,
-    load_rho,
-    packet_loss,
-    stationary_distribution,
-    transition_matrix,
-)
-from .simulate import ConvergenceRow, SimConfig, SimReport, convergence_study, simulate
-from .success import (
-    ExpUnknownChannel,
-    QKnownChannel,
-    SuccessModel,
-    gaussian_q,
-)
-from .units import dbm_to_watts, watts_to_dbm
+from . import efficiency as _efficiency, optimize as _optimize, queueing as _queueing
+from . import simulate as _simulate, success as _success, units as _units
+from .efficiency import *
+from .optimize import *
+from .queueing import *
+from .simulate import *
+from .success import *
+from .units import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Binding",
-    "ConvergenceRow",
-    "EfficiencyPoint",
-    "ExpUnknownChannel",
-    "Optimum",
-    "QKnownChannel",
-    "QueueParams",
-    "SimConfig",
-    "SimReport",
-    "StationaryDistribution",
-    "SuccessModel",
-    "SystemParams",
-    "convergence_study",
-    "dbm_to_watts",
-    "efficiency",
-    "full_buffer_log_slope",
-    "full_buffer_prob",
-    "gaussian_q",
-    "limit_optimizer",
-    "load_rho",
-    "maximize_constrained",
-    "maximize_unconstrained",
-    "packet_loss",
-    "power_gain_db",
-    "qos_threshold",
-    "simulate",
-    "stationarity_residual",
-    "stationary_distribution",
-    "transition_matrix",
-    "watts_to_dbm",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += _efficiency.__all__
+__all__ += _optimize.__all__
+__all__ += _queueing.__all__
+__all__ += _simulate.__all__
+__all__ += _success.__all__
+__all__ += _units.__all__

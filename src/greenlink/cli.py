@@ -50,15 +50,12 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _parse_float_list(text: str) -> List[float]:
+def _parse_list(text: str, number: Callable[[float], Any] = float) -> List[Any]:
+    """Comma-separated numbers, each read as a float and passed to number."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
+        return [number(float(tok)) for tok in text.split(",") if tok.strip()]
+    except (OverflowError, ValueError) as exc:  # round(inf) overflows; round(nan) is invalid
         raise CliError(f"cannot parse number list {text!r}") from exc
-
-
-def _parse_int_list(text: str) -> List[int]:
-    return [int(round(v)) for v in _parse_float_list(text)]
 
 
 class _Field(NamedTuple):
@@ -103,7 +100,7 @@ _FIELDS = [
     _Field("axis", "sweep_axis", "sweep", "axis", str, "q", False, ("sweep", "gain"),
            "sweep or gain axis: q (default), b_over_sigma2, or p (sweep only)",
            ("q", "b_over_sigma2", "p")),
-    _Field("values", "sweep_values", "sweep", "values", _parse_float_list, None, False,
+    _Field("values", "sweep_values", "sweep", "values", _parse_list, None, False,
            ("sweep", "gain"), "comma-separated axis values"),
     _Field("p_points", "p_points", "sweep", "p_points", int, 200, False, ("sweep",),
            "points in the power grid"),
@@ -122,8 +119,9 @@ _FIELDS = [
            "uncounted slots before measuring"),
     _Field("initial_state", "initial_state", "sim", "initial_state", int, 0, False,
            ("simulate",), "buffered packets at slot 0"),
-    _Field("packet_counts", "packet_counts", "sim", "packet_counts", _parse_int_list, None,
-           False, ("simulate",), "comma-separated packet counts for a convergence study"),
+    _Field("packet_counts", "packet_counts", "sim", "packet_counts",
+           functools.partial(_parse_list, number=round), None, False, ("simulate",),
+           "comma-separated packet counts for a convergence study"),
     _Field("out", "out", None, None, str, None, False, _ALL, "write results to this CSV file"),
 ]
 

@@ -51,7 +51,8 @@ _ZERO_WORDS = (0, 0, 0, 0)
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation campaign: queue, PHY success probability, and run plan."""
+    """One simulation campaign: queue, PHY success probability, and run plan.
+    K may be up to 2**62: states step as int64, which wraps silently."""
 
     queue: QueueParams
     success_prob_f: float
@@ -82,7 +83,10 @@ class SimConfig:
         # Run i draws from the Philox stream keyed seed + i, a 128-bit key.
         if not 0 <= int(self.seed) <= 2**128 - int(self.num_runs):
             raise ValueError(f"seed must lie in [0, 2**128 - num_runs], got {self.seed}")
-        if not 0 <= self.initial_queue_state <= self.queue.buffer_size_K:
+        K = self.queue.buffer_size_K
+        if K > 2**62:
+            raise ValueError(f"buffer size K must not exceed 2**62 in the simulator, got {K}")
+        if not 0 <= self.initial_queue_state <= K:
             raise ValueError("initial queue state must lie in [0, K]")
         if self.warmup_slots < 0:
             raise ValueError("warm-up slot count cannot be negative")
@@ -140,32 +144,30 @@ def _draw(bitgen: np.random.Philox, n: int, cuts):
     return arrival, succeed(bitgen.random_raw(n), succeed_bound)
 
 
-def _group_maps(rows, K, dtype):
+def _group_maps(rows, K):
     """(A, L, H) of every group, rows[j] holding step j of every group: its
     slot maps compose to x -> min(max(x + A, L), H), A being its summed
-    steps and L, H the states it leaves from an empty and a full buffer."""
-    empty, full = dtype(0), dtype(K)
-    bounds = np.empty((2,) + rows.shape[1:], dtype=dtype)
-    bounds[0], bounds[1] = empty, full
+    steps and L, H the int64 states it leaves from an empty and a full buffer."""
+    bounds = np.empty((2,) + rows.shape[1:], dtype=np.int64)
+    bounds[0], bounds[1] = 0, K
     for row in rows:
         np.add(bounds, row, out=bounds)
-        np.maximum(bounds, empty, out=bounds)
-        np.minimum(bounds, full, out=bounds)
-    return rows.sum(axis=0, dtype=dtype), bounds[0], bounds[1]
+        np.maximum(bounds, 0, out=bounds)
+        np.minimum(bounds, K, out=bounds)
+    return rows.sum(axis=0, dtype=np.int64), bounds[0], bounds[1]
 
 
 def _replay(rows, x, K, states):
     """Step x, the states entering the groups, through rows, overwriting
     each row's steps, once added, with its loss flags x + d > K (an arrival
     met a full buffer). states, unless None, gains each row's start states."""
-    empty, full = x.dtype.type(0), x.dtype.type(K)
     for j, row in enumerate(rows):
         if states is not None:
             states[j] = x
         np.add(x, row, out=x)
-        np.greater(x, full, out=row.view(bool))
-        np.maximum(x, empty, out=x)
-        np.minimum(x, full, out=x)
+        np.greater(x, K, out=row.view(bool))
+        np.maximum(x, 0, out=x)
+        np.minimum(x, K, out=x)
 
 
 def _moves(arrival, success):
@@ -253,8 +255,8 @@ def _group_entries(shift, low, high, x):
     """States entering each group from states x entering the first, given
     the groups' clamp maps (see _group_maps). A log-depth inclusive scan
     turns map g into the composition of maps 0..g: (A1, L1, H1) then
-    (A2, L2, H2) is (A1 + A2, f2(L1), f2(H1)), f2 being the second map."""
-    shift, low, high = (a.astype(np.int64) for a in (shift, low, high))
+    (A2, L2, H2) is (A1 + A2, f2(L1), f2(H1)), f2 being the second map.
+    The scan works in place: it overwrites the maps it is given."""
     span = 1
     while span < shift.shape[0]:
         after, floor, ceiling = shift[span:], low[span:], high[span:]
@@ -277,17 +279,17 @@ def _step(chunks, x, K, occ):
     cells leave x alone and lose nothing, cut into groups of _GROUP moves.
     Every group's clamp map comes from one pass over the moves, the states
     entering the groups from a scan of the maps, and every move's state and
-    loss flag from a second pass. occ, None or runs x (K + 1) int64 counts,
-    gains the chunks' slot-start states. Returns each run's losses."""
+    loss flag from a second pass. States, like x, are int64 throughout (K
+    is at most 2**62, see SimConfig). occ, None or runs x (K + 1) int64
+    counts, gains the chunks' slot-start states. Returns each run's losses."""
     size = max(steps.size for steps, _, _ in chunks)
     groups = max(1, -(-size // _GROUP))
     cells = np.zeros((groups * _GROUP, len(chunks)), dtype=np.int8)
     for r, (steps, _, _) in enumerate(chunks):
         cells[:steps.size, r] = steps
-    dtype = np.int16 if K + _GROUP < 2**15 else np.int32  # holds K + a group's summed steps
     rows = cells.reshape(groups, _GROUP, -1).swapaxes(0, 1)  # rows[j]: move j of every group
-    entry = _group_entries(*_group_maps(rows, K, dtype), x).astype(dtype)
-    states = np.empty(rows.shape, dtype=dtype) if occ is not None else None
+    entry = _group_entries(*_group_maps(rows, K), x)
+    states = np.empty(rows.shape, dtype=np.int64) if occ is not None else None
     _replay(rows, entry, K, states)
     x[:] = entry[-1]  # entry now holds the states leaving each group
     if occ is not None:

@@ -254,6 +254,20 @@ def test_negative_list_value_reaches_validation(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e400", "nan", "100,inf"])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_packet_counts_with_no_integer_value(tmp_path, capsys, value, from_config):
+    # a count that parses as a float but rounds to no int names the list
+    if from_config:
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text(f"[sim]\npacket_counts = {value}\n")
+        argv = ["simulate", "--config", str(cfg)]
+    else:
+        argv = ["simulate", "--packet-counts", value]
+    assert cli.main(argv + ["--f", "0.5"]) == 1
+    assert capsys.readouterr().err == f"error: cannot parse number list {value!r}\n"
+
+
 @pytest.mark.parametrize("command", ["sweep", "gain"])
 @pytest.mark.parametrize("axis, bad_base", [("q", ["--q", "5"]),
                                             ("b_over_sigma2", ["--b-w", "-1"])])

@@ -56,6 +56,12 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"^success probability must lie in \[0, 1\]$"):
             config(f=1.2)
 
+    def test_buffer_too_deep_for_int64_states(self):
+        # states step as int64, which wraps silently past 2**63 - 1
+        with pytest.raises(ValueError, match=r"^buffer size K must not exceed 2\*\*62 in the "
+                                             rf"simulator, got {2**62 + 1}$"):
+            config(K=2**62 + 1)
+
     @pytest.mark.parametrize("q, total", [(5e-324, 1), (5e-324, 1000), (1e-300, 1),
                                           (1e-12, 10**4), (2.0**-44, 2**10), (0.5, 2**60)])
     def test_run_too_long_to_finish(self, q, total):
@@ -326,10 +332,10 @@ class TestRunEquivalence:
 
     @pytest.mark.parametrize("kw", [
         dict(q=0.5, f=0.5, K=2, total=3000, warmup_slots=500),  # both barriers, often
-        # held at the top of a buffer too deep for int16 states
+        # held at the top of a buffer deeper than an int16 holds
         dict(q=0.9, f=0.3, K=100_000, total=30_000, initial_queue_state=100_000),
-        # states are int16 while K + _GROUP < 2**15: held at the top on
-        # either side of that switch
+        # held at the top on either side of K + _GROUP = 2**15, where a
+        # group's summed steps from a full buffer would overflow an int16
         dict(q=0.9, f=0.3, K=2**15 - _GROUP - 1, total=3000, initial_queue_state=2**15 - _GROUP - 1),
         dict(q=0.9, f=0.3, K=2**15 - _GROUP, total=3000, initial_queue_state=2**15 - _GROUP),
     ])
@@ -344,6 +350,18 @@ class TestRunEquivalence:
             slots += used
         assert rep.slots == slots
         assert 0 < rep.per_run_losses.min()
+
+    @pytest.mark.parametrize("K", [2**31 + 5, 2**62])
+    def test_deep_buffer_held_full(self, K):
+        # q > f holds a full start within a few hundred packets of the top for
+        # all 3000 arrivals, so the losses are those of a buffer of 1000. No
+        # occupancy and no reference_run: both allocate K + 1 counts.
+        def losses(K):
+            return simulate(config(q=0.9, f=0.3, K=K, total=3000, runs=3, seed=77,
+                                   initial_queue_state=K)).per_run_losses
+        shallow = losses(1000)
+        assert np.array_equal(losses(K), shallow)
+        assert 0 < shallow.min()
 
     def test_oracles_stay_independent(self):
         tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
@@ -361,21 +379,21 @@ class TestGroupScan:
 
     @pytest.mark.parametrize("groups", [1, 2, 3, 5, 64, 1000])
     @pytest.mark.parametrize("runs", [1, 7])
-    @pytest.mark.parametrize("K", [1, 10, 40_000])
+    @pytest.mark.parametrize("K", [1, 10, 40_000, 2**62])
     def test_scan_matches_sequential_fold(self, groups, runs, K):
         rng = np.random.default_rng([groups, runs, K])
-        dtype = np.int16 if K + _GROUP < 2**15 else np.int32
         # the maps of random moves, each run drifting up or down at its own rate
         up = rng.uniform(0.0, 1.0, size=runs)
         moves = rng.uniform(size=(_GROUP, groups, runs))
         steps = (moves < up).astype(np.int8) - (moves > 0.5 + up / 2).astype(np.int8)
-        shift, low, high = _group_maps(steps, K, dtype)
+        shift, low, high = _group_maps(steps, K)
         start = rng.integers(0, K + 1, size=runs)
         x, expected = start.tolist(), []
         for g in range(groups):
             expected.append(x)
             x = [min(max(v + int(a), int(lo)), int(hi))
                  for v, a, lo, hi in zip(x, shift[g], low[g], high[g])]
+        # the scan overwrites the maps, so the fold reads them first
         assert _group_entries(shift, low, high, start).tolist() == expected
 
 
