@@ -13,16 +13,8 @@ from math import exp, expm1, inf, log
 
 import numpy as np
 
-__all__ = [
-    "QueueParams",
-    "StationaryDistribution",
-    "load_rho",
-    "transition_matrix",
-    "stationary_distribution",
-    "full_buffer_prob",
-    "full_buffer_log_slope",
-    "packet_loss",
-]
+__all__ = ["QueueParams", "load_rho", "stationary_distribution", "full_buffer_prob",
+           "packet_loss"]
 
 # Treat the chain as balanced when rho is within this distance of 1; the
 # geometric formulas lose significance there and the uniform law is exact
@@ -44,14 +36,6 @@ class QueueParams:
             raise ValueError("arrival probability must lie in (0, 1]")
         if not (isinstance(self.buffer_size_K, (int, np.integer)) and self.buffer_size_K >= 1):
             raise ValueError("buffer size must be an integer >= 1")
-
-
-@dataclass(frozen=True)
-class StationaryDistribution:
-    """Stationary queue-length probabilities and the load they derive from."""
-
-    probs: np.ndarray  # length K+1, indexed by number of buffered packets
-    load_rho: float
 
 
 def _check_f(f: float) -> None:
@@ -87,33 +71,9 @@ def _load_and_full(queue: QueueParams, f: float) -> tuple[float, float]:
     return rho, (1.0 - r) / (1.0 - r ** (K + 1))
 
 
-def transition_matrix(queue: QueueParams, f: float) -> np.ndarray:
-    """One-slot transition matrix P with P[i, j] = Pr(next state j | current state i).
-
-    Rows sum to one; the stationary row vector satisfies pi @ P = pi.
-    A packet arriving to an empty buffer goes straight into service, so
-    state 0 can only stay (no arrival, or arrival that departs in-slot)
-    or step up (arrival that fails).
-    """
-    _check_f(f)
-    q = queue.arrival_prob_q
-    K = queue.buffer_size_K
-    up = q * (1.0 - f)  # arrival admitted, head packet not delivered
-    down = (1.0 - q) * f  # no arrival, head packet delivered
-    stay = (1.0 - q) * (1.0 - f) + q * f
-
-    P = np.zeros((K + 1, K + 1))
-    i = np.arange(K)
-    P[i, i + 1] = up
-    P[i + 1, i] = down
-    P[i, i] = stay
-    P[0, 0] = 1.0 - q + q * f
-    P[K, K] = (1.0 - q) * (1.0 - f) + q  # arrivals to a full buffer do not raise the state
-    return P
-
-
-def stationary_distribution(queue: QueueParams, f: float) -> StationaryDistribution:
-    """Closed-form stationary law: probs[s] proportional to rho**s.
+def stationary_distribution(queue: QueueParams, f: float) -> np.ndarray:
+    """Closed-form stationary law: array of K+1 probabilities, entry s
+    proportional to rho**s, s being the number of buffered packets.
 
     The weights are t**j with t = min(rho, 1/rho) <= 1, j counted from the
     empty end below unit load and from the full end above it, so no weight
@@ -125,21 +85,16 @@ def stationary_distribution(queue: QueueParams, f: float) -> StationaryDistribut
     rho = load_rho(queue, f)
     K = queue.buffer_size_K
     if abs(rho - 1.0) < _RHO_UNIT_TOL:
-        return StationaryDistribution(probs=np.full(K + 1, 1.0 / (K + 1)), load_rho=rho)
+        return np.full(K + 1, 1.0 / (K + 1))
     below = rho < 1.0
     j = np.arange(K + 1.0)
     weights = (rho if below else 1.0 / rho) ** (j if below else K - j)
-    return StationaryDistribution(probs=weights / weights.sum(), load_rho=rho)
+    return weights / weights.sum()
 
 
 def full_buffer_prob(queue: QueueParams, f: float) -> float:
     """Stationary probability that the buffer holds K packets."""
     return _load_and_full(queue, f)[1]
-
-
-def full_buffer_log_slope(queue: QueueParams, f: float) -> float:
-    """d ln Pr(full) / d ln rho, which equals K - E[state] under the stationary law."""
-    return _full_and_log_slope(queue, f)[2]
 
 
 def _full_and_log_slope(queue: QueueParams, f: float) -> tuple[float, float, float]:

@@ -4,8 +4,9 @@ Cross-checks the closed-form loss fraction: each run feeds a fixed
 number of packet arrivals through the queue and reports the fraction
 lost. Runs use independent counter-based RNG streams keyed by
 seed + run index, so any subset of runs reproduces bit-for-bit. A
-campaign holds one ``np.random.Philox`` and re-keys it to the start of
-each run's stream, the state ``np.random.Philox(key=seed + i)`` starts in.
+campaign holds one ``np.random.Philox`` and points it at a word of a
+run's stream as that stream, ``np.random.Philox(key=seed + i)``, would
+stand after drawing the words before it (see ``_seek``).
 
 Every slot draws an arrival bit (probability q) and a success bit
 (probability f), each by comparing one raw 64-bit word with an integer
@@ -26,8 +27,9 @@ the slot maps of every _GROUP moves compose into one clamp map (see
 ``_group_maps``), a log-depth scan of those maps gives the state entering
 each group (see ``_group_entries``), and whole-array numpy passes over
 the groups stand in for a Python step per slot. A block's warm-ups step
-first, as a block of their own whose losses are dropped, then its first
-chunks; a run that needs more (a straggler) steps each later chunk alone.
+first, as a block of their own whose losses are dropped, in pieces of at
+most _BLOCK_CELLS slots (see ``_warm_up``), then its first chunks; a run
+that needs more (a straggler) steps each later chunk alone.
 """
 
 import math
@@ -113,11 +115,18 @@ class ConvergenceRow(NamedTuple):
     relative_gap: float
 
 
-def _rekey(bitgen: np.random.Philox, key: int) -> None:
-    """Point bitgen at the start of stream key, as np.random.Philox(key=key) would."""
+def _seek(bitgen: np.random.Philox, key: int, word: int) -> None:
+    """Point bitgen at word `word` of stream key, where np.random.Philox(key=key)
+    stands once it has drawn that many raw words: its counter at word // 4
+    4-word blocks, then word % 4 words drawn and dropped. No run reaches
+    2**128 blocks, so the counter's top two words stay 0."""
+    block = word // 4
     bitgen.state = {"bit_generator": "Philox",
-                    "state": {"counter": _ZERO_WORDS, "key": (key & _WORD_MASK, key >> 64)},
+                    "state": {"counter": (block & _WORD_MASK, block >> 64, 0, 0),
+                              "key": (key & _WORD_MASK, key >> 64)},
                     "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    if word % 4:
+        bitgen.random_raw(word % 4)
 
 
 def _cut(p: float):
@@ -134,14 +143,6 @@ def _cut(p: float):
 def _chunk_slots(arrivals_left: int, q: float) -> int:
     # Size chunks so one usually suffices: ~1/q slots per arrival.
     return min(_MAX_CHUNK_SLOTS, int(arrivals_left / q * 1.15) + 64)
-
-
-def _draw(bitgen: np.random.Philox, n: int, cuts):
-    """Arrival and success bits of the next n slots: n arrival words, then
-    n success words, each compared with its cut from _cut."""
-    (arrive, arrive_bound), (succeed, succeed_bound) = cuts
-    arrival = arrive(bitgen.random_raw(n), arrive_bound)
-    return arrival, succeed(bitgen.random_raw(n), succeed_bound)
 
 
 def _group_maps(rows, K):
@@ -303,27 +304,45 @@ def _step(chunks, x, K, occ):
     return np.count_nonzero(cells.view(bool), axis=0)
 
 
+def _warm_up(bitgen, cuts, warm: int, keys, x, K) -> None:
+    """Step the runs keyed keys from states x, updated in place, over their
+    warm-ups of warm slots, whose losses do not count. Piece k of at most
+    _BLOCK_CELLS slots reads a run's arrival words [kC, kC + n) and success
+    words [warm + kC, warm + kC + n), C being _BLOCK_CELLS, so no draw holds
+    more than C words however long the warm-up."""
+    (arrive, arrive_bound), (succeed, succeed_bound) = cuts
+    for start in range(0, warm, _BLOCK_CELLS):
+        n = min(_BLOCK_CELLS, warm - start)
+        pieces = []
+        for key in keys:
+            _seek(bitgen, key, start)
+            arrival = arrive(bitgen.random_raw(n), arrive_bound)
+            _seek(bitgen, key, warm + start)
+            pieces.append((_moves(arrival, succeed(bitgen.random_raw(n), succeed_bound))[0],
+                           None, n))
+        _step(pieces, x, K, None)
+
+
 def _block(bitgen, cuts, config: SimConfig, first_key: int, losses, occ) -> int:
     """Step the runs keyed first_key, first_key + 1, ..., one per entry of
     losses, which gains their losses; occ, None or their rows of occupancy
     counts, gains their slot-start states. Their warm-ups step first, as a
-    block whose losses and states do not count. Returns the slots stepped."""
+    block whose losses and states do not count; a run's first chunk starts
+    on the word after its warm-up's. Returns the slots stepped."""
     q = config.queue.arrival_prob_q
     K = int(config.queue.buffer_size_K)
     warm = config.warmup_slots
-    warmups, chunks, stragglers = [], [], []
-    for r in range(losses.size):
-        _rekey(bitgen, first_key + r)
-        if warm:
-            warmups.append((_moves(*_draw(bitgen, warm, cuts))[0], None, warm))
+    keys = range(first_key, first_key + losses.size)
+    x = np.full(losses.size, config.initial_queue_state, dtype=np.int64)
+    _warm_up(bitgen, cuts, warm, keys, x, K)
+    chunks, stragglers = [], []
+    for r, key in enumerate(keys):
+        _seek(bitgen, key, 2 * warm)
         chunk, left = _chunk(bitgen, cuts, q, config.total_packets, occ is not None)
         chunks.append(chunk)
         if left:
             stragglers.append((r, bitgen.state, left))
-    slots = sum(n for _, _, n in warmups + chunks)
-    x = np.full(losses.size, config.initial_queue_state, dtype=np.int64)
-    if warmups:
-        _step(warmups, x, K, None)
+    slots = warm * losses.size + sum(n for _, _, n in chunks)
     losses[:] = _step(chunks, x, K, occ)
     # a straggler, a run that needs more than its first chunk, steps each
     # later chunk as a block of one

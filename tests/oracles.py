@@ -1,18 +1,19 @@
 """Reference computations the tests check the library against.
 
-Each oracle reaches its number by a different route than the code under
-test: the stationary law comes from iterating the transition matrix
-instead of the geometric closed form, optima come from dense grid scans
-instead of a zero-finder on the slope, the qfunc model's peak of f/p
-comes from an mpmath root at 50 digits, the exact slope comes from
-mpmath derivatives of the birth-death law at 60 digits instead of its
-closed form, Pr(full), the loss fraction and both ends of the stationary
-law come from the geometric law at 60 digits with no load regimes, and
-the expected loss of a finite simulation run comes from an exact layered
-recursion instead of random sampling.  Grid scans do
-reuse the geometric formula for the full-buffer probability; that
-formula is itself pinned against the matrix fixed point, so the chain of
-evidence stays acyclic.
+No oracle imports greenlink. Each reaches its number by a different
+route than the code under test: the one-slot transition matrix is built
+from the slot's four arrival and success outcomes, the stationary law
+comes from iterating that matrix instead of the geometric closed form,
+optima come from dense grid scans instead of a zero-finder on the slope,
+the qfunc model's peak of f/p comes from an mpmath root at 50 digits,
+the exact slope comes from mpmath derivatives of the birth-death law at
+60 digits instead of its closed form, Pr(full), the loss fraction and
+both ends of the stationary law come from the geometric law at 60 digits
+with no load regimes, and the expected loss of a finite simulation run
+comes from an exact layered recursion instead of random sampling.  Grid
+scans do reuse the geometric formula for the full-buffer probability;
+that formula is itself pinned against the fixed point of this module's
+matrix, so the chain of evidence stays acyclic.
 """
 
 from __future__ import annotations
@@ -24,6 +25,28 @@ import numpy as np
 from scipy.special import erfc
 
 _RHO_UNIT_TOL = 1e-9
+
+
+def transition_matrix(q: float, f: float, K: int) -> np.ndarray:
+    """One-slot transition matrix of the buffer, P[i, j] = Pr(next j | now i).
+
+    Each of a slot's four outcomes -- arrival with probability q or not,
+    head packet served with probability f or not -- adds its probability
+    to the entry it leads to. The head packet, one that arrives to an
+    empty buffer included, leaves when served, and an arrival is admitted
+    unless the buffer is full after that: a full buffer keeps an arrival
+    that meets a success in place of the packet sent, and loses one that
+    meets a failure.
+    """
+    P = np.zeros((K + 1, K + 1))
+    for i in range(K + 1):
+        for arrival, p_arrival in ((1, q), (0, 1.0 - q)):
+            for served, p_served in ((1, f), (0, 1.0 - f)):
+                held = i + arrival
+                if held > 0 and served:
+                    held -= 1
+                P[i, min(held, K)] += p_arrival * p_served
+    return P
 
 
 def power_iteration_stationary(P: np.ndarray, tol: float = 1e-15,

@@ -30,7 +30,6 @@ from greenlink import (
     simulate,
     stationarity_residual,
     stationary_distribution,
-    transition_matrix,
 )
 
 SIGMA2 = 1e-3
@@ -58,9 +57,8 @@ def test_criterion_1_stationary_oracle():
     for q in (0.1, 0.3, 0.5, 0.7, 0.9):
         for f in (0.1, 0.3, 0.5, 0.7, 0.9):
             for K in (1, 2, 5, 10, 50):
-                qp = QueueParams(q, K)
-                P = transition_matrix(qp, f)
-                closed = stationary_distribution(qp, f).probs
+                P = oracles.transition_matrix(q, f, K)
+                closed = stationary_distribution(QueueParams(q, K), f)
                 worst_residual = max(
                     worst_residual, float(np.abs(closed @ P - closed).max()))
                 iterated = oracles.power_iteration_stationary(P)

@@ -25,7 +25,6 @@ from greenlink import (
     QueueParams,
     SystemParams,
     efficiency,
-    full_buffer_log_slope,
     full_buffer_prob,
     load_rho,
     packet_loss,
@@ -104,18 +103,17 @@ def test_buffer_log_slope_matches_stationary_mean(q, K, load):
     f = f_at_load(q, load)
     assume(0.0 < f < 1.0)
     queue = QueueParams(q, K)
-    dist = stationary_distribution(queue, f)
-    mean = float(np.dot(np.arange(K + 1), dist.probs))
-    exact = full_buffer_log_slope(queue, f)
+    mean = float(np.dot(np.arange(K + 1), stationary_distribution(queue, f)))
+    exact = _full_and_log_slope(queue, f)[2]
     assert 0.0 <= exact <= K
     assert abs(exact - (K - mean)) <= 1e-6 + 1e-9 * K
 
 
 def test_buffer_log_slope_limits():
-    assert full_buffer_log_slope(QueueParams(0.5, 7), 0.5) == 3.5  # rho = 1
-    assert full_buffer_log_slope(QueueParams(0.5, 7), 1.0) == 7.0  # rho = 0
-    assert full_buffer_log_slope(QueueParams(0.5, 7), 0.0) == 0.0  # rho = inf
-    assert full_buffer_log_slope(QueueParams(1.0, 7), 0.3) == 0.0  # q = 1
+    assert _full_and_log_slope(QueueParams(0.5, 7), 0.5)[2] == 3.5  # rho = 1
+    assert _full_and_log_slope(QueueParams(0.5, 7), 1.0)[2] == 7.0  # rho = 0
+    assert _full_and_log_slope(QueueParams(0.5, 7), 0.0)[2] == 0.0  # rho = inf
+    assert _full_and_log_slope(QueueParams(1.0, 7), 0.3)[2] == 0.0  # q = 1
 
 
 # Loads just inside and just outside the band around rho = 1 where the
@@ -135,8 +133,7 @@ def test_full_and_log_slope_from_one_read_of_rho(q, K, load):
     queue = QueueParams(q, K)
     full, _, slope = _full_and_log_slope(queue, f)
     assert full == full_buffer_prob(queue, f)
-    assert slope == full_buffer_log_slope(queue, f)
-    mean = float(np.dot(np.arange(K + 1), stationary_distribution(queue, f).probs))
+    mean = float(np.dot(np.arange(K + 1), stationary_distribution(queue, f)))
     assert 0.0 <= slope <= K
     assert abs(slope - (K - mean)) <= 1e-6 + 1e-9 * K
 

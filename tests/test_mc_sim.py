@@ -22,8 +22,8 @@ from greenlink import (
     simulate,
     stationary_distribution,
 )
-from greenlink.simulate import (_GROUP, _chunk_slots, _cut, _cut_at, _draw,
-                                _group_entries, _group_maps, _rekey, _skip)
+from greenlink.simulate import (_GROUP, _chunk_slots, _cut, _cut_at, _group_entries,
+                                _group_maps, _seek, _skip)
 
 SIM = sys.modules["greenlink.simulate"]  # the package's simulate attribute is the function
 
@@ -188,7 +188,7 @@ class TestStationaryConsistency:
         fractions = occ / occ.sum(axis=1, keepdims=True)
         mean = fractions.mean(axis=0)
         se = fractions.std(axis=0, ddof=1) / np.sqrt(fractions.shape[0])
-        expected = stationary_distribution(QueueParams(q, K), f).probs
+        expected = stationary_distribution(QueueParams(q, K), f)
         assert (np.abs(mean - expected) <= 3.0 * se + 1e-12).all()
 
 
@@ -351,6 +351,18 @@ class TestRunEquivalence:
         assert rep.slots == slots
         assert 0 < rep.per_run_losses.min()
 
+    def test_warm_up_pieces_change_nothing(self, monkeypatch):
+        # with 64-cell blocks each run steps alone and its 1000-slot warm-up
+        # in 16 pieces, each reading its own words of the run's stream
+        cfg = config(q=0.3, f=0.4, K=5, total=200, runs=3, seed=17, warmup_slots=1000,
+                     track_occupancy=True)
+        whole = simulate(cfg)
+        monkeypatch.setattr(SIM, "_BLOCK_CELLS", 64)
+        pieces = simulate(cfg)
+        assert np.array_equal(pieces.per_run_losses, whole.per_run_losses)
+        assert np.array_equal(pieces.per_run_occupancy, whole.per_run_occupancy)
+        assert pieces.slots == whole.slots
+
     @pytest.mark.parametrize("K", [2**31 + 5, 2**62])
     def test_deep_buffer_held_full(self, K):
         # q > f holds a full start within a few hundred packets of the top for
@@ -418,8 +430,9 @@ def uniform_below(words, p):
 
 
 class TestRawWordDraws:
-    """The simulator compares raw Philox words with integer cuts and re-keys
-    one bit generator per run; both must give Generator.random()'s bits."""
+    """The simulator compares raw Philox words with integer cuts and points
+    one bit generator at each run's words in turn; both must give
+    Generator.random()'s bits."""
 
     @pytest.mark.parametrize("key", [0, 7, 2**64 - 1, 2**128 - 1])
     def test_random_keeps_the_top_53_bits(self, key):
@@ -455,24 +468,47 @@ class TestRawWordDraws:
         bitgen = np.random.Philox(key=99)
         # leave a half-used buffer and a pending 32-bit half behind
         np.random.Generator(bitgen).integers(0, 2**32, size=3, dtype=np.uint32)
-        _rekey(bitgen, key)
-        cuts = (_cut(0.3), _cut(0.6))
+        _seek(bitgen, key, 0)
+        (arrive, arrive_bound), (succeed, succeed_bound) = _cut(0.3), _cut(0.6)
         reference = np.random.Generator(np.random.Philox(key=key))
         for n in (7, 13):  # two chunks, neither a multiple of Philox's 4-word block
-            arrival, success = _draw(bitgen, n, cuts)
+            arrival = arrive(bitgen.random_raw(n), arrive_bound)
+            success = succeed(bitgen.random_raw(n), succeed_bound)
             assert np.array_equal(arrival, reference.random(n) < 0.3)
             assert np.array_equal(success, reference.random(n) < 0.6)
-        _rekey(bitgen, key)
+        _seek(bitgen, key, 0)
         assert np.array_equal(bitgen.random_raw(11), np.random.Philox(key=key).random_raw(11))
+
+    @pytest.mark.parametrize("word", [*range(9), 4099])
+    @pytest.mark.parametrize("key", [0, 2**64 + 5])
+    def test_seek_lands_where_a_straight_draw_would(self, key, word):
+        bitgen = np.random.Philox(key=99)
+        bitgen.random_raw(3)  # leave a half-used buffer behind
+        _seek(bitgen, key, word)
+        straight = np.random.Philox(key=key).random_raw(word + 9)
+        assert np.array_equal(bitgen.random_raw(9), straight[word:])
+
+    @pytest.mark.parametrize("used", range(4))
+    def test_seek_carries_past_2_64_blocks(self, used):
+        # the stream as it stands after 2**64 - 1 blocks, drawn on from there
+        stream = np.random.Philox(key=3)
+        state = stream.state
+        state["state"]["counter"] = (2**64 - 1, 0, 0, 0)
+        stream.state = state
+        straight = stream.random_raw(4 + used + 9)
+        for word, at in ((4 * (2**64 - 1), 0), (4 * 2**64, 4)):
+            bitgen = np.random.Philox(key=0)
+            _seek(bitgen, 3, word + used)
+            assert np.array_equal(bitgen.random_raw(9), straight[at + used:][:9])
 
     def test_saved_state_resumes_after_rekeying(self):
         # a straggler's state is saved after its first chunk and restored
         # once the rest of its block has re-keyed the bit generator
         bitgen = np.random.Philox(key=0)
-        _rekey(bitgen, 2**64 + 3)
+        _seek(bitgen, 2**64 + 3, 0)
         first = bitgen.random_raw(5)
         saved = bitgen.state
-        _rekey(bitgen, 8)
+        _seek(bitgen, 8, 0)
         bitgen.random_raw(9)
         bitgen.state = saved
         expected = np.random.Philox(key=2**64 + 3).random_raw(12)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import sys
@@ -284,6 +285,17 @@ class TestMaximizeConstrained:
         assert res.binding is Binding.INTERIOR
         assert res.p_star_constrained == res.p_star
         assert res.p0 <= sysp.p_min
+
+    def test_peak_on_the_floor_is_interior(self):
+        # p_min exactly at the peak: the peak is feasible, so it binds as
+        # INTERIOR, not as the floor's POWER_CAP
+        model = exp_model()
+        sysp = cli_default_system(100.0)
+        peak = maximize_unconstrained(sysp, QueueParams(0.5, 10), model).p_star
+        assert peak == 0.02580391118457557
+        on_floor = dataclasses.replace(sysp, p_min=peak)
+        res = maximize_constrained(on_floor, QueueParams(0.5, 10), model)
+        assert (res.p_star_constrained, res.binding) == (peak, Binding.INTERIOR)
 
     def test_qos_binding(self):
         model = exp_model()

@@ -11,7 +11,6 @@ from greenlink import (
     load_rho,
     packet_loss,
     stationary_distribution,
-    transition_matrix,
 )
 
 probs = st.floats(min_value=0.01, max_value=0.99)
@@ -65,24 +64,21 @@ class TestLoadRho:
 
 
 class TestTransitionMatrix:
-    @pytest.mark.parametrize("bad_f", [-0.2, 1.2, math.nan])
-    def test_f_domain(self, bad_f):
-        with pytest.raises(ValueError, match="success probability"):
-            transition_matrix(QueueParams(0.5, 5), bad_f)
+    """The oracle's matrix, which criterion 1 and the fixed-point checks use."""
 
     def test_two_state_example(self):
-        P = transition_matrix(QueueParams(0.5, 1), 0.5)
+        P = oracles.transition_matrix(0.5, 0.5, 1)
         assert P == pytest.approx(np.array([[0.75, 0.25], [0.25, 0.75]]))
 
     def test_perfect_channel_absorbs_at_zero(self):
-        P = transition_matrix(QueueParams(0.5, 3), 1.0)
+        P = oracles.transition_matrix(0.5, 1.0, 3)
         # no up-moves anywhere
         assert np.triu(P, k=1) == pytest.approx(np.zeros_like(P))
 
     @given(probs, probs, buffer_sizes)
     @settings(deadline=None)
     def test_rows_stochastic(self, q, f, K):
-        P = transition_matrix(QueueParams(q, K), f)
+        P = oracles.transition_matrix(q, f, K)
         assert P.shape == (K + 1, K + 1)
         assert P.sum(axis=1) == pytest.approx(np.ones(K + 1), abs=1e-12)
         assert (P >= 0.0).all()
@@ -90,6 +86,8 @@ class TestTransitionMatrix:
     @pytest.mark.parametrize("K", [1, 2, 7])
     @pytest.mark.parametrize("q, f", [(0.3, 0.6), (0.5, 0.0), (0.5, 1.0), (1.0, 0.4)])
     def test_matches_per_entry_loop(self, q, f, K):
+        # the birth-death entries written out, against the oracle's sum over
+        # a slot's four outcomes
         ref = np.zeros((K + 1, K + 1))
         for i in range(K + 1):
             for j in range(K + 1):
@@ -103,11 +101,11 @@ class TestTransitionMatrix:
                     ref[i, j] = (1.0 - q) * (1.0 - f) + q
                 elif j == i:
                     ref[i, j] = (1.0 - q) * (1.0 - f) + q * f
-        assert transition_matrix(QueueParams(q, K), f).tobytes() == ref.tobytes()
+        assert oracles.transition_matrix(q, f, K) == pytest.approx(ref, rel=1e-15, abs=1e-16)
 
     def test_structure_rules(self):
         q, f, K = 0.3, 0.6, 4
-        P = transition_matrix(QueueParams(q, K), f)
+        P = oracles.transition_matrix(q, f, K)
         assert P[0, 0] == pytest.approx(1 - q + q * f)
         assert P[K, K] == pytest.approx((1 - q) * (1 - f) + q)
         for s in range(1, K):
@@ -117,76 +115,78 @@ class TestTransitionMatrix:
 
 
 class TestStationaryDistribution:
+    @pytest.mark.parametrize("bad_f", [-0.2, 1.2, math.nan])
+    def test_f_domain(self, bad_f):
+        with pytest.raises(ValueError, match="success probability"):
+            stationary_distribution(QueueParams(0.5, 5), bad_f)
+
     def test_uniform_at_balance(self):
-        d = stationary_distribution(QueueParams(0.5, 10), 0.5)
-        assert d.probs == pytest.approx(np.full(11, 1 / 11), rel=1e-12)
+        pi = stationary_distribution(QueueParams(0.5, 10), 0.5)
+        assert pi == pytest.approx(np.full(11, 1 / 11), rel=1e-12)
 
     def test_geometric_example(self):
-        d = stationary_distribution(QueueParams(0.5, 2), 0.8)
-        assert d.probs == pytest.approx([0.761905, 0.190476, 0.047619], abs=5e-7)
-        assert d.probs == pytest.approx(
-            np.array([1.0, 0.25, 0.0625]) / 1.3125, rel=1e-12)
-        assert d.load_rho == pytest.approx(0.25, rel=1e-14)
+        pi = stationary_distribution(QueueParams(0.5, 2), 0.8)
+        assert pi == pytest.approx([0.761905, 0.190476, 0.047619], abs=5e-7)
+        assert pi == pytest.approx(np.array([1.0, 0.25, 0.0625]) / 1.3125, rel=1e-12)
 
     def test_point_mass_when_saturated(self):
-        d = stationary_distribution(QueueParams(1.0, 5), 0.7)
-        assert d.probs[-1] == 1.0
-        assert d.probs[:-1] == pytest.approx(np.zeros(5))
+        pi = stationary_distribution(QueueParams(1.0, 5), 0.7)
+        assert pi[-1] == 1.0
+        assert pi[:-1] == pytest.approx(np.zeros(5))
 
     def test_dead_channel_point_mass(self):
-        d = stationary_distribution(QueueParams(0.5, 5), 0.0)
-        assert d.probs[-1] == 1.0
+        pi = stationary_distribution(QueueParams(0.5, 5), 0.0)
+        assert pi[-1] == 1.0
 
     def test_point_mass_when_lossless(self):
         # f = 1 gives rho = 0: every packet leaves in its slot.
-        d = stationary_distribution(QueueParams(0.5, 5), 1.0)
-        assert d.load_rho == 0.0
-        assert d.probs[0] == 1.0
-        assert (d.probs[1:] == 0.0).all()
+        assert load_rho(QueueParams(0.5, 5), 1.0) == 0.0
+        pi = stationary_distribution(QueueParams(0.5, 5), 1.0)
+        assert pi[0] == 1.0
+        assert (pi[1:] == 0.0).all()
 
     @given(probs, probs, buffer_sizes)
     @settings(deadline=None)
     def test_normalized_and_geometric(self, q, f, K):
-        d = stationary_distribution(QueueParams(q, K), f)
-        assert abs(d.probs.sum() - 1.0) <= 1e-12
-        assert ((d.probs >= 0.0) & (d.probs <= 1.0)).all()
-        rho = d.load_rho
+        pi = stationary_distribution(QueueParams(q, K), f)
+        assert pi.shape == (K + 1,)
+        assert abs(pi.sum() - 1.0) <= 1e-12
+        assert ((pi >= 0.0) & (pi <= 1.0)).all()
+        rho = load_rho(QueueParams(q, K), f)
         for s in range(K):
-            if d.probs[s] > 1e-300:
-                assert d.probs[s + 1] / d.probs[s] == pytest.approx(rho, rel=1e-9)
+            if pi[s] > 1e-300:
+                assert pi[s + 1] / pi[s] == pytest.approx(rho, rel=1e-9)
 
     def test_fixed_point_residual_grid(self):
-        # closed form against the transition matrix across the whole grid
+        # closed form against the oracle's matrix across the whole grid
         worst = 0.0
         for q in np.arange(0.1, 0.95, 0.1):
             for f in np.arange(0.1, 0.95, 0.1):
                 for K in (1, 2, 5, 10, 50):
-                    qp = QueueParams(float(q), K)
-                    pi = stationary_distribution(qp, float(f)).probs
-                    P = transition_matrix(qp, float(f))
+                    pi = stationary_distribution(QueueParams(float(q), K), float(f))
+                    P = oracles.transition_matrix(float(q), float(f), K)
                     worst = max(worst, np.abs(pi @ P - pi).max())
         assert worst <= 1e-10
 
     def test_matches_power_iteration_spot(self):
-        qp = QueueParams(0.7, 12)
-        pi = stationary_distribution(qp, 0.4).probs
-        ref = oracles.power_iteration_stationary(transition_matrix(qp, 0.4))
+        pi = stationary_distribution(QueueParams(0.7, 12), 0.4)
+        ref = oracles.power_iteration_stationary(oracles.transition_matrix(0.7, 0.4, 12))
         assert pi == pytest.approx(ref, abs=1e-11)
 
     def test_branch_continuity_at_balance(self):
         # the three rho branches must agree across the switch point
         K = 10
-        lo = stationary_distribution(QueueParams(0.5, K), 0.5 + 5e-9).probs
-        hi = stationary_distribution(QueueParams(0.5, K), 0.5 - 5e-9).probs
-        mid = stationary_distribution(QueueParams(0.5, K), 0.5).probs
+        lo = stationary_distribution(QueueParams(0.5, K), 0.5 + 5e-9)
+        hi = stationary_distribution(QueueParams(0.5, K), 0.5 - 5e-9)
+        mid = stationary_distribution(QueueParams(0.5, K), 0.5)
         assert lo == pytest.approx(mid, abs=1e-7)
         assert hi == pytest.approx(mid, abs=1e-7)
 
     def test_large_buffer_no_overflow(self):
         # rho > 1 with K large enough that rho**K overflows if summed naively
-        d = stationary_distribution(QueueParams(0.9, 5000), 0.2)
-        assert np.isfinite(d.probs).all()
-        assert abs(d.probs.sum() - 1.0) <= 1e-12
+        pi = stationary_distribution(QueueParams(0.9, 5000), 0.2)
+        assert np.isfinite(pi).all()
+        assert abs(pi.sum() - 1.0) <= 1e-12
 
 
 class TestFullBufferProb:
@@ -206,7 +206,7 @@ class TestFullBufferProb:
     def test_matches_last_stationary_entry(self, q, f, K):
         qp = QueueParams(q, K)
         direct = full_buffer_prob(qp, f)
-        assert abs(direct - stationary_distribution(qp, f).probs[-1]) <= 1e-12
+        assert abs(direct - stationary_distribution(qp, f)[-1]) <= 1e-12
 
     @pytest.mark.parametrize("q,f", [(0.7, 0.4), (0.9, 0.2), (0.6, 0.35)])
     def test_large_K_limit_above_balance(self, q, f):

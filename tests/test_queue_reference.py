@@ -74,7 +74,7 @@ def test_law_within_its_bound_of_the_reference(law):
     empty, full = oracles.mp_stationary_ends(q, f, K)
     assert _close(full_buffer_prob(queue, f), full, rel)
     assert _close(packet_loss(queue, f), oracles.mp_loss(q, f, K), rel)
-    probs = stationary_distribution(queue, f).probs
+    probs = stationary_distribution(queue, f)
     assert _close(probs[-1], full, rel)
     assert _close(probs[0], empty, rel)
 
@@ -99,6 +99,6 @@ def test_unit_load_meets_item_4_gate(delta, K):
     empty, full = oracles.mp_stationary_ends(q, f, K)
     queue = QueueParams(q, K)
     assert _close(full_buffer_prob(queue, f), full, rel)
-    probs = stationary_distribution(queue, f).probs
+    probs = stationary_distribution(queue, f)
     assert _close(probs[-1], full, rel)
     assert _close(probs[0], empty, rel)
