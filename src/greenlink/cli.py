@@ -23,7 +23,7 @@ from dataclasses import make_dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .efficiency import SystemParams, _eta, _loss, _success, efficiency, power_gain_db
-from .optimize import _constrain, maximize_constrained, qos_threshold
+from .optimize import _constrain, maximize_constrained
 from .queueing import QueueParams
 from .simulate import SimConfig, convergence_study, simulate
 from .success import ExpUnknownChannel, QKnownChannel, SuccessModel
@@ -226,8 +226,7 @@ def _emit_csv(path: Optional[str], header: Sequence[str], lines: Iterable[str]) 
     if path is None:
         return
     with open(path, "w", newline="") as fh:
-        fh.write(_csv_line(header))
-        fh.writelines(lines)
+        fh.write("".join([_csv_line(header), *lines]))
 
 
 def _log_grid(lo: float, hi: float, n: int) -> List[float]:
@@ -253,6 +252,21 @@ def _axis_values(settings: Settings, command: str, defaults: Dict[str, Optional[
     if not values:  # unset with no default, or an empty list from either layer
         raise CliError(f"{command} over {axis} needs --values")
     return values
+
+
+def _linker(settings: Settings) -> Callable[[Any], Tuple[SystemParams, QueueParams]]:
+    """Axis value -> its link, (system, queue), each checked as it is built; the
+    base system is checked at once. A b-axis value replaces b, so the base b goes
+    unchecked, and a q-axis value q; any other axis keeps the base link."""
+    axis = settings.sweep_axis
+    system = _system(replace(settings, b_w=0.0) if axis == "b_over_sigma2" else settings)
+
+    def link(value):
+        if axis == "b_over_sigma2":
+            return replace(system, fixed_power_b=value * settings.sigma2_w), _queue(settings)
+        return system, QueueParams(value, settings.K) if axis == "q" else _queue(settings)
+
+    return link
 
 
 def _cmd_eval(settings: Settings) -> int:
@@ -311,20 +325,13 @@ def _cmd_optimize(settings: Settings) -> int:
 
 def _cmd_sweep(settings: Settings) -> int:
     # The link settings are checked before the power grid, so a bad --pmin or
-    # --pmax is named as itself, not as the grid end it sets. A b-axis curve
-    # replaces b and checks its own, so the base b is not checked there.
-    axis = settings.sweep_axis
-    system = _system(replace(settings, b_w=0.0) if axis == "b_over_sigma2" else settings)
+    # --pmax is named as itself, not as the grid end it sets.
+    link = _linker(settings)
     powers = _log_grid(settings.p_lo_w, settings.p_hi_w, settings.p_points)
     values = _axis_values(settings, "sweep", {"q": None, "b_over_sigma2": None, "p": powers},
                           "q, b_over_sigma2, or p")
-    if axis == "p":
+    if settings.sweep_axis == "p":
         powers, values = values, [None]  # one curve; each row's axis value is its p
-
-    def link(value):  # a curve's system, then its queue, each checked as it is built
-        if axis == "b_over_sigma2":
-            return replace(system, fixed_power_b=value * settings.sigma2_w), _queue(settings)
-        return system, QueueParams(value, settings.K) if axis == "q" else _queue(settings)
 
     # f depends on the power alone, phi and feasibility also on the queue, eta
     # on the whole link: each, with its repr, is computed once at its level.
@@ -346,37 +353,36 @@ def _cmd_sweep(settings: Settings) -> int:
         lines += [f"{cell or p_cell},{p_cell},{_eta(local, queue, p, f, phi)!r},{tail}"
                   for p, f, phi, p_cell, tail in known]
     _emit_csv(settings.out, ["axis_value", "p", "eta", "phi", "f", "feasible"], lines)
-    print(f"swept {axis}: {len(lines)} points"
+    print(f"swept {settings.sweep_axis}: {len(lines)} points"
           + (f" -> {settings.out}" if settings.out else ""))
     return 0
 
 
 def _cmd_gain(settings: Settings) -> int:
-    axis = settings.sweep_axis
     values = _axis_values(
         settings, "gain",
         {"q": [round(0.05 * i, 2) for i in range(1, 21)], "b_over_sigma2": None},
         "q or b_over_sigma2")
-    # The link is built once: a q-axis row changes only the queue, a b-axis row only
-    # the fixed draw b, on which p0 does not depend, so both p0 are found once.
-    if axis == "q":
-        system, ref_queue, model = _system(settings), QueueParams(1.0, settings.K), _model(settings)
-        ref = maximize_constrained(system, ref_queue, model)  # shared by every row
-    else:  # checked as the first row's link: each row replaces the base b
-        system = _system(replace(settings, b_w=values[0] * settings.sigma2_w))
-        queue, ref_queue, model = _queue(settings), QueueParams(1.0, settings.K), _model(settings)
-        p0_here = qos_threshold(system, queue, model)
-        p0_ref = qos_threshold(system, ref_queue, model)
+    link = _linker(settings)
+    link(values[0])  # the first row's link is checked before the model
+    model = _model(settings)
+    # An axis value moves only b or q, and p0 does not depend on b: p0 is found once
+    # per q and each optimum once per (b, q), so a full-load row is its own reference.
+    p0, optima, full = {}, {}, QueueParams(1.0, settings.K)
+
+    def solve(system, queue):  # p** of the link; K is the call's own
+        b, q = system.fixed_power_b, queue.arrival_prob_q
+        best = optima.get((b, q))
+        if best is None:
+            best = optima[b, q] = (_constrain(system, queue, model, p0[q]) if q in p0
+                                   else maximize_constrained(system, queue, model))
+            p0.setdefault(q, best.p0)
+        return best.p_star_constrained
+
     rows = []
     for value in values:
-        if axis == "q":  # a full-load row is its own reference
-            here = ref if value == 1.0 else maximize_constrained(
-                system, QueueParams(value, settings.K), model)
-        else:
-            local = replace(system, fixed_power_b=value * settings.sigma2_w)
-            here = _constrain(local, queue, model, p0_here)
-            ref = _constrain(local, ref_queue, model, p0_ref)
-        p_here, p_ref = here.p_star_constrained, ref.p_star_constrained
+        system, queue = link(value)
+        p_ref, p_here = solve(system, full), solve(system, queue)
         if p_here is None or p_ref is None:
             rows.append([value, "infeasible", "infeasible", ""])
         else:
@@ -385,7 +391,7 @@ def _cmd_gain(settings: Settings) -> int:
               map(_csv_line, rows))
     for row in rows:
         gain = f"{row[3]:.4g} dB" if isinstance(row[3], float) else "infeasible"
-        print(f"{axis} = {row[0]:<6g} saving = {gain}")
+        print(f"{settings.sweep_axis} = {row[0]:<6g} saving = {gain}")
     if any(row[3] == "" for row in rows):
         print("some grid points cannot meet the loss bound", file=sys.stderr)
         return 2

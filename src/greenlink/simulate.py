@@ -17,9 +17,10 @@ that meets x = K with a failed draw is lost. A run's words lie in one
 fixed order in its stream -- the warm-up's arrival then success words,
 then for each chunk its arrival then success words, chunks sized from
 the arrivals still to come -- so its result does not depend on the block
-of runs it steps in. Words after the run's last needed arrival are
-skipped by moving the Philox counter, never drawn (see ``_chunk``); every
-word a slot reads keeps its stream position.
+of runs it steps in. Each draw starts on a word named by its run's key
+and position, where a seek puts the generator unless it already stands
+there, so words after the run's last needed arrival are never drawn (see
+``_chunk``) and nothing reads the generator's state back.
 
 Only a run's moves, the slots where its two bits differ, can change x.
 A block of runs steps a chunk of moves per run at once (see ``_step``):
@@ -44,7 +45,7 @@ __all__ = ["SimConfig", "SimReport", "ConvergenceRow", "simulate", "convergence_
 
 _MAX_CHUNK_SLOTS = 2**22
 _SLACK_SLOTS = 4096  # slots the first arrival draw adds to its bound (see _first_slots)
-_MAX_RUN_SLOTS = 2**53  # the most slots a run may be expected to last, total_packets / q
+_SLOT_BUDGET = 2**40  # the most slots a campaign may be expected to last
 _BLOCK_CELLS = 2**20  # run x slot cells drawn per block of runs
 _GROUP = 32  # moves per clamp map
 _WORD_MASK = 2**64 - 1
@@ -75,13 +76,6 @@ class SimConfig:
             raise ValueError("need at least one packet per run")
         if self.num_runs < 1:
             raise ValueError("need at least one run")
-        # A run lasts about total_packets / q slots: beyond 2**53 (inf at a
-        # vanishing q) it can neither be sized in chunks nor end.
-        q = self.queue.arrival_prob_q
-        if not self.total_packets <= _MAX_RUN_SLOTS * q:
-            raise ValueError(f"arrival probability q = {q!r} is too small for total_packets = "
-                             f"{self.total_packets}: a run lasts about total_packets / q "
-                             "slots, which must not exceed 2**53")
         # Run i draws from the Philox stream keyed seed + i, a 128-bit key.
         if not 0 <= int(self.seed) <= 2**128 - int(self.num_runs):
             raise ValueError(f"seed must lie in [0, 2**128 - num_runs], got {self.seed}")
@@ -92,6 +86,16 @@ class SimConfig:
             raise ValueError("initial queue state must lie in [0, K]")
         if self.warmup_slots < 0:
             raise ValueError("warm-up slot count cannot be negative")
+        # A run lasts about total_packets / q slots after its warm-up (inf at a
+        # vanishing q); within the budget the chunk sizing also stays exact.
+        q, total, runs, warm = (self.queue.arrival_prob_q, int(self.total_packets),
+                                int(self.num_runs), int(self.warmup_slots))
+        if not (max(total, runs, warm) <= _SLOT_BUDGET
+                and runs * (total / q + warm) <= _SLOT_BUDGET):
+            raise ValueError(f"campaign too long: num_runs = {runs} runs, each of warmup_slots "
+                             f"= {warm} slots then total_packets = {total} arrivals at q = "
+                             f"{q!r}, last about num_runs * (total_packets / q + warmup_slots) "
+                             "slots, which must not exceed 2**40")
 
 
 @dataclass(frozen=True)
@@ -194,19 +198,6 @@ def _first_slots(left: int, q: float, n: int) -> int:
     return min(n, int((left + 4 * math.sqrt(left * (1 - q))) / q) + _SLACK_SLOTS)
 
 
-def _skip(bitgen: np.random.Philox, words: int) -> None:
-    """Move bitgen past its next words raw words, as drawing them would.
-    Philox.advance(k) moves the counter k 4-word blocks on and empties the
-    buffer, so only the words still buffered and the last partial block are
-    drawn and dropped."""
-    held = 4 - bitgen.state["buffer_pos"]
-    if words > held:
-        words -= held
-        bitgen.advance(words // 4)
-        words %= 4
-    bitgen.random_raw(words)
-
-
 def _cut_at(arrival, left: int, count: int) -> int:
     """Slots up to and including the left-th of the count >= left arrivals.
     The count - left arrivals after it lie near the end, so the search looks
@@ -222,34 +213,35 @@ def _cut_at(arrival, left: int, count: int) -> int:
         tail *= 4
 
 
-def _chunk(bitgen, cuts, q, left, track):
-    """Draw the next chunk for left more arrivals and keep its moves up to
-    the slot of the left-th arrival, or to the end of the chunk. Returns
-    ((steps, move slots or None, slots), arrivals still to come).
+def _chunk(bitgen, cuts, q, key, word, left, track):
+    """Draw the chunk of stream key that starts at word `word`, for left more
+    arrivals, and keep its moves up to the slot of the left-th arrival, or to
+    the end of the chunk. Returns ((steps, move slots or None, slots), the
+    next chunk's word, arrivals still to come).
 
-    A chunk of n slots owns the stream's next n arrival words, then its n
-    success words. Its arrival words are drawn in a first piece of
+    A chunk of n slots owns the stream's n arrival words from word, then its
+    n success words. Its arrival words are drawn in a first piece of
     _first_slots words, and the rest only if that piece holds fewer than
-    left arrivals. A run that ends in the chunk skips its unread arrival
-    words by moving the counter (see _skip) and draws the success words of
-    its slots alone; a run that does not draws all n, so its next chunk
-    starts on the same word whatever was drawn. Every word a slot reads
-    keeps its stream position."""
+    left arrivals. Its success words are drawn from word + n, which a chunk
+    that leaves arrival words unread seeks to, and only for the slots it
+    keeps; its next chunk starts on word + 2n whatever was drawn. Every word
+    a slot reads keeps its stream position."""
     (arrive, arrive_bound), (succeed, succeed_bound) = cuts
     n = _chunk_slots(left, q)
+    _seek(bitgen, key, word)
     arrival = arrive(bitgen.random_raw(_first_slots(left, q, n)), arrive_bound)
     count = np.count_nonzero(arrival)
     if count < left and arrival.size < n:
         rest = arrive(bitgen.random_raw(n - arrival.size), arrive_bound)
         arrival = np.concatenate([arrival, rest])
         count += np.count_nonzero(rest)
+    if arrival.size < n:  # arrival words left unread; else the generator stands there
+        _seek(bitgen, key, word + n)
     if count >= left:
-        if arrival.size < n:
-            _skip(bitgen, n - arrival.size)
         arrival = arrival[:_cut_at(arrival, left, count)]
     success = succeed(bitgen.random_raw(arrival.size), succeed_bound)
     steps, moves = _moves(arrival, success)
-    return (steps, moves if track else None, arrival.size), max(left - count, 0)
+    return (steps, moves if track else None, arrival.size), word + 2 * n, max(left - count, 0)
 
 
 def _group_entries(shift, low, high, x):
@@ -328,7 +320,8 @@ def _block(bitgen, cuts, config: SimConfig, first_key: int, losses, occ) -> int:
     losses, which gains their losses; occ, None or their rows of occupancy
     counts, gains their slot-start states. Their warm-ups step first, as a
     block whose losses and states do not count; a run's first chunk starts
-    on the word after its warm-up's. Returns the slots stepped."""
+    on the word after its warm-up's, and a straggler carries the word its
+    next chunk starts on. Returns the slots stepped."""
     q = config.queue.arrival_prob_q
     K = int(config.queue.buffer_size_K)
     warm = config.warmup_slots
@@ -337,20 +330,19 @@ def _block(bitgen, cuts, config: SimConfig, first_key: int, losses, occ) -> int:
     _warm_up(bitgen, cuts, warm, keys, x, K)
     chunks, stragglers = [], []
     for r, key in enumerate(keys):
-        _seek(bitgen, key, 2 * warm)
-        chunk, left = _chunk(bitgen, cuts, q, config.total_packets, occ is not None)
+        chunk, word, left = _chunk(bitgen, cuts, q, key, 2 * warm, config.total_packets,
+                                   occ is not None)
         chunks.append(chunk)
         if left:
-            stragglers.append((r, bitgen.state, left))
+            stragglers.append((r, key, word, left))
     slots = warm * losses.size + sum(n for _, _, n in chunks)
     losses[:] = _step(chunks, x, K, occ)
     # a straggler, a run that needs more than its first chunk, steps each
     # later chunk as a block of one
-    for r, stream, left in stragglers:
-        bitgen.state = stream
+    for r, key, word, left in stragglers:
         run = slice(r, r + 1)
         while left:
-            chunk, left = _chunk(bitgen, cuts, q, left, occ is not None)
+            chunk, word, left = _chunk(bitgen, cuts, q, key, word, left, occ is not None)
             losses[run] += _step([chunk], x[run], K, None if occ is None else occ[run])
             slots += chunk[2]
     return slots
@@ -382,10 +374,7 @@ def simulate(config: SimConfig) -> SimReport:
 
     phi = packet_loss(config.queue, f)
     mean = float(np.mean(per_run))  # pairwise summation: order-stable aggregation
-    if runs > 1:
-        std_error = float(np.std(per_run, ddof=1) / math.sqrt(runs))
-    else:
-        std_error = 0.0
+    std_error = float(np.std(per_run, ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
     gap = (mean - phi) / phi if phi > 0.0 else 0.0
     return SimReport(
         mean_loss_fraction=mean,

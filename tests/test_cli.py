@@ -338,7 +338,8 @@ class TestGain:
 
     def test_b_axis_finds_p0_twice(self, monkeypatch, tmp_path):
         # p0 does not depend on b: one threshold for the rows' queue and one for
-        # the full-load reference, however many rows there are.
+        # the full-load reference, however many rows there are. The first row
+        # solves its reference first.
         calls = []
         original = optimize.qos_threshold
 
@@ -352,7 +353,22 @@ class TestGain:
         assert main(["gain", "--axis", "b_over_sigma2", "--values", values, "--epsilon", "0.01",
                      "--out", str(tmp_path / "gain.csv")]) == 0
         assert len(read_rows(tmp_path / "gain.csv")) == 21
-        assert [queue.arrival_prob_q for _, queue, _ in calls] == [0.5, 1.0]
+        assert [queue.arrival_prob_q for _, queue, _ in calls] == [1.0, 0.5]
+
+    def test_b_axis_at_full_load_solves_each_row_once(self, monkeypatch, tmp_path):
+        # With base q = 1 each row is its own reference: one search per row and
+        # one p0 for them all.
+        calls = {"maximize_unconstrained": [], "qos_threshold": []}
+        for name, seen in calls.items():
+            def counted(*args, seen=seen, original=getattr(optimize, name)):
+                seen.append(args[1].arrival_prob_q)  # (system, queue, model)
+                return original(*args)
+
+            monkeypatch.setattr(optimize, name, counted)
+        assert main(["gain", "--axis", "b_over_sigma2", "--values", "0,1,100", "--q", "1",
+                     "--epsilon", "0.01", "--out", str(tmp_path / "gain.csv")]) == 0
+        assert len(read_rows(tmp_path / "gain.csv")) == 4
+        assert calls == {"maximize_unconstrained": [1.0] * 3, "qos_threshold": [1.0]}
 
     def test_full_load_row_reuses_the_reference(self, monkeypatch, tmp_path):
         # The default grid ends at q = 1, whose optimum is the reference itself.
@@ -415,9 +431,10 @@ class TestSimulate:
         assert main(["simulate", "--q", "5e-324", "--K", "1", "--f", "0.5"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: arrival probability q = 5e-324 is too small for "
-                                "total_packets = 1000: a run lasts about total_packets / q "
-                                "slots, which must not exceed 2**53\n")
+        assert captured.err == ("error: campaign too long: num_runs = 1000 runs, each of "
+                                "warmup_slots = 0 slots then total_packets = 1000 arrivals at "
+                                "q = 5e-324, last about num_runs * (total_packets / q + "
+                                "warmup_slots) slots, which must not exceed 2**40\n")
 
     def test_seed_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -7,10 +7,12 @@ what went wrong on stderr when it does not return 0.
 
 A simulate campaign lasts about total_packets / q slots a run, so its
 draw is bounded: at most 300 packets, 5 runs and 2000 warm-up slots, and
-q no smaller than 0.05 but at 5e-324 and 1e-300, which a config rejects
-before a slot runs. A smaller q that runs waits on a slot budget (item 6
-of ROADMAP.md). K reaches past the int32 range up to the int64 one, and
-convergence studies mix counts that round to no int or no valid count.
+q no smaller than 0.05 but at 5e-324 and 1e-300, which the 2**40-slot
+campaign budget rejects before a slot runs. A smaller q that runs within
+the budget can still take hours, so it waits on a slot cap per argv
+(item 6 of ROADMAP.md). K reaches past the int32 range up to the int64
+one, and convergence studies mix counts that round to no int or no valid
+count.
 """
 
 import contextlib

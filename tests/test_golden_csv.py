@@ -65,6 +65,9 @@ CASES = {
                          "--q", "0.4"],
     "gain-b-infeasible": ["gain", "--axis", "b_over_sigma2", "--values", "0,1,100", "--q", "0.4",
                           "--epsilon", "1e-3", "--K", "1000"],
+    # base q = 1: each row is its own full-load reference, solved once
+    "gain-b-q1": ["gain", "--axis", "b_over_sigma2", "--values", "0,1,100", "--q", "1",
+                  "--epsilon", "0.01"],
     "sweep-q-exp": ["sweep", "--axis", "q", "--values", "0.2,0.9", "--p-points", "12"],
     "sweep-q-qfunc-qos": ["sweep", *QFUNC_QOS, "--axis", "q", "--values", "1e-5,1",
                           "--p-points", "12"],
@@ -94,6 +97,7 @@ PINS = {
     'gain-b-qfunc2': (0, 'e155db460e4a6a769852713d66003db62f2a9dc5501b768485392424c090a1ba'),
     'gain-b-qfunc-qos': (0, '24cebc15db37b07af651a53b4cacc091f967f364796bf2b54bf8029dfd9c6cd3'),
     'gain-b-infeasible': (2, '9d6627a0514802530411ddf0cf36fc9f24570d0d8d49b74c931657b86c8c9f2a'),
+    'gain-b-q1': (0, '44c350cb63d331f39623eeef781e5ee357d16a4a57fa413555578d155787a438'),
     'sweep-q-exp': (0, 'c88457f1255c22df54dc8102d5ed77760232ecbe4f4f7976cdb114929e4a5789'),
     'sweep-q-qfunc-qos': (0, 'caa9f950e72b42faf8f15f5a2c0e8d61081f4b61c543878798d48b6107cee14f'),
     'sweep-b-exp': (0, '886050b85eeea395fa3067bb2edf46ce68aee7adfb33f03739e8912afe0de988'),

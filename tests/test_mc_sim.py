@@ -23,7 +23,7 @@ from greenlink import (
     stationary_distribution,
 )
 from greenlink.simulate import (_GROUP, _chunk_slots, _cut, _cut_at, _group_entries,
-                                _group_maps, _seek, _skip)
+                                _group_maps, _seek)
 
 SIM = sys.modules["greenlink.simulate"]  # the package's simulate attribute is the function
 
@@ -65,15 +65,31 @@ class TestValidation:
     @pytest.mark.parametrize("q, total", [(5e-324, 1), (5e-324, 1000), (1e-300, 1),
                                           (1e-12, 10**4), (2.0**-44, 2**10), (0.5, 2**60)])
     def test_run_too_long_to_finish(self, q, total):
-        # a run lasts about total / q slots: inf, or beyond 2**53. Only the
-        # config is built; no campaign starts.
-        with pytest.raises(ValueError, match=rf"^arrival probability q = {q!r} is too small "
-                                             rf"for total_packets = {total}: "):
+        # 100 runs of about total / q slots each: inf, or beyond the 2**40-slot
+        # campaign budget. Only the config is built; no campaign starts.
+        with pytest.raises(ValueError, match=rf"^campaign too long: num_runs = 100 runs, each "
+                                             rf"of warmup_slots = 0 slots then total_packets = "
+                                             rf"{total} arrivals at q = {q!r}, last about "):
             config(q=q, total=total)
 
+    @pytest.mark.parametrize("kw", [dict(runs=2**40 + 1, total=1, q=1.0),
+                                    dict(runs=1, total=2**40 + 1, q=1.0),
+                                    dict(runs=1, total=1, q=1.0, warmup_slots=10**400),
+                                    dict(runs=1, total=10**400, q=0.5),
+                                    dict(runs=1, total=1000, q=1e-12)])
+    def test_campaign_over_the_slot_budget(self, kw):
+        # the 1e15-slot campaign last, and counts no float can hold
+        with pytest.raises(ValueError, match=r"^campaign too long: .* which must not exceed "
+                                             r"2\*\*40$"):
+            config(**kw)
+
     def test_run_length_at_the_bound(self):
-        # 2**10 / 2**-43 = 2**53 slots a run is still accepted
-        assert config(q=2.0**-43, total=2**10).total_packets == 2**10
+        # 2**9 runs of 2**10 / 2**-20 slots after 2**30 warm-up slots each are
+        # 2**40 slots, still accepted; one warm-up slot more is not
+        at = dict(q=2.0**-20, total=2**10, runs=2**9, warmup_slots=2**30)
+        assert config(**at).num_runs == 2**9
+        with pytest.raises(ValueError, match="^campaign too long: "):
+            config(**{**at, "warmup_slots": 2**30 + 1})
 
     @pytest.mark.parametrize("kw", [dict(total=100.0), dict(runs=20.0),
                                     dict(warmup_slots=5.0), dict(initial_queue_state=1.0)])
@@ -501,19 +517,6 @@ class TestRawWordDraws:
             _seek(bitgen, 3, word + used)
             assert np.array_equal(bitgen.random_raw(9), straight[at + used:][:9])
 
-    def test_saved_state_resumes_after_rekeying(self):
-        # a straggler's state is saved after its first chunk and restored
-        # once the rest of its block has re-keyed the bit generator
-        bitgen = np.random.Philox(key=0)
-        _seek(bitgen, 2**64 + 3, 0)
-        first = bitgen.random_raw(5)
-        saved = bitgen.state
-        _seek(bitgen, 8, 0)
-        bitgen.random_raw(9)
-        bitgen.state = saved
-        expected = np.random.Philox(key=2**64 + 3).random_raw(12)
-        assert np.array_equal(np.concatenate([first, bitgen.random_raw(7)]), expected)
-
     def test_straggler_campaign_matches_replays(self):
         cfg = config(q=0.01, f=0.002, K=1, total=3, runs=24, seed=606,
                      warmup_slots=25, track_occupancy=True)
@@ -533,25 +536,30 @@ class TestRawWordDraws:
 
 
 class TestChunkDraws:
-    """A chunk draws its arrival words in a bounded first piece, draws the
-    rest only when that piece misses the run's last arrival, skips the
-    unread rest by moving the Philox counter, and draws only the success
-    words its slots read. Whichever of these it does, every slot reads the
-    words a straight draw of the whole stream puts there."""
+    """A chunk seeks to its first word and draws its arrival words in a
+    bounded first piece, draws the rest only when that piece misses the
+    run's last arrival, seeks past the unread rest, and draws only the
+    success words its slots read. Whichever of these it does, every slot
+    reads the words a straight draw of the whole stream puts there."""
 
     @pytest.mark.parametrize("counter", [(0, 0, 0, 0), (2**64 - 3, 0, 0, 0)])
     @pytest.mark.parametrize("used", range(4))  # words already taken from the 4-word buffer
     def test_skip_lands_where_a_straight_draw_would(self, counter, used):
-        state = np.random.Philox(key=2**64 + 5).state
-        state["state"]["counter"] = counter  # the second one carries past 2**64 as it skips
+        # a draw of used words from word, then a seek past words more, as a
+        # chunk seeks past its unread arrival words; the second counter
+        # carries past 2**64 blocks on the way
+        key = 2**64 + 5
+        state = np.random.Philox(key=key).state
+        state["state"]["counter"] = counter
         stream = np.random.Philox()
         stream.state = state
         straight = stream.random_raw(used + 100_012)
+        word = 4 * counter[0]
         for words in [*range(10), 3999, 4001, 100_003]:
             skipping = np.random.Philox()
-            skipping.state = state
+            _seek(skipping, key, word)
             skipping.random_raw(used)
-            _skip(skipping, words)
+            _seek(skipping, key, word + used + words)
             assert np.array_equal(skipping.random_raw(9), straight[used + words:][:9]), words
 
     @pytest.mark.parametrize("size, spread", [(1, 1.0), (50, 0.3), (5000, 0.02), (5000, 1.0)])
@@ -569,17 +577,17 @@ class TestChunkDraws:
                 assert _cut_at(arrival, left, at.size) == at[left - 1] + 1
 
     @pytest.mark.parametrize("kw,first,paths", [
-        # first pieces that hold the last arrival and skip the rest
-        (dict(q=0.9, f=0.3, K=10, total=27_000), None, {("skip", False)}),
-        (dict(q=0.9, f=0.0, K=10, total=27_000), None, {("skip", False)}),
-        (dict(q=0.9, f=1.0, K=10, total=27_000), None, {("skip", False)}),
-        (dict(q=1.0, f=0.5, K=10, total=30_000, warmup_slots=3000), None, {("skip", False)}),
-        (dict(q=0.9, f=0.25, K=200, total=27_000, warmup_slots=3000), None, {("skip", False)}),
+        # first pieces that hold the last arrival and seek past the rest
+        (dict(q=0.9, f=0.3, K=10, total=27_000), None, {("seek", False)}),
+        (dict(q=0.9, f=0.0, K=10, total=27_000), None, {("seek", False)}),
+        (dict(q=0.9, f=1.0, K=10, total=27_000), None, {("seek", False)}),
+        (dict(q=1.0, f=0.5, K=10, total=30_000, warmup_slots=3000), None, {("seek", False)}),
+        (dict(q=0.9, f=0.25, K=200, total=27_000, warmup_slots=3000), None, {("seek", False)}),
         # first pieces of half a chunk, which miss and draw the rest
         (dict(q=0.5, f=0.45, K=10, total=5000, warmup_slots=200), "half", {("miss", False)}),
-        # stragglers, some of whose later chunks skip
+        # stragglers, some of whose later chunks seek past the rest
         (dict(q=0.01, f=0.002, K=1, total=3, runs=24, seed=606, warmup_slots=25), "half",
-         {("skip", True), ("miss", False)}),
+         {("seek", True), ("miss", False)}),
         # a short run keeps one whole-chunk draw
         (dict(q=0.5, f=0.5, K=10, total=1000, warmup_slots=50), None, {("whole", False)}),
     ])
@@ -588,11 +596,12 @@ class TestChunkDraws:
             monkeypatch.setattr(SIM, "_first_slots", lambda left, q, n: n // 2)
         seen, chunk = set(), SIM._chunk
 
-        def spy(bitgen, cuts, q, left, track):
-            out = chunk(bitgen, cuts, q, left, track)
+        def spy(bitgen, cuts, q, key, word, left, track):
+            out = chunk(bitgen, cuts, q, key, word, left, track)
             n = _chunk_slots(left, q)
-            piece, slots, after = SIM._first_slots(left, q, n), out[0][2], out[1]
-            path = "whole" if piece == n else "skip" if not after and slots <= piece else "miss"
+            assert out[1] == word + 2 * n  # the next chunk's word
+            piece, slots, after = SIM._first_slots(left, q, n), out[0][2], out[2]
+            path = "whole" if piece == n else "seek" if not after and slots <= piece else "miss"
             seen.add((path, left < kw["total"]))
             return out
 

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 import oracles
 from greenlink import (
@@ -21,6 +21,7 @@ from greenlink import (
     qos_threshold,
     stationarity_residual,
 )
+from greenlink.efficiency import _slope_reader
 from greenlink.optimize import _root_log
 
 
@@ -683,6 +684,68 @@ class TestQfuncTwoPeaks:
         better = efficiency(self.system, self.queue, self.model, 6.638e-3).eta
         assert efficiency(self.system, self.queue, self.model,
                           best.p_star_constrained).eta >= better
+
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: where the qfunc model's eta "
+                                           "peaks twice, maximize_constrained can return "
+                                           "the lower peak")
+    @given(
+        K=st.floats(2.0, 6.0).map(lambda e: int(round(10.0 ** e))),
+        kappa=st.floats(math.log10(0.7), math.log10(3.0)).map(lambda e: 10.0 ** e),
+        rate_ratio=st.floats(1.0, 4.0),
+        # q from f(0) to 10 f(0): Phi's cliff, where f = q, then lies at low power
+        q_over_f0=st.floats(0.0, 1.0).map(lambda e: 10.0 ** e),
+        b_over_sigma2=st.one_of(st.just(0.0), st.floats(-2.0, 4.0).map(lambda e: 10.0 ** e)),
+        log_eps=st.one_of(st.just(0.0), st.floats(-12.0, 0.0)),
+        p_min_over_sigma2=st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True, phases=[Phase.generate])
+    def test_constrained_optimum_matches_grid(self, K, kappa, rate_ratio, q_over_f0,
+                                              b_over_sigma2, log_eps, p_min_over_sigma2):
+        # b/sigma2 up to 1e4, kappa down to 0.7 and p_min below sigma2 = 1 mW
+        R, b = 1000.0 * rate_ratio, b_over_sigma2 * 1e-3
+        q = min(1.0, max(1e-8, 0.5 * math.erfc(kappa * rate_ratio / math.sqrt(2.0)) * q_over_f0))
+        system = SystemParams(rate_R=R, fixed_power_b=b, noise_sigma2=1e-3,
+                              p_min=p_min_over_sigma2 * 1e-3, p_max=P_MAX,
+                              loss_bound_epsilon=10.0 ** log_eps)
+        model = QKnownChannel(rate_R=R, rate_R0=1000.0, spread_kappa=kappa,
+                              channel_gain_hh=1.0, noise_sigma2=1e-3)
+        res = maximize_constrained(system, QueueParams(q, K), model)
+        ref = oracles.grid_constrained_argmax_qfunc(
+            q, K, R, b, 1.0, kappa, rate_ratio, 1e3, system.loss_bound_epsilon, system.p_min,
+            P_MAX, n=50_000)
+        if ref is None or res.binding is Binding.INFEASIBLE:
+            return  # feasibility is TestQfuncMatchesGrid's
+        best = float(oracles.eta_grid_qfunc(np.array([ref]), q, K, R, b, 1.0, kappa,
+                                            rate_ratio, 1e3)[0])
+        eta = efficiency(system, QueueParams(q, K), model, res.p_star_constrained).eta
+        assert eta >= best * (1.0 - 1e-6)
+
+
+class TestExpSlopeSignChanges:
+    """The exp model's fast path takes eta's slope to fall from + to - at most
+    once, so that Brent's one sign change is the peak. Over ROADMAP item 3's
+    exp domain it does, on 1500 powers from 1e-5 sigma2 to 1e6 W."""
+
+    powers = np.exp(np.linspace(math.log(1e-8), math.log(1e6), 1500)).tolist()
+
+    @given(
+        rate_ratio=st.floats(-2.0, math.log10(20.0)).map(lambda e: 10.0 ** e),
+        q=st.floats(-8.0, 0.0).map(lambda e: 10.0 ** e),
+        K=st.floats(0.0, 6.0).map(lambda e: int(round(10.0 ** e))),
+        b_over_sigma2=st.one_of(st.just(0.0), st.floats(-4.0, 6.0).map(lambda e: 10.0 ** e)),
+        a=st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_slope_changes_sign_at_most_once(self, rate_ratio, q, K, b_over_sigma2, a):
+        R = 1000.0 * rate_ratio
+        system = SystemParams(rate_R=R, fixed_power_b=b_over_sigma2 * 1e-3, noise_sigma2=1e-3,
+                              p_min=1e-8, p_max=1e6, amp_coeff_a=a)
+        model = ExpUnknownChannel(rate_R=R, rate_R0=1000.0, noise_sigma2=1e-3)
+        slope = _slope_reader(system, QueueParams(q, K), model)
+        signs = [s for s in (math.copysign(1.0, r) for r in map(slope, self.powers) if r)]
+        changes = sum(x != y for x, y in zip(signs, signs[1:]))
+        assert changes == 0 or (changes == 1 and signs[0] > 0)
 
 
 def reference_root_log(fun, lo, hi, f_lo, f_hi, tol):
