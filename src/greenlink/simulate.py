@@ -3,9 +3,9 @@
 Cross-checks the closed-form loss fraction: each run feeds a fixed
 number of packet arrivals through the queue and reports the fraction
 lost. Runs use independent counter-based RNG streams keyed by
-seed + run index, so any subset of runs reproduces bit-for-bit. A
-campaign holds one ``np.random.Philox`` and points it at a word of a
-run's stream as that stream, ``np.random.Philox(key=seed + i)``, would
+seed + run index, so any subset of runs reproduces bit-for-bit. Each
+block of runs holds one ``np.random.Philox`` and points it at a word of
+a run's stream as that stream, ``np.random.Philox(key=seed + i)``, would
 stand after drawing the words before it (see ``_seek``).
 
 Every slot draws an arrival bit (probability q) and a success bit
@@ -31,9 +31,23 @@ the groups stand in for a Python step per slot. A block's warm-ups step
 first, as a block of their own whose losses are dropped, in pieces of at
 most _BLOCK_CELLS slots (see ``_warm_up``), then its first chunks; a run
 that needs more (a straggler) steps each later chunk alone.
+
+Blocks share nothing but the campaign's config: each seeks its own
+Philox and writes only its runs' losses and occupancy rows, so they can
+step at once. When a run lasts at least _THREAD_SLOTS slots (its warm-up
+and first chunk), a block's time goes to Philox draws, compares and
+whole-array passes that release the GIL, and the blocks step on worker
+threads, one per CPU the process may run on, and never more than the
+blocks; such a campaign is cut into at least one block per worker that
+it has runs for. Shorter runs spend their time in Python between small
+numpy calls, and their blocks step on the calling thread. Every draw
+compares at most _PIECE raw words at once (see ``_bits``), so a worker
+holds at most 2 MiB of words besides its chunk's bits, one byte per slot.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List, NamedTuple, Optional, Sequence
 
@@ -47,6 +61,8 @@ _MAX_CHUNK_SLOTS = 2**22
 _SLACK_SLOTS = 4096  # slots the first arrival draw adds to its bound (see _first_slots)
 _SLOT_BUDGET = 2**40  # the most slots a campaign may be expected to last
 _BLOCK_CELLS = 2**20  # run x slot cells drawn per block of runs
+_THREAD_SLOTS = 2**14  # slots a run lasts, at least, for its blocks to go to worker threads
+_PIECE = 2**18  # most raw words a draw holds at once (see _bits)
 _GROUP = 32  # moves per clamp map
 _WORD_MASK = 2**64 - 1
 _ZERO_WORDS = (0, 0, 0, 0)
@@ -144,6 +160,29 @@ def _cut(p: float):
     return np.less, np.uint64(cut)
 
 
+def _bits(bitgen: np.random.Philox, n: int, cut):
+    """compare(w, bound) of bitgen's next n raw words w, cut being (compare,
+    bound) (see _cut), as one bool array. The words are drawn in pieces of at
+    most _PIECE, each compared into its slice, so a draw holds at most
+    8 * _PIECE bytes of words however long; a draw of one piece is direct."""
+    compare, bound = cut
+    if n <= _PIECE:
+        return compare(bitgen.random_raw(n), bound)
+    bits = np.empty(n, dtype=bool)
+    for start in range(0, n, _PIECE):
+        piece = bits[start:start + _PIECE]
+        compare(bitgen.random_raw(piece.size), bound, out=piece)
+    return bits
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _chunk_slots(arrivals_left: int, q: float) -> int:
     # Size chunks so one usually suffices: ~1/q slots per arrival.
     return min(_MAX_CHUNK_SLOTS, int(arrivals_left / q * 1.15) + 64)
@@ -226,21 +265,20 @@ def _chunk(bitgen, cuts, q, key, word, left, track):
     that leaves arrival words unread seeks to, and only for the slots it
     keeps; its next chunk starts on word + 2n whatever was drawn. Every word
     a slot reads keeps its stream position."""
-    (arrive, arrive_bound), (succeed, succeed_bound) = cuts
+    arrive, succeed = cuts
     n = _chunk_slots(left, q)
     _seek(bitgen, key, word)
-    arrival = arrive(bitgen.random_raw(_first_slots(left, q, n)), arrive_bound)
+    arrival = _bits(bitgen, _first_slots(left, q, n), arrive)
     count = np.count_nonzero(arrival)
     if count < left and arrival.size < n:
-        rest = arrive(bitgen.random_raw(n - arrival.size), arrive_bound)
+        rest = _bits(bitgen, n - arrival.size, arrive)
         arrival = np.concatenate([arrival, rest])
         count += np.count_nonzero(rest)
     if arrival.size < n:  # arrival words left unread; else the generator stands there
         _seek(bitgen, key, word + n)
     if count >= left:
         arrival = arrival[:_cut_at(arrival, left, count)]
-    success = succeed(bitgen.random_raw(arrival.size), succeed_bound)
-    steps, moves = _moves(arrival, success)
+    steps, moves = _moves(arrival, _bits(bitgen, arrival.size, succeed))
     return (steps, moves if track else None, arrival.size), word + 2 * n, max(left - count, 0)
 
 
@@ -282,16 +320,20 @@ def _step(chunks, x, K, occ):
         cells[:steps.size, r] = steps
     rows = cells.reshape(groups, _GROUP, -1).swapaxes(0, 1)  # rows[j]: move j of every group
     entry = _group_entries(*_group_maps(rows, K), x)
-    states = np.empty(rows.shape, dtype=np.int64) if occ is not None else None
-    _replay(rows, entry, K, states)
+    # states[m, r] is move m's start state, written through rows' view of it
+    states = np.empty(cells.shape, dtype=np.int64) if occ is not None else None
+    _replay(rows, entry, K, None if states is None else
+            states.reshape(groups, _GROUP, -1).swapaxes(0, 1))
     x[:] = entry[-1]  # entry now holds the states leaving each group
     if occ is not None:
         # A move's state lasts from the slot after the previous move through
         # its own, and the state after the last move to the chunk's end.
-        states = states.swapaxes(0, 1).reshape(cells.shape)
         for r, (_, moves, n) in enumerate(chunks):
-            at, gaps = states[:moves.size, r], np.diff(moves, prepend=-1)
-            occ[r] += np.bincount(at, weights=gaps, minlength=K + 1).astype(np.int64)
+            gaps = np.empty(moves.size)  # float64, as bincount takes its weights
+            np.subtract(moves[1:], moves[:-1], out=gaps[1:])
+            gaps[:1] = moves[:1] + 1
+            occ[r] += np.bincount(states[:moves.size, r], weights=gaps,
+                                  minlength=K + 1).astype(np.int64)
             occ[r, x[r]] += n - 1 - int(moves[-1]) if moves.size else n
     return np.count_nonzero(cells.view(bool), axis=0)
 
@@ -300,25 +342,26 @@ def _warm_up(bitgen, cuts, warm: int, keys, x, K) -> None:
     """Step the runs keyed keys from states x, updated in place, over their
     warm-ups of warm slots, whose losses do not count. Piece k of at most
     _BLOCK_CELLS slots reads a run's arrival words [kC, kC + n) and success
-    words [warm + kC, warm + kC + n), C being _BLOCK_CELLS, so no draw holds
-    more than C words however long the warm-up."""
-    (arrive, arrive_bound), (succeed, succeed_bound) = cuts
+    words [warm + kC, warm + kC + n), C being _BLOCK_CELLS, so no piece holds
+    more than 2C bits however long the warm-up."""
+    arrive, succeed = cuts
     for start in range(0, warm, _BLOCK_CELLS):
         n = min(_BLOCK_CELLS, warm - start)
         pieces = []
         for key in keys:
             _seek(bitgen, key, start)
-            arrival = arrive(bitgen.random_raw(n), arrive_bound)
+            arrival = _bits(bitgen, n, arrive)
             _seek(bitgen, key, warm + start)
-            pieces.append((_moves(arrival, succeed(bitgen.random_raw(n), succeed_bound))[0],
-                           None, n))
+            pieces.append((_moves(arrival, _bits(bitgen, n, succeed))[0], None, n))
         _step(pieces, x, K, None)
 
 
 def _block(bitgen, cuts, config: SimConfig, first_key: int, losses, occ) -> int:
     """Step the runs keyed first_key, first_key + 1, ..., one per entry of
     losses, which gains their losses; occ, None or their rows of occupancy
-    counts, gains their slot-start states. Their warm-ups step first, as a
+    counts, gains their slot-start states. bitgen is the block's own, a seek
+    puts it at every word it draws, and nothing else is written, so blocks on
+    other threads cannot change the result. Their warm-ups step first, as a
     block whose losses and states do not count; a run's first chunk starts
     on the word after its warm-up's, and a straggler carries the word its
     next chunk starts on. Returns the slots stepped."""
@@ -349,24 +392,41 @@ def _block(bitgen, cuts, config: SimConfig, first_key: int, losses, occ) -> int:
 
 
 def simulate(config: SimConfig) -> SimReport:
-    """Run the campaign and compare the loss fraction against the closed form."""
+    """Run the campaign and compare the loss fraction against the closed form.
+
+    Runs of at least _THREAD_SLOTS slots step their blocks on worker threads,
+    up to one per CPU the process may run on; every result is the one the
+    calling thread alone gives. An error in a block is raised here, once the
+    blocks already stepping end, and the blocks not yet started never run."""
     q = config.queue.arrival_prob_q
     f = config.success_prob_f
     K = int(config.queue.buffer_size_K)
     total = config.total_packets
     runs = config.num_runs
-    bitgen = np.random.Philox(key=0)  # re-keyed to each run's stream
     cuts = (_cut(q), _cut(f))
 
     losses = np.zeros(runs, dtype=np.int64)
     occ_counts = np.zeros((runs, K + 1), dtype=np.int64) if config.track_occupancy else None
-    blocks = -(-runs * (config.warmup_slots + _chunk_slots(total, q)) // _BLOCK_CELLS)
-    per_block = -(-runs // blocks)
-    slots = 0
-    for lo in range(0, runs, per_block):
-        block = slice(lo, lo + per_block)
-        occ = occ_counts[block] if occ_counts is not None else None
-        slots += _block(bitgen, cuts, config, int(config.seed) + lo, losses[block], occ)
+    run_slots = config.warmup_slots + _chunk_slots(total, q)
+    # A block of long runs spends its time in numpy calls that release the
+    # GIL; short runs spend theirs in Python between small calls, where
+    # threads would only contend for it.
+    cpus = _cpus() if run_slots >= _THREAD_SLOTS else 1
+    blocks = min(runs, max(-(-runs * run_slots // _BLOCK_CELLS), cpus))
+    edges = [runs * b // blocks for b in range(blocks + 1)]
+
+    def step_block(b: int) -> int:
+        lo, hi = edges[b], edges[b + 1]
+        occ = occ_counts[lo:hi] if occ_counts is not None else None
+        bitgen = np.random.Philox(key=0)  # re-keyed to each run's stream
+        return _block(bitgen, cuts, config, int(config.seed) + lo, losses[lo:hi], occ)
+
+    workers = min(blocks, cpus)
+    if workers == 1:
+        slots = sum(map(step_block, range(blocks)))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            slots = sum(pool.map(step_block, range(blocks)))
     per_run = losses / total
     occ_fracs = None
     if occ_counts is not None:

@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from greenlink import (
     simulate,
     stationary_distribution,
 )
-from greenlink.simulate import (_GROUP, _chunk_slots, _cut, _cut_at, _group_entries,
+from greenlink.simulate import (_GROUP, _bits, _chunk_slots, _cut, _cut_at, _group_entries,
                                 _group_maps, _seek)
 
 SIM = sys.modules["greenlink.simulate"]  # the package's simulate attribute is the function
@@ -517,6 +519,24 @@ class TestRawWordDraws:
             _seek(bitgen, 3, word + used)
             assert np.array_equal(bitgen.random_raw(9), straight[at + used:][:9])
 
+    @pytest.mark.parametrize("p", [0.3, 1.0])  # np.less, and np.less_equal at p = 1
+    @pytest.mark.parametrize("piece", range(1, 6))
+    def test_pieces_match_one_draw(self, piece, p, monkeypatch):
+        # draws of at most piece words, starting on every word of two 4-word
+        # Philox blocks, compare into one array as one whole draw would, and
+        # leave the generator where that draw does
+        monkeypatch.setattr(SIM, "_PIECE", piece)
+        cut = _cut(p)
+        compare, bound = cut
+        key = 2**64 + 9
+        for start in range(8):
+            for n in (1, piece, piece + 1, 2 * piece + 3, 17):
+                bitgen = np.random.Philox()
+                _seek(bitgen, key, start)
+                words = np.random.Philox(key=key).random_raw(start + n + 5)[start:]
+                assert np.array_equal(_bits(bitgen, n, cut), compare(words[:n], bound))
+                assert np.array_equal(bitgen.random_raw(5), words[n:])
+
     def test_straggler_campaign_matches_replays(self):
         cfg = config(q=0.01, f=0.002, K=1, total=3, runs=24, seed=606,
                      warmup_slots=25, track_occupancy=True)
@@ -616,6 +636,94 @@ class TestChunkDraws:
             assert np.array_equal(rep.per_run_occupancy[i], occ)
             slots += used
         assert rep.slots == slots
+
+
+class TestWorkerThreads:
+    """Blocks of long runs step on up to one worker thread per CPU, each on
+    its own Philox; a run's result does not depend on how many there are."""
+
+    @staticmethod
+    def pools(monkeypatch):
+        """The worker counts of the pools simulate builds from now on."""
+        built, pool = [], SIM.ThreadPoolExecutor
+
+        def spy(workers):
+            built.append(workers)
+            return pool(workers)
+
+        monkeypatch.setattr(SIM, "ThreadPoolExecutor", spy)
+        return built
+
+    @pytest.mark.parametrize("kw", [
+        # 50 warmed runs of 28064 slots fill two blocks
+        dict(q=0.5, f=0.45, K=10, total=10_000, runs=50, warmup_slots=5000),
+        # occupancy tracked over 40 runs of 36564 slots, two blocks
+        dict(q=0.1, f=0.0825, K=100, total=3000, runs=40, warmup_slots=2000,
+             track_occupancy=True),
+        # stragglers, runs long by their warm-up, over two blocks
+        dict(q=0.01, f=0.002, K=1, total=3, runs=60, seed=606, warmup_slots=20_000,
+             track_occupancy=True),
+        # three runs, one block of cells, split into one block per worker
+        dict(q=0.3, f=0.4, K=5, total=5000, runs=3, track_occupancy=True),
+    ])
+    def test_runs_do_not_depend_on_the_worker_count(self, kw, monkeypatch):
+        cfg = config(**{"seed": 41, **kw})
+        run_slots = cfg.warmup_slots + _chunk_slots(cfg.total_packets, cfg.queue.arrival_prob_q)
+        assert run_slots >= SIM._THREAD_SLOTS
+        cell_blocks = -(-cfg.num_runs * run_slots // SIM._BLOCK_CELLS)
+        built = self.pools(monkeypatch)
+        reports = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(SIM, "_cpus", lambda: cpus)
+            reports.append(simulate(cfg))
+        # the pool takes one worker per block up to one per CPU
+        assert built == [min(cfg.num_runs, max(cell_blocks, cpus), cpus) for cpus in (2, 3)]
+        one = reports[0]
+        for rep in reports[1:]:
+            assert np.array_equal(rep.per_run_losses, one.per_run_losses)
+            if cfg.track_occupancy:
+                assert np.array_equal(rep.per_run_occupancy, one.per_run_occupancy)
+            assert rep.slots == one.slots
+
+    def test_short_runs_stay_on_the_calling_thread(self, monkeypatch):
+        # the CLI's default run length: 1000 runs of 2364 slots, three blocks
+        monkeypatch.setattr(SIM, "_cpus", lambda: 4)
+        built = self.pools(monkeypatch)
+        blocks, block = [], SIM._block
+
+        def spy(*args):
+            blocks.append(threading.current_thread())
+            return block(*args)
+
+        monkeypatch.setattr(SIM, "_block", spy)
+        simulate(config(q=0.5, f=0.5, K=10, total=1000, runs=1000))
+        assert built == []
+        assert blocks == [threading.main_thread()] * 3
+
+    def test_failed_block_cancels_the_rest(self, monkeypatch):
+        # eight blocks of one long run on two workers: the second raises, and
+        # each later block holds its worker long enough for the failure to
+        # reach simulate, which cancels the blocks no worker has taken
+        monkeypatch.setattr(SIM, "_cpus", lambda: 2)
+        monkeypatch.setattr(SIM, "_BLOCK_CELLS", 1)
+        cfg = config(q=0.5, f=0.45, total=10_000, runs=8, seed=3)
+        started, block = [], SIM._block
+
+        def failing(bitgen, cuts, cfg, first_key, losses, occ):
+            b = first_key - cfg.seed
+            started.append(b)
+            if b == 1:
+                raise RuntimeError("block 1 failed")
+            if b > 1:
+                time.sleep(0.5)
+            return block(bitgen, cuts, cfg, first_key, losses, occ)
+
+        monkeypatch.setattr(SIM, "_block", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="^block 1 failed$"):
+            simulate(cfg)
+        assert {0, 1} <= set(started) <= {0, 1, 2, 3}
+        assert threading.active_count() == threads
 
 
 class TestReportCounters:
