@@ -21,10 +21,10 @@ model.success_probability and packet_loss up at each call, so a wrapper
 installed on either is used.
 
 The exact slope has one rule and one form too: _slope_reader(system,
-queue, model) binds b/a and the model's link reader p -> (f, f') once
-and returns p -> (u + F - 1)/(u + F + 1), so a power search builds it
-once, and each power reads f and f' in one call and the queue law in
-one read. stationarity_residual is that reader built for one call.
+queue, model) binds b/a and the model's link reader p -> (f, F) once,
+F = p f'/f, and returns p -> (u + F - 1)/(u + F + 1), so a power search
+builds it once, and each power reads f and F in one call and the queue
+law in one read. stationarity_residual is that reader built for one call.
 """
 
 import math
@@ -139,14 +139,14 @@ def stationarity_residual(
     Returned is its numerator over b H + X (F + 1), in the form
 
         (u + F - 1) / (u + F + 1),
-        u = b H / X = (b/a) (Pr(full)/q) (f + K - E[state]) f' / (1 - Phi)**2,
+        u = b H / X = (b/a)/p (Pr(full)/q) (f + K - E[state]) F f / (1 - Phi)**2,
 
     which has the slope's sign (positive below the maximizer, negative
     above it), is smooth, and has a magnitude that certifies an optimum
-    even where one term of the slope is tiny. Neither u nor F holds a
-    bare factor of p or q, so a subnormal q or noise power leaves them in
-    range. It is +1 where u + F is inf, and where eta is identically zero
-    (1 - Phi rounds to 0, as it does once f underflows, at low power).
+    even where one term of the slope is tiny. Neither u nor F holds f' or
+    a bare factor of q, and b/a is divided by p first, so a subnormal q or
+    noise power leaves them in range. It is +1 where u + F is inf, and where
+    eta is identically zero (1 - Phi rounds to 0 once f underflows).
     """
     return _slope_reader(system, queue, model)(p)
 
@@ -156,8 +156,8 @@ def _slope_reader(
 ) -> Callable[[float], float]:
     """p -> stationarity_residual(system, queue, model, p), built once per search.
 
-    b/a and the model's link reader p -> (f, f') are bound once, and each
-    power reads f and f' in one call and the queue law in one read.
+    b/a and the model's link reader p -> (f, F) are bound once, and each
+    power reads f and F in one call and the queue law in one read.
     """
     read = _link_reader(model)
     b_over_a = system.fixed_power_b / system.amp_coeff_a
@@ -165,13 +165,14 @@ def _slope_reader(
     def slope(p: float) -> float:
         if not 0.0 < p < math.inf:
             _success(model, p)  # the p > 0 rule, then the model's own for p = inf
-        f, df = read(p)
+        f, F = read(p)
         full, full_q, log_slope = _full_and_log_slope(queue, f)
         delivered = 1.0 - (1.0 - f) * full  # 1 - Phi
         if delivered <= 0.0:  # no goodput, the same rule as in efficiency
             return 1.0
-        F = p * df / f
-        u = b_over_a * full_q * (f + log_slope) * df / delivered / delivered
+        u = b_over_a / p * full_q * (f + log_slope) * F * f / delivered / delivered
+        if not u < math.inf:  # b/a/p overflowed: divide p into F, as f'/f, instead
+            u = b_over_a * full_q * (f + log_slope) * (F / p * f) / delivered / delivered
         return (u + F - 1.0) / (u + F + 1.0) if u + F < math.inf else 1.0
 
     return slope

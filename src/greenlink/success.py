@@ -5,9 +5,10 @@ packet transmitted in one slot is decoded correctly. Both families are
 monotone and sigmoidal in p, rising toward 1. With the exp model eta had
 one interior peak on every link tested; with the qfunc model it can have two.
 
-Each model builds one link reader, p -> (f, df/dp), the first time it is
-asked for it (_link_reader). success_derivative reads through it, so f'
-has one formula, and a power search reads f and f' in one call.
+Each model builds one link reader, p -> (f, F = p f'/f), the first time
+it is asked for it (_link_reader): a power search reads f and F in one
+call, and success_derivative reads f' = F f / p, its one formula, through
+it. F stays in range at subnormal p, where f' itself can overflow.
 """
 
 import math
@@ -91,14 +92,13 @@ class ExpUnknownChannel:
 
     def success_derivative(self, p: float) -> float:
         """df/dp = f(p) * c / p**2, exact for this family."""
-        if not 0.0 < p < math.inf:
-            _reject_power(p, "derivative requires positive transmit power")
-        return self._reader(p)[1]
+        return _derivative(self, p)
 
     @cached_property
     def _reader(self) -> Callable[[float], Tuple[float, float]]:
-        """p -> (f, df/dp) for 0 < p < inf, built once per model."""
-        return partial(_exp_f_and_df, self.power_scale)
+        """p -> (f, F) = (exp(-c/p), c/p) for 0 < p < inf, built once per model."""
+        c = self.power_scale
+        return lambda p: (math.exp(-c / p), c / p)
 
 
 @dataclass(frozen=True)
@@ -139,28 +139,23 @@ class QKnownChannel:
 
     def success_derivative(self, p: float) -> float:
         """df/dp = kappa * phi(arg) * hh / (sigma2 + hh p), phi the normal pdf; exact."""
-        if not 0.0 < p < math.inf:
-            _reject_power(p, "derivative requires positive transmit power")
-        return self._reader(p)[1]
+        return _derivative(self, p)
 
     @cached_property
     def _reader(self) -> Callable[[float], Tuple[float, float]]:
-        """p -> (f, df/dp) for 0 < p < inf, built once per model."""
-        return partial(_q_f_and_df, *self._link)
+        """p -> (f, F) for 0 < p < inf, built once per model."""
+        return partial(_q_f_and_elasticity, *self._link)
 
 
 SuccessModel = Union[ExpUnknownChannel, QKnownChannel]
 
 
-def _exp_f_and_df(c: float, p: float) -> Tuple[float, float]:
-    """(f, df/dp) of f = exp(-c/p) at 0 < p < inf."""
-    f = math.exp(-c / p)
-    if f == 0.0:
-        return f, 0.0  # also where c is inf, and 0 * inf is nan
-    p_squared = p * p
-    if p_squared == 0.0:  # p below ~1.5e-162
-        return f, f * c / p / p
-    return f, f * c / p_squared
+def _derivative(model: SuccessModel, p: float) -> float:
+    """df/dp = F f / p through the model's reader; 0 where f is 0, where F may be inf."""
+    if not 0.0 < p < math.inf:
+        _reject_power(p, "derivative requires positive transmit power")
+    f, F = model._reader(p)
+    return F * f / p if f else 0.0
 
 
 def _q_argument(ratio: float, kappa: float, hh: float, sigma2: float, p: float) -> float:
@@ -177,24 +172,28 @@ def _q_argument(ratio: float, kappa: float, hh: float, sigma2: float, p: float) 
     return kappa * (ratio - math.log1p(snr))
 
 
-def _q_f_and_df(ratio: float, kappa: float, hh: float, sigma2: float,
-                p: float) -> Tuple[float, float]:
-    """(f, df/dp) of the qfunc model at 0 < p < inf, from one argument."""
+def _q_f_and_elasticity(ratio: float, kappa: float, hh: float, sigma2: float,
+                        p: float) -> Tuple[float, float]:
+    """(f, F = kappa phi(arg)/f * snr/(1 + snr)), snr = hh p/sigma2, at 0 < p < inf."""
     arg = _q_argument(ratio, kappa, hh, sigma2, p)
-    density = kappa * _INV_SQRT_2PI * math.exp(-0.5 * arg * arg)
-    total = sigma2 + hh * p
-    if total == math.inf:  # sigma2 + hh p overflowed; hh / total is 1 / (sigma2/hh + p)
-        return gaussian_q(arg), density / (sigma2 / hh + p)
-    return gaussian_q(arg), density * hh / total
+    f = gaussian_q(arg)
+    if f == 0.0:  # phi/f has no float value
+        return f, math.inf
+    F = kappa * _INV_SQRT_2PI * math.exp(-0.5 * arg * arg) / f
+    snr = hh * p / sigma2  # inf once hh p or the quotient overflows: then read 1/(1 + 1/snr)
+    return f, (F * snr / (1.0 + snr) if snr < math.inf else F / (1.0 + sigma2 / hh / p))
 
 
 def _link_reader(model: SuccessModel) -> Callable[[float], Tuple[float, float]]:
-    """The model's reader p -> (f(p), f'(p)) for 0 < p < inf.
+    """The model's reader p -> (f(p), F(p) = p f'(p)/f(p)) for 0 < p < inf.
 
     A model without one, any object with success_probability and
-    success_derivative, is read through those two methods.
+    success_derivative, is read through those two methods (F = inf at f = 0).
     """
     try:
         return model._reader
     except AttributeError:
-        return lambda p: (model.success_probability(p), model.success_derivative(p))
+        def read(p: float) -> Tuple[float, float]:
+            f = model.success_probability(p)
+            return f, (p * model.success_derivative(p) / f if f else math.inf)
+        return read

@@ -6,9 +6,10 @@ q down to 1e-6, K up to 1e6, kappa from 2 to 100, b = 0, and loads
 within 1e-9 of rho = 1. The queue readers are held bit for bit to the
 regime ladder on rho they replaced, and Pr(full) / q to its q -> 0 limit.
 The optimizer's slope reader is held bit for bit to the ratio-form slope
-composed from the models' public f and f', as it was before the reader,
-and reads the queue law once a power; the public slope is held within
-1e-9 to a 60-digit mpmath residual from the birth-death law.
+composed from the models' public f and the elasticity F = p f'/f written
+out per family, and reads the queue law once a power; the public slope is
+held within 1e-9 to a 60-digit mpmath residual from the birth-death law,
+down to a noise power of 1e-312 W, where f' itself overflows.
 """
 
 import math
@@ -235,11 +236,10 @@ def test_qfunc_derivative_matches_central_difference(kappa, hh, arg):
     assert model.success_derivative(p) == pytest.approx(central, rel=1e-5)
 
 
-# -- The slope reader against the slope it replaced ---------------------------
-# Copies of the slope as it was composed before each search built one reader:
-# a power read f through success_probability, then f' (the exp model reading f
-# again, the qfunc model its argument again), then the queue law. The copy
-# takes the slope's one form, (u + F - 1) / (u + F + 1).
+# -- The slope reader against the slope composed from its parts ---------------
+# A power reads f through success_probability, then F = p f'/f (the qfunc
+# model reading its argument again), then the queue law, and takes the
+# slope's one form, (u + F - 1) / (u + F + 1).
 
 WALK_REACH = P_MAX * 1e3 * 2.0 ** 60  # the walk stops at the first power past this
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -257,24 +257,21 @@ def composed_argument(model, p):
     return model.spread_kappa * (ratio - math.log1p(snr))
 
 
-def composed_derivative(model, p):
+def composed_elasticity(model, p):
     if isinstance(model, ExpUnknownChannel):
-        f = model.success_probability(p)
-        if f == 0.0:
-            return 0.0
-        p_squared = p * p
-        if p_squared == 0.0:
-            return f * model.power_scale / p / p
-        return f * model.power_scale / p_squared
+        return model.power_scale / p
+    f = model.success_probability(p)
+    if f == 0.0:
+        return math.inf
     if isinstance(model, QKnownChannel):
         arg = composed_argument(model, p)
-        hh = model.channel_gain_hh
         density = model.spread_kappa * INV_SQRT_2PI * math.exp(-0.5 * arg * arg)
-        total = model.noise_sigma2 + hh * p
-        if total == math.inf:
-            return density / (model.noise_sigma2 / hh + p)
-        return density * hh / total
-    return model.success_derivative(p)
+        hh, sigma2 = model.channel_gain_hh, model.noise_sigma2
+        snr = hh * p / sigma2
+        if snr < math.inf:
+            return density / f * snr / (1.0 + snr)
+        return density / f / (1.0 + sigma2 / hh / p)
+    return p * model.success_derivative(p) / f
 
 
 def composed_residual(system, queue, model, p):
@@ -283,10 +280,11 @@ def composed_residual(system, queue, model, p):
     delivered = 1.0 - (1.0 - f) * full
     if delivered <= 0.0:
         return 1.0
-    df = composed_derivative(model, p)
-    F = p * df / f
+    F = composed_elasticity(model, p)
     b_over_a = system.fixed_power_b / system.amp_coeff_a
-    u = b_over_a * full_q * (f + log_slope) * df / delivered / delivered
+    u = b_over_a / p * full_q * (f + log_slope) * F * f / delivered / delivered
+    if not u < math.inf:
+        u = b_over_a * full_q * (f + log_slope) * (F / p * f) / delivered / delivered
     return (u + F - 1.0) / (u + F + 1.0) if u + F < math.inf else 1.0
 
 
@@ -318,7 +316,7 @@ def reader_model(kind, sigma2, kappa, hh, rate_R0):
 
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(["exp", "qfunc", "stub"]),
-       sigma2=st.sampled_from([SIGMA2, 1e-200, 1e306]),  # p p underflows, sigma2 + hh p overflows
+       sigma2=st.sampled_from([SIGMA2, 1e-200, 1e306]),  # f' near 5e194, hh p overflows
        kappa=st.floats(min_value=0.5, max_value=100.0),
        hh=st.sampled_from([0.05, 1.0, 30.0, 1e300]),
        # R/R0 = 4, beyond 2**(R/R0)'s float range (the exp model's c is inf), and inf
@@ -336,7 +334,7 @@ def reader_model(kind, sigma2, kappa, hh, rate_R0):
 @example(kind="qfunc", sigma2=SIGMA2, kappa=2.0, hh=1e300, rate_R0=1e-320, q=0.5, K=10,
          ratio=1.0, a=1.0, powers=[1e10], offsets=[])  # R/R0 and hh p / sigma2 both inf
 @example(kind="exp", sigma2=1e-200, kappa=2.0, hh=1.0, rate_R0=1000.0, q=5e-324, K=10**6,
-         ratio=0.0, a=2.5, powers=[], offsets=[0.0])  # p p underflows; q subnormal
+         ratio=0.0, a=2.5, powers=[], offsets=[0.0])  # f' = F f / p near 5e194; q subnormal
 def test_slope_reader_matches_the_composed_slope_bit_for_bit(kind, sigma2, kappa, hh, rate_R0,
                                                              q, K, ratio, a, powers, offsets):
     model = reader_model(kind, sigma2, kappa, hh, rate_R0)
@@ -351,10 +349,10 @@ def test_slope_reader_matches_the_composed_slope_bit_for_bit(kind, sigma2, kappa
         assert same(stationarity_residual(system, queue, model, p), want)
         if kind == "stub":
             continue
-        f, df = model._reader(p)
+        f, F = model._reader(p)
         assert f == model.success_probability(p)
-        assert same(df, composed_derivative(model, p))
-        assert same(model.success_derivative(p), df)
+        assert same(F, composed_elasticity(model, p))
+        assert same(model.success_derivative(p), F * f / p if f else 0.0)
         if kind == "qfunc":
             assert f == gaussian_q(composed_argument(model, p))
 
@@ -374,6 +372,20 @@ def test_slope_takes_its_limit_where_a_p_and_b_h_underflow(kind, q, K):
     for p in [sigma2 * 10.0 ** (k / 4.0) for k in range(-4, 13)]:
         assert 1e-300 * p == 0.0
         assert tiny(p) == pytest.approx(unit(p), abs=4 * EPS)
+
+
+@pytest.mark.parametrize("p", [1e-310, 1e-315])
+def test_slope_holds_where_b_over_p_overflows(p):
+    # Far below the noise power the qfunc f, f' and u stay put while F falls
+    # with p, so the slope keeps its value; at these powers b/a/p is above
+    # the float range and u is taken with f'/f = F/p as one factor.
+    sigma2 = 1.0
+    model = reader_model("qfunc", sigma2, 2.0, 1.0, 1000.0)
+    system = SystemParams(rate_R=4000.0, fixed_power_b=sigma2, noise_sigma2=sigma2,
+                          p_min=0.01, p_max=P_MAX)
+    slope = _slope_reader(system, QueueParams(0.5, 10), model)
+    assert system.fixed_power_b / p == math.inf
+    assert slope(p) == pytest.approx(slope(1e-300), rel=1e-10)
 
 
 def test_each_slope_reads_the_queue_law_once(monkeypatch):
@@ -411,7 +423,7 @@ def test_slope_reader_keeps_the_power_checks():
                    st.floats(min_value=math.log(5e-324), max_value=0.0).map(math.exp)),
        K=st.sampled_from([1, 10, 1000]),
        ratio=b_ratios,
-       sigma2=st.sampled_from([SIGMA2, 1e-310]),
+       sigma2=st.sampled_from([SIGMA2, 1e-310, 1e-312]),
        offsets=st.lists(st.floats(min_value=-3.0, max_value=6.0), min_size=2, max_size=8))
 def test_slope_matches_the_mpmath_residual(kappa, q, K, ratio, sigma2, offsets):
     model = reader_model("exp" if kappa is None else "qfunc", sigma2, kappa, 1.0, 1000.0)
@@ -422,10 +434,8 @@ def test_slope_matches_the_mpmath_residual(kappa, q, K, ratio, sigma2, offsets):
     queue = QueueParams(q, K)
     for p in [sigma2 * math.exp(t) for t in offsets]:
         # Below f = 1e-6, 1 - Phi is taken by a subtraction that keeps few
-        # bits (ROADMAP item 4); at subnormal noise the exp model's f'
-        # overflows to inf, where the slope reads +1. Neither point tests
-        # the slope's formula, so both are skipped.
-        if model.success_probability(p) < 1e-6 or model.success_derivative(p) == math.inf:
+        # bits (ROADMAP item 4), which does not test the slope's formula.
+        if model.success_probability(p) < 1e-6:
             continue
         want = oracles.mp_stationarity_residual(success, p, q, K, system.fixed_power_b, 1.0)
         assert stationarity_residual(system, queue, model, p) == pytest.approx(

@@ -93,7 +93,7 @@ PINS = {
     'simulate-counts': (0, '6453deeb76e3e2fcfa6c31cfd0aee7fde12b59b37b91f050e7499beb4cc80e5e'),
     'gain-q-exp': (0, '02ade259400308d8bc9bc7689e59affbf403050be7e9423d23adede40d983ec4'),
     'gain-q-qfunc-qos': (0, 'cf821968b59685ec29525fa60401921faf46e093049897dacc1d4630dcaab4ae'),
-    'gain-b-exp': (0, '484d9a89857d01281069dd7d2d5927f6b8e0e4a1aeeddea24b49038e56d35879'),
+    'gain-b-exp': (0, '51067eb976e695ddc18b18140a49e9ca01a2a80228e27e775f5a75c22a126327'),
     'gain-b-qfunc2': (0, 'e155db460e4a6a769852713d66003db62f2a9dc5501b768485392424c090a1ba'),
     'gain-b-qfunc-qos': (0, '24cebc15db37b07af651a53b4cacc091f967f364796bf2b54bf8029dfd9c6cd3'),
     'gain-b-infeasible': (2, '9d6627a0514802530411ddf0cf36fc9f24570d0d8d49b74c931657b86c8c9f2a'),

@@ -564,20 +564,20 @@ class TestSubnormalNoise:
 
     @pytest.mark.parametrize("sigma2", [1e-310, 3e-310, 1e-309])
     @pytest.mark.parametrize("kappa, b_over_sigma2", [
-        (None, 100.0), (None, 1e4),
-        *[(kappa, ratio) for kappa in (2.0, 10.0) for ratio in (1.0, 100.0, 1e4)],
+        *[(kappa, ratio) for kappa in (None, 2.0, 10.0) for ratio in (1.0, 100.0, 1e4)],
     ])
     def test_optimum_scales_with_the_noise(self, kappa, b_over_sigma2, sigma2):
         assert p_star_over_noise(kappa, b_over_sigma2, sigma2) == pytest.approx(
             p_star_over_noise(kappa, b_over_sigma2, 1e-3), rel=1e-12)
 
-    @pytest.mark.xfail(strict=True, reason="the peak, about 1.6e-309 W, lies where the exp "
-                                           "model's f' = f c / p**2 overflows to inf, so the "
-                                           "slope reads +1 there and p*/sigma2 reads 19.76 "
-                                           "against 15.92")
-    def test_exp_optimum_where_f_prime_overflows(self):
-        assert p_star_over_noise(None, 1.0, 1e-310) == pytest.approx(
-            p_star_over_noise(None, 1.0, 1e-3), rel=1e-12)
+    @pytest.mark.parametrize("kappa, b_over_sigma2", [(None, 1.0), (None, 100.0),
+                                                       (10.0, 100.0), (2.0, 1.0)])
+    def test_optimum_where_f_prime_overflows(self, kappa, b_over_sigma2):
+        # At sigma2 = 1e-312 the peak lies where f' (about f c / p**2 for exp,
+        # kappa phi / sigma2 for qfunc) overflows; the slope reads it only
+        # through F = p f'/f, which stays in range.
+        assert p_star_over_noise(kappa, b_over_sigma2, 1e-312) == pytest.approx(
+            p_star_over_noise(kappa, b_over_sigma2, 1e-3), rel=1e-12)
 
 
 class TestLimitOptimizer:

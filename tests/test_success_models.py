@@ -186,8 +186,22 @@ class TestQKnownChannel:
         assert plain.success_derivative(p) == pytest.approx(3.99e-11, rel=1e-3)
         assert scaled.success_probability(p) == pytest.approx(
             plain.success_probability(p), rel=1e-9)
+        # snr/(1 + snr) = 1 - 1e-10 here: a derivative that drops it is off by 1e-10
         assert scaled.success_derivative(p) == pytest.approx(
-            plain.success_derivative(p), rel=1e-9)
+            plain.success_derivative(p), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("sigma2, p, R", [(1e308, 1e9, 2400.0), (1e308, 1e10, 4600.0),
+                                              (1e306, 1e9, 6900.0), (1e308, 2e8, 1100.0)])
+    def test_moderate_snr_where_hh_p_overflows(self, sigma2, p, R):
+        # hh p overflows, but snr = hh p / sigma2 is 1 to 1e4, so f' =
+        # kappa phi(arg) / (sigma2/hh + p) keeps its snr/(1 + snr) factor
+        m = q_model(R=R, kappa=1.0, hh=1e300, sigma2=sigma2)
+        assert 1e300 * p == math.inf
+        with mpmath.workdps(60):
+            hh, s2 = mpmath.mpf(1e300), mpmath.mpf(sigma2)
+            arg = R / 1000.0 - mpmath.log1p(hh * p / s2)
+            want = mpmath.npdf(arg) / (s2 / hh + p)
+        assert m.success_derivative(p) == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
     def test_snr_quotient_overflow_gives_zero_success(self):
         # hh p / sigma2 = 1e600: the log term is 1381.6, far below R/R0 = 2000
