@@ -27,7 +27,7 @@ from typing import Callable, Literal, Optional, Tuple
 
 from .efficiency import SystemParams, _slope_reader, efficiency, stationarity_residual
 from .queueing import QueueParams, packet_loss
-from .success import SuccessModel
+from .success import QKnownChannel, SuccessModel
 
 __all__ = [
     "Binding",
@@ -138,9 +138,16 @@ def _root_log(
         evaluations += 1
 
 
-def _search_limits(system: SystemParams) -> Tuple[float, float]:
+def _search_limits(system: SystemParams, model: SuccessModel) -> Tuple[float, float]:
     # Generous starting bracket: well below the noise floor, well above the cap.
-    return system.noise_sigma2 * 1e-3, system.p_max * 1e3
+    # The qfunc model reads p only through hh p / sigma2, so a channel gain
+    # above 1 moves its peak down by hh, and the floor with it. A gain below 1
+    # keeps the floor (the walk climbs from it): qos_threshold returns the
+    # floor when every power meets the bound, and that must stay low.
+    floor = system.noise_sigma2 * 1e-3
+    if isinstance(model, QKnownChannel) and model.channel_gain_hh > 1.0:
+        floor /= model.channel_gain_hh
+    return floor, system.p_max * 1e3
 
 
 def maximize_unconstrained(
@@ -158,7 +165,7 @@ def maximize_unconstrained(
     p_star and eta_star are nan and bracket is the last pair walked.
     """
     slope = _slope_reader(system, queue, model)
-    lo, hi = _search_limits(system)
+    lo, hi = _search_limits(system, model)
     # The floor goes through the public stationarity_residual: perfbench's
     # traced run fails on a layer no span reaches until ROADMAP item 1 lands.
     r_lo, r_hi = stationarity_residual(system, queue, model, lo), slope(hi)
@@ -192,7 +199,7 @@ def qos_threshold(
     def excess(p: float) -> float:
         return packet_loss(queue, model.success_probability(p)) - eps
 
-    lo, _ = _search_limits(system)
+    lo, _ = _search_limits(system, model)
     e_lo = excess(lo)
     if e_lo <= 0.0:
         return lo
@@ -226,7 +233,7 @@ def _constrain(
     """maximize_constrained given p0 = qos_threshold(system, queue, model), which
     does not depend on the fixed draw b: a caller that varies only b finds it once."""
     peak = maximize_unconstrained(system, queue, model)
-    walked = peak.bracket != _search_limits(system)  # the fast path keeps the range
+    walked = peak.bracket != _search_limits(system, model)  # the fast path keeps the range
     if math.isinf(p0):
         return replace(peak, p0=p0, binding=Binding.INFEASIBLE)
     floor = max(p0, system.p_min)

@@ -40,14 +40,28 @@ whole-array passes that release the GIL, and the blocks step on worker
 threads, one per CPU the process may run on, and never more than the
 blocks; such a campaign is cut into at least one block per worker that
 it has runs for. Shorter runs spend their time in Python between small
-numpy calls, and their blocks step on the calling thread. Every draw
-compares at most _PIECE raw words at once (see ``_bits``), so a worker
-holds at most 2 MiB of words besides its chunk's bits, one byte per slot.
+numpy calls, and their blocks step on the calling thread.
+
+A block takes its working arrays from a scratch (see ``_Scratch``) and
+hands it back when it ends, so the blocks after it, in this call or a
+later one and on any thread, step in memory the process already holds
+rather than memory the allocator must map and fault in afresh. A scratch
+holds a run's arrival and success bits, one byte per slot of the chunk
+being drawn (at most _MAX_CHUNK_SLOTS), then, over the same bytes, the
+cells, states and gaps of the block's step; and each run's steps, one
+byte per move, until the block steps them. The stack of scratches holds
+at most one per block that ever stepped at once, one per worker thread,
+and none of more than _KEEP_BYTES (16 MiB): a larger one is let go when
+its block ends. No thread is kept; each call's workers end with it.
+Besides its scratch, a block holds at most 8 * _PIECE bytes (512 KiB) of
+raw words at once (see ``_bits``), and each chunk's move slots, 8 bytes
+per move, kept until the block steps only when occupancy is tracked.
 """
 
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import List, NamedTuple, Optional, Sequence
 
@@ -62,7 +76,8 @@ _SLACK_SLOTS = 4096  # slots the first arrival draw adds to its bound (see _firs
 _SLOT_BUDGET = 2**40  # the most slots a campaign may be expected to last
 _BLOCK_CELLS = 2**20  # run x slot cells drawn per block of runs
 _THREAD_SLOTS = 2**14  # slots a run lasts, at least, for its blocks to go to worker threads
-_PIECE = 2**18  # most raw words a draw holds at once (see _bits)
+_PIECE = 2**16  # most raw words a draw holds at once (see _bits)
+_KEEP_BYTES = 2**24  # most bytes a scratch keeps between blocks (see _scratch)
 _GROUP = 32  # moves per clamp map
 _WORD_MASK = 2**64 - 1
 _ZERO_WORDS = (0, 0, 0, 0)
@@ -160,19 +175,94 @@ def _cut(p: float):
     return np.less, np.uint64(cut)
 
 
-def _bits(bitgen: np.random.Philox, n: int, cut):
-    """compare(w, bound) of bitgen's next n raw words w, cut being (compare,
-    bound) (see _cut), as one bool array. The words are drawn in pieces of at
-    most _PIECE, each compared into its slice, so a draw holds at most
-    8 * _PIECE bytes of words however long; a draw of one piece is direct."""
+def _bits(bitgen: np.random.Philox, cut, out):
+    """Fill the bool array out with compare(w, bound) of bitgen's next out.size
+    raw words w, cut being (compare, bound) (see _cut), and return it. The
+    words are drawn in pieces of at most _PIECE, each compared into its
+    slice of out, so a draw holds at most 8 * _PIECE bytes of words; a draw
+    of one piece is direct."""
     compare, bound = cut
-    if n <= _PIECE:
-        return compare(bitgen.random_raw(n), bound)
-    bits = np.empty(n, dtype=bool)
-    for start in range(0, n, _PIECE):
-        piece = bits[start:start + _PIECE]
+    if out.size <= _PIECE:
+        return compare(bitgen.random_raw(out.size), bound, out=out)
+    for start in range(0, out.size, _PIECE):
+        piece = out[start:start + _PIECE]
         compare(bitgen.random_raw(piece.size), bound, out=piece)
-    return bits
+    return out
+
+
+def _grown(size: int, dtype):
+    """A buffer of a one-byte dtype for size items and an eighth more, so
+    that a slightly longer chunk than the last does not replace it again."""
+    return np.empty(size + size // 8, dtype=dtype)
+
+
+class _Scratch:
+    """The working arrays of a block of runs, over two byte buffers that
+    outlive the block (see _scratch). The drawn bytes hold a run's arrival
+    and success bits while they are drawn and turned into moves, then the
+    cells, states and gaps _step builds from every run's moves; what a call
+    to bits or grid returns, the next call overwrites. The kept bytes hold
+    each run's steps from its draw until _step has read them. A buffer too
+    short for a call is replaced by a longer one; arrays taken from the
+    old one keep it alive."""
+
+    def __init__(self) -> None:
+        self.drawn = np.empty(0, dtype=bool)
+        self.kept = np.empty(0, dtype=np.int8)
+        self.kept_end = 0
+
+    def bits(self, n: int):
+        """Arrival and success bits for n slots, bool, over the drawn bytes."""
+        if self.drawn.size < 2 * n:
+            self.drawn = _grown(2 * n, bool)
+        return self.drawn[:n], self.drawn[n:2 * n]
+
+    def grid(self, cells: int, states: int, gaps: int):
+        """cells int8, states int64 and gaps float64 over the drawn bytes."""
+        at = -(-cells // 8) * 8  # the states' first byte, on an 8-byte boundary
+        end = at + 8 * (states + gaps)
+        if self.drawn.size < end:
+            self.drawn = _grown(end, bool)
+        drawn = self.drawn
+        return (drawn[:cells].view(np.int8), drawn[at:at + 8 * states].view(np.int64),
+                drawn[at + 8 * states:end].view(np.float64))
+
+    def keep(self, n: int):
+        """n int8 steps over the kept bytes, after those kept since the last spend."""
+        start = self.kept_end
+        self.kept_end += n
+        if self.kept.size < self.kept_end:
+            # at least twice as long, so that the buffers a block outgrows
+            # while its earlier steps live add up to less than the last
+            self.kept = _grown(max(self.kept_end, 2 * self.kept.size), np.int8)
+        return self.kept[start:self.kept_end]
+
+    def spend(self) -> None:
+        """Free the kept bytes for the next chunks' steps."""
+        self.kept_end = 0
+
+
+_SCRATCHES: List[_Scratch] = []  # the scratches no block holds (see _scratch)
+
+
+@contextmanager
+def _scratch():
+    """A scratch for one block: the last one a block handed back, or a new
+    one when blocks stepping now hold them all, so there are never more
+    than the blocks that ever stepped at once. It goes back on the stack
+    when the block ends, even by an error, unless its two buffers hold more
+    than _KEEP_BYTES. A list's pop and append each run whole under the GIL,
+    so threads share the stack without a lock."""
+    try:
+        scratch = _SCRATCHES.pop()
+    except IndexError:  # every scratch is held by a block stepping now
+        scratch = _Scratch()
+    try:
+        yield scratch
+    finally:
+        scratch.spend()
+        if scratch.drawn.nbytes + scratch.kept.nbytes <= _KEEP_BYTES:
+            _SCRATCHES.append(scratch)
 
 
 def _cpus() -> int:
@@ -214,8 +304,9 @@ def _replay(rows, x, K, states):
         np.minimum(x, K, out=x)
 
 
-def _moves(arrival, success):
-    """Steps d = +-1 of the slots that can move x, and those slots.
+def _moves(arrival, success, scratch):
+    """Steps d = +-1 of the slots that can move x, kept in scratch, and
+    those slots. success is overwritten.
 
     Only a slot with exactly one of its two bits set can move x: an
     arrival whose transmission fails (up) adds a packet, or is lost when
@@ -223,8 +314,10 @@ def _moves(arrival, success):
     one buffered packet, if there is one. An arrival whose transmission
     succeeds leaves x as it is (a packet arriving to an empty buffer is
     served in the same slot)."""
-    moves = (arrival != success).nonzero()[0]
-    steps = arrival[moves].view(np.int8) * np.int8(2)  # up where the arrival bit is set
+    moves = np.not_equal(arrival, success, out=success).nonzero()[0]
+    steps = scratch.keep(moves.size)
+    arrival.take(moves, out=steps.view(bool), mode="clip")  # up where the arrival bit is set
+    steps *= 2
     steps -= 1
     return steps, moves
 
@@ -252,7 +345,7 @@ def _cut_at(arrival, left: int, count: int) -> int:
         tail *= 4
 
 
-def _chunk(bitgen, cuts, q, key, word, left, track):
+def _chunk(bitgen, cuts, q, key, word, left, track, scratch):
     """Draw the chunk of stream key that starts at word `word`, for left more
     arrivals, and keep its moves up to the slot of the left-th arrival, or to
     the end of the chunk. Returns ((steps, move slots or None, slots), the
@@ -264,22 +357,22 @@ def _chunk(bitgen, cuts, q, key, word, left, track):
     left arrivals. Its success words are drawn from word + n, which a chunk
     that leaves arrival words unread seeks to, and only for the slots it
     keeps; its next chunk starts on word + 2n whatever was drawn. Every word
-    a slot reads keeps its stream position."""
+    a slot reads keeps its stream position. The bits are drawn into
+    scratch's drawn bytes, and the steps kept in it (see _moves)."""
     arrive, succeed = cuts
     n = _chunk_slots(left, q)
+    arrival, success = scratch.bits(n)
+    drawn = _first_slots(left, q, n)
     _seek(bitgen, key, word)
-    arrival = _bits(bitgen, _first_slots(left, q, n), arrive)
-    count = np.count_nonzero(arrival)
-    if count < left and arrival.size < n:
-        rest = _bits(bitgen, n - arrival.size, arrive)
-        arrival = np.concatenate([arrival, rest])
-        count += np.count_nonzero(rest)
-    if arrival.size < n:  # arrival words left unread; else the generator stands there
+    count = int(np.count_nonzero(_bits(bitgen, arrive, arrival[:drawn])))
+    if count < left and drawn < n:
+        count += int(np.count_nonzero(_bits(bitgen, arrive, arrival[drawn:])))
+        drawn = n
+    if drawn < n:  # arrival words left unread; else the generator stands there
         _seek(bitgen, key, word + n)
-    if count >= left:
-        arrival = arrival[:_cut_at(arrival, left, count)]
-    steps, moves = _moves(arrival, _bits(bitgen, arrival.size, succeed))
-    return (steps, moves if track else None, arrival.size), word + 2 * n, max(left - count, 0)
+    slots = _cut_at(arrival[:drawn], left, count) if count >= left else n
+    steps, moves = _moves(arrival[:slots], _bits(bitgen, succeed, success[:slots]), scratch)
+    return (steps, moves if track else None, slots), word + 2 * n, max(left - count, 0)
 
 
 def _group_entries(shift, low, high, x):
@@ -302,7 +395,7 @@ def _group_entries(shift, low, high, x):
     return entry
 
 
-def _step(chunks, x, K, occ):
+def _step(chunks, x, K, occ, scratch):
     """Step a block of runs over their chunks' moves from states x, updated in place.
 
     chunks[r] holds run r's (steps, move slots or None, slots). The steps
@@ -312,33 +405,41 @@ def _step(chunks, x, K, occ):
     entering the groups from a scan of the maps, and every move's state and
     loss flag from a second pass. States, like x, are int64 throughout (K
     is at most 2**62, see SimConfig). occ, None or runs x (K + 1) int64
-    counts, gains the chunks' slot-start states. Returns each run's losses."""
+    counts, gains the chunks' slot-start states. The cells, states and gaps
+    lie in scratch's drawn bytes, and the chunks' steps, kept in scratch,
+    are spent once it returns. Returns each run's losses."""
     size = max(steps.size for steps, _, _ in chunks)
     groups = max(1, -(-size // _GROUP))
-    cells = np.zeros((groups * _GROUP, len(chunks)), dtype=np.int8)
+    shape = (groups * _GROUP, len(chunks))
+    track = occ is not None
+    count = shape[0] * shape[1]
+    cells, states, gaps = scratch.grid(count, count if track else 0, size if track else 0)
+    cells = cells.reshape(shape)
+    cells.fill(0)
     for r, (steps, _, _) in enumerate(chunks):
         cells[:steps.size, r] = steps
     rows = cells.reshape(groups, _GROUP, -1).swapaxes(0, 1)  # rows[j]: move j of every group
     entry = _group_entries(*_group_maps(rows, K), x)
     # states[m, r] is move m's start state, written through rows' view of it
-    states = np.empty(cells.shape, dtype=np.int64) if occ is not None else None
+    states = states.reshape(shape) if track else None
     _replay(rows, entry, K, None if states is None else
             states.reshape(groups, _GROUP, -1).swapaxes(0, 1))
     x[:] = entry[-1]  # entry now holds the states leaving each group
-    if occ is not None:
+    if track:
         # A move's state lasts from the slot after the previous move through
         # its own, and the state after the last move to the chunk's end.
         for r, (_, moves, n) in enumerate(chunks):
-            gaps = np.empty(moves.size)  # float64, as bincount takes its weights
-            np.subtract(moves[1:], moves[:-1], out=gaps[1:])
-            gaps[:1] = moves[:1] + 1
-            occ[r] += np.bincount(states[:moves.size, r], weights=gaps,
+            gap = gaps[:moves.size]  # float64, as bincount takes its weights
+            np.subtract(moves[1:], moves[:-1], out=gap[1:])
+            gap[:1] = moves[:1] + 1
+            occ[r] += np.bincount(states[:moves.size, r], weights=gap,
                                   minlength=K + 1).astype(np.int64)
             occ[r, x[r]] += n - 1 - int(moves[-1]) if moves.size else n
+    scratch.spend()
     return np.count_nonzero(cells.view(bool), axis=0)
 
 
-def _warm_up(bitgen, cuts, warm: int, keys, x, K) -> None:
+def _warm_up(bitgen, cuts, warm: int, keys, x, K, scratch) -> None:
     """Step the runs keyed keys from states x, updated in place, over their
     warm-ups of warm slots, whose losses do not count. Piece k of at most
     _BLOCK_CELLS slots reads a run's arrival words [kC, kC + n) and success
@@ -347,13 +448,15 @@ def _warm_up(bitgen, cuts, warm: int, keys, x, K) -> None:
     arrive, succeed = cuts
     for start in range(0, warm, _BLOCK_CELLS):
         n = min(_BLOCK_CELLS, warm - start)
+        arrival, success = scratch.bits(n)
         pieces = []
         for key in keys:
             _seek(bitgen, key, start)
-            arrival = _bits(bitgen, n, arrive)
+            _bits(bitgen, arrive, arrival)
             _seek(bitgen, key, warm + start)
-            pieces.append((_moves(arrival, _bits(bitgen, n, succeed))[0], None, n))
-        _step(pieces, x, K, None)
+            steps, _ = _moves(arrival, _bits(bitgen, succeed, success), scratch)
+            pieces.append((steps, None, n))
+        _step(pieces, x, K, None, scratch)
 
 
 def _block(bitgen, cuts, config: SimConfig, first_key: int, losses, occ) -> int:
@@ -364,30 +467,33 @@ def _block(bitgen, cuts, config: SimConfig, first_key: int, losses, occ) -> int:
     other threads cannot change the result. Their warm-ups step first, as a
     block whose losses and states do not count; a run's first chunk starts
     on the word after its warm-up's, and a straggler carries the word its
-    next chunk starts on. Returns the slots stepped."""
+    next chunk starts on. Its working arrays come from one scratch (see
+    _scratch). Returns the slots stepped."""
     q = config.queue.arrival_prob_q
     K = int(config.queue.buffer_size_K)
     warm = config.warmup_slots
+    track = occ is not None
     keys = range(first_key, first_key + losses.size)
     x = np.full(losses.size, config.initial_queue_state, dtype=np.int64)
-    _warm_up(bitgen, cuts, warm, keys, x, K)
-    chunks, stragglers = [], []
-    for r, key in enumerate(keys):
-        chunk, word, left = _chunk(bitgen, cuts, q, key, 2 * warm, config.total_packets,
-                                   occ is not None)
-        chunks.append(chunk)
-        if left:
-            stragglers.append((r, key, word, left))
-    slots = warm * losses.size + sum(n for _, _, n in chunks)
-    losses[:] = _step(chunks, x, K, occ)
-    # a straggler, a run that needs more than its first chunk, steps each
-    # later chunk as a block of one
-    for r, key, word, left in stragglers:
-        run = slice(r, r + 1)
-        while left:
-            chunk, word, left = _chunk(bitgen, cuts, q, key, word, left, occ is not None)
-            losses[run] += _step([chunk], x[run], K, None if occ is None else occ[run])
-            slots += chunk[2]
+    with _scratch() as scratch:
+        _warm_up(bitgen, cuts, warm, keys, x, K, scratch)
+        chunks, stragglers = [], []
+        for r, key in enumerate(keys):
+            chunk, word, left = _chunk(bitgen, cuts, q, key, 2 * warm, config.total_packets,
+                                       track, scratch)
+            chunks.append(chunk)
+            if left:
+                stragglers.append((r, key, word, left))
+        slots = warm * losses.size + sum(n for _, _, n in chunks)
+        losses[:] = _step(chunks, x, K, occ, scratch)
+        # a straggler, a run that needs more than its first chunk, steps each
+        # later chunk as a block of one
+        for r, key, word, left in stragglers:
+            run = slice(r, r + 1)
+            while left:
+                chunk, word, left = _chunk(bitgen, cuts, q, key, word, left, track, scratch)
+                losses[run] += _step([chunk], x[run], K, occ[run] if track else None, scratch)
+                slots += chunk[2]
     return slots
 
 

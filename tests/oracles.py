@@ -230,18 +230,22 @@ def mp_peak_f_over_p_qfunc(kappa: float, rate_ratio: float,
 
 
 def mp_exp_success(rate_ratio: float, sigma2: float):
-    """p -> (f, 1 - f) in mpmath for f = exp(-c/p), c = (2**(R/R0) - 1) sigma2."""
+    """p -> (f, 1 - f, f') in mpmath for f = exp(-c/p), c = (2**(R/R0) - 1) sigma2,
+    f' = df/dp = f c / p**2 in closed form."""
     def success(p):
         x = (mpmath.mpf(2) ** rate_ratio - 1) * sigma2 / p  # c / p
-        return mpmath.exp(-x), -mpmath.expm1(-x)
+        f = mpmath.exp(-x)
+        return f, -mpmath.expm1(-x), f * x / p
     return success
 
 
 def mp_qfunc_success(kappa: float, rate_ratio: float, hh: float, sigma2: float):
-    """p -> (f, 1 - f) in mpmath for f = Q(kappa (R/R0 - ln(1 + hh p / sigma2)))."""
+    """p -> (f, 1 - f, f') in mpmath for f = Q(kappa (R/R0 - ln(1 + hh p / sigma2))),
+    f' = df/dp = kappa phi(arg) hh / (sigma2 + hh p) in closed form, phi the normal pdf."""
     def success(p):
         arg = kappa * (rate_ratio - mpmath.log1p(hh * p / mpmath.mpf(sigma2)))
-        return mpmath.erfc(arg / mpmath.sqrt(2)) / 2, mpmath.erfc(-arg / mpmath.sqrt(2)) / 2
+        return (mpmath.erfc(arg / mpmath.sqrt(2)) / 2, mpmath.erfc(-arg / mpmath.sqrt(2)) / 2,
+                kappa * mpmath.npdf(arg) * hh / (sigma2 + hh * p))
     return success
 
 
@@ -249,31 +253,36 @@ def mp_stationarity_residual(success, p: float, q: float, K: int, b: float,
                              a: float) -> float:
     """The normalized slope (b H + X (F - 1)) / (b H + X (F + 1)) at 60 digits.
 
-    success is p -> (f, 1 - f) in mpmath. Pr(full) is the birth-death
-    law's rho**K (1 - rho) / (1 - rho**(K+1)), rho = q (1 - f) / ((1 - q) f),
-    and Phi = (1 - f) Pr(full). F = d ln f / d ln p and
-    H = -(d Phi / d ln p) / (1 - Phi) are taken by mpmath.diff in ln p,
-    and X = a p q (1 - Phi) / f. ln eta itself is not differentiated: at
-    q <= 1e-300 its change across any step is below 60 digits.
+    success is p -> (f, 1 - f, f') in mpmath, f' in closed form. Pr(full)
+    is the birth-death law's rho**K (1 - rho) / (1 - rho**(K+1)),
+    rho = q (1 - f) / ((1 - q) f), and Phi = (1 - f) Pr(full). F = p f'/f
+    and H = -p (dPhi/df) f' / (1 - Phi), where dPhi/df = -Pr(full) +
+    (1 - f) (dPr(full)/drho) (drho/df), drho/df = -q / ((1 - q) f**2) and
+    dPr(full)/drho is taken by mpmath.diff in ln rho; X = a p q (1 - Phi) / f.
+    Nothing is differentiated in p: far below the noise power f changes by
+    less than 60 digits across any step in ln p, and ln eta at q <= 1e-300
+    does too.
     """
     with mpmath.workdps(60):
-        q_mp, b_mp, a_mp = mpmath.mpf(q), mpmath.mpf(b), mpmath.mpf(a)
+        q_mp, b_mp, a_mp, p_mp = (mpmath.mpf(v) for v in (q, b, a, p))
+        f, fail, df = success(p_mp)
 
-        def phi(t):
-            f, fail = success(mpmath.exp(t))
-            if q_mp == 1:
-                return fail
-            rho = q_mp * fail / ((1 - q_mp) * f)
+        def full(rho):
             if rho == 1:
-                return fail / (K + 1)
-            return fail * rho ** K * (1 - rho) / (1 - rho ** (K + 1))
+                return mpmath.mpf(1) / (K + 1)
+            return rho ** K * (1 - rho) / (1 - rho ** (K + 1))
 
-        t = mpmath.log(mpmath.mpf(p))
-        f = success(mpmath.exp(t))[0]
-        delivered = 1 - phi(t)
-        F = mpmath.diff(lambda s: mpmath.log(success(mpmath.exp(s))[0]), t)
-        H = -mpmath.diff(phi, t) / delivered
-        X = a_mp * mpmath.exp(t) * q_mp * delivered / f
+        if q_mp == 1:  # Pr(full) = 1
+            loss, dloss = fail, mpmath.mpf(-1)
+        else:
+            rho = q_mp * fail / ((1 - q_mp) * f)
+            dfull = mpmath.diff(lambda s: full(mpmath.exp(s)), mpmath.log(rho)) / rho
+            loss = fail * full(rho)
+            dloss = -full(rho) - fail * dfull * q_mp / ((1 - q_mp) * f ** 2)
+        delivered = 1 - loss
+        F = p_mp * df / f
+        H = -p_mp * dloss * df / delivered
+        X = a_mp * p_mp * q_mp * delivered / f
         return float((b_mp * H + X * (F - 1)) / (b_mp * H + X * (F + 1)))
 
 

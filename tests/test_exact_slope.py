@@ -440,3 +440,15 @@ def test_slope_matches_the_mpmath_residual(kappa, q, K, ratio, sigma2, offsets):
         want = oracles.mp_stationarity_residual(success, p, q, K, system.fixed_power_b, 1.0)
         assert stationarity_residual(system, queue, model, p) == pytest.approx(
             want, rel=0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("p, want", [(1e-300, 0.88400913), (0.01, 0.88374463)])
+def test_mpmath_residual_far_below_the_noise(p, want):
+    # qfunc kappa 2, sigma2 = b = 1 W, q 0.5, K 10. The oracle takes f' in
+    # closed form: at p = 1e-300, f changes by less than 60 digits across any
+    # step in ln p, and a difference there made the residual read -1.0. (The
+    # library's 0.868 at 1e-300 is off by 1 - Phi's cancellation, ROADMAP
+    # item 4, so it is not compared here.)
+    success = oracles.mp_qfunc_success(2.0, 4.0, 1.0, 1.0)
+    got = oracles.mp_stationarity_residual(success, p, 0.5, 10, 1.0, 1.0)
+    assert got == pytest.approx(want, rel=0.0, abs=5e-9)

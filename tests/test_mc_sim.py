@@ -1,8 +1,10 @@
 import ast
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -534,7 +536,8 @@ class TestRawWordDraws:
                 bitgen = np.random.Philox()
                 _seek(bitgen, key, start)
                 words = np.random.Philox(key=key).random_raw(start + n + 5)[start:]
-                assert np.array_equal(_bits(bitgen, n, cut), compare(words[:n], bound))
+                bits = _bits(bitgen, cut, np.empty(n, dtype=bool))
+                assert np.array_equal(bits, compare(words[:n], bound))
                 assert np.array_equal(bitgen.random_raw(5), words[n:])
 
     def test_straggler_campaign_matches_replays(self):
@@ -616,8 +619,8 @@ class TestChunkDraws:
             monkeypatch.setattr(SIM, "_first_slots", lambda left, q, n: n // 2)
         seen, chunk = set(), SIM._chunk
 
-        def spy(bitgen, cuts, q, key, word, left, track):
-            out = chunk(bitgen, cuts, q, key, word, left, track)
+        def spy(bitgen, cuts, q, key, word, left, track, scratch):
+            out = chunk(bitgen, cuts, q, key, word, left, track, scratch)
             n = _chunk_slots(left, q)
             assert out[1] == word + 2 * n  # the next chunk's word
             piece, slots, after = SIM._first_slots(left, q, n), out[0][2], out[2]
@@ -724,6 +727,155 @@ class TestWorkerThreads:
             simulate(cfg)
         assert {0, 1} <= set(started) <= {0, 1, 2, 3}
         assert threading.active_count() == threads
+
+
+# Campaigns whose chunks and warm-ups need scratches of very different sizes.
+SCRATCH_CAMPAIGNS = {
+    # mc-long's shape: two warmed runs with occupancy, one block each on workers
+    "long": dict(q=0.1, f=0.0825, K=1000, total=20_000, runs=2, seed=7, warmup_slots=30_000,
+                 track_occupancy=True),
+    # the same, with chunks three times as long
+    "longer": dict(q=0.1, f=0.0825, K=1000, total=60_000, runs=2, seed=9, warmup_slots=50_000,
+                   track_occupancy=True),
+    # mc-short's shape: 250 cold runs of the CLI's default length, one block
+    # on the calling thread, no occupancy
+    "short": dict(q=0.5, f=0.5, K=10, total=1000, runs=250, seed=11),
+    # stragglers step later chunks of their own
+    "straggler": dict(q=0.01, f=0.002, K=1, total=3, runs=24, seed=606, warmup_slots=25,
+                      track_occupancy=True),
+    # warm-ups of three pieces, the first two of 2**20 slots
+    "pieces": dict(q=0.5, f=0.45, K=10, total=100, runs=2, seed=3, warmup_slots=2_200_000),
+}
+
+
+def digests(rep):
+    """SHA-256 of a report's per-run losses and occupancy (None untracked), and its slots."""
+    occ = rep.per_run_occupancy
+    return (hashlib.sha256(rep.per_run_losses.tobytes()).hexdigest(),
+            None if occ is None else hashlib.sha256(occ.tobytes()).hexdigest(), rep.slots)
+
+
+def forked_digests(cfg):
+    return digests(simulate(cfg))
+
+
+@pytest.fixture(scope="module")
+def fresh_digests():
+    """digests of each SCRATCH_CAMPAIGNS campaign, each simulated in a fresh interpreter."""
+    script = (
+        "import hashlib, json, sys\n"
+        "from greenlink import QueueParams, SimConfig, simulate\n"
+        "kw = json.loads(sys.argv[1])\n"
+        "queue = QueueParams(kw.pop('q'), kw.pop('K'))\n"
+        "rep = simulate(SimConfig(queue, kw.pop('f'), kw.pop('total'), kw.pop('runs'), **kw))\n"
+        "occ = rep.per_run_occupancy\n"
+        "print(json.dumps([hashlib.sha256(rep.per_run_losses.tobytes()).hexdigest(),\n"
+        "                  None if occ is None else hashlib.sha256(occ.tobytes()).hexdigest(),\n"
+        "                  rep.slots]))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    fresh = {}
+    for name, kw in SCRATCH_CAMPAIGNS.items():
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(kw)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        fresh[name] = tuple(json.loads(done.stdout))
+    return fresh
+
+
+class TestKeptScratch:
+    """A block's working arrays come from a scratch that outlives it: every
+    campaign is the one a fresh interpreter simulates, whatever campaigns,
+    failed ones included, left their scratches behind."""
+
+    def test_campaigns_that_grow_shrink_and_grow_again(self, fresh_digests, monkeypatch):
+        monkeypatch.setattr(SIM, "_cpus", lambda: 2)
+        order = ["short", "long", "short", "straggler", "longer", "pieces", "long", "short",
+                 "longer"]
+        for name in order:
+            assert digests(simulate(config(**SCRATCH_CAMPAIGNS[name]))) == fresh_digests[name], name
+        assert SIM._SCRATCHES  # kept for the next campaign
+
+    def test_scratch_over_the_bound_is_not_kept(self, fresh_digests, monkeypatch):
+        monkeypatch.setattr(SIM, "_cpus", lambda: 2)
+        monkeypatch.setattr(SIM, "_SCRATCHES", [])
+        simulate(config(**SCRATCH_CAMPAIGNS["short"]))
+        kept = list(SIM._SCRATCHES)
+        assert len(kept) == 1  # one block, on the calling thread
+        assert max(s.drawn.nbytes + s.kept.nbytes for s in kept) <= SIM._KEEP_BYTES
+        simulate(config(**SCRATCH_CAMPAIGNS["long"]))
+        assert len(SIM._SCRATCHES) <= 2  # at most one per block that stepped at once
+        monkeypatch.setattr(SIM, "_KEEP_BYTES", 2**16)
+        assert digests(simulate(config(**SCRATCH_CAMPAIGNS["long"]))) == fresh_digests["long"]
+        assert all(s.drawn.nbytes + s.kept.nbytes <= 2**16 for s in SIM._SCRATCHES)
+
+    def test_campaign_after_failed_blocks(self, fresh_digests, monkeypatch):
+        # test_failed_block_cancels_the_rest's failing block, then a block that
+        # fails holding its scratch, after its first runs kept their steps
+        monkeypatch.setattr(SIM, "_cpus", lambda: 2)
+        with monkeypatch.context() as patch:
+            patch.setattr(SIM, "_BLOCK_CELLS", 1)
+            block = SIM._block
+
+            def failing(bitgen, cuts, cfg, first_key, losses, occ):
+                b = first_key - cfg.seed
+                if b == 1:
+                    raise RuntimeError("block 1 failed")
+                if b > 1:
+                    time.sleep(0.5)
+                return block(bitgen, cuts, cfg, first_key, losses, occ)
+
+            patch.setattr(SIM, "_block", failing)
+            with pytest.raises(RuntimeError, match="^block 1 failed$"):
+                simulate(config(q=0.5, f=0.45, total=10_000, runs=8, seed=3))
+        with monkeypatch.context() as patch:
+            chunk, calls = SIM._chunk, itertools.count(1)
+
+            def failing_chunk(*args):
+                if next(calls) == 100:
+                    raise RuntimeError("chunk failed")
+                return chunk(*args)
+
+            patch.setattr(SIM, "_chunk", failing_chunk)
+            with pytest.raises(RuntimeError, match="^chunk failed$"):
+                simulate(config(**SCRATCH_CAMPAIGNS["short"]))
+        for name in ("short", "long"):
+            assert digests(simulate(config(**SCRATCH_CAMPAIGNS[name]))) == fresh_digests[name], name
+
+    def test_callers_on_several_threads_share_the_stack(self, fresh_digests, monkeypatch):
+        # four callers at once, each cutting its campaign over six workers,
+        # with the interpreter switching threads as often as it can: a
+        # scratch two blocks held at once would mix their runs
+        monkeypatch.setattr(SIM, "_cpus", lambda: 6)
+        names = ["long", "short", "straggler", "longer"]
+        got = {}
+
+        def call(name):
+            got[name] = digests(simulate(config(**SCRATCH_CAMPAIGNS[name])))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(name,)) for name in names]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == {name: fresh_digests[name] for name in names}
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method on this platform")
+    def test_forked_child_gets_the_threaded_result(self, fresh_digests, monkeypatch):
+        # the child inherits the scratches this campaign leaves behind
+        monkeypatch.setattr(SIM, "_cpus", lambda: 2)
+        cfg = config(**SCRATCH_CAMPAIGNS["long"])
+        here = digests(simulate(cfg))
+        assert here == fresh_digests["long"]
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(forked_digests, (cfg,)).get(timeout=120) == here
 
 
 class TestReportCounters:

@@ -99,6 +99,30 @@ class TestMaximizeUnconstrained:
                                             1e-4, 10.0)
             assert res.p_star == pytest.approx(ref, rel=1e-4)
 
+    @pytest.mark.parametrize("hh, sigma2, b", [(1e-6, 1e-3, 0.1), (1e6, 1e-3, 0.1),
+                                               (1e300, 1e300, 1.0)])
+    def test_qfunc_floor_follows_the_channel_gain(self, hh, sigma2, b):
+        # f reads p only through hh p / sigma2, so the peak moves with sigma2 / hh.
+        # At hh = 1e6 and on the 1e300 link it lies below sigma2 * 1e-3, where
+        # the search floor sat before a gain above 1 divided it, and p* read
+        # nan; at hh = 1e-6 the floor stays and the walk climbs to the peak.
+        model = QKnownChannel(rate_R=4000.0, rate_R0=1000.0, spread_kappa=2.0,
+                              channel_gain_hh=hh, noise_sigma2=sigma2)
+        res = maximize_unconstrained(make_system(b=b, sigma2=sigma2), QueueParams(0.5, 10), model)
+        scale = sigma2 / hh
+        ref = oracles.grid_argmax_qfunc(0.5, 10, 4000.0, b, 1.0, 2.0, 4.0, hh / sigma2,
+                                        scale * 1e-3, scale * 1e6)
+        assert res.p_star == pytest.approx(ref, rel=1e-4)
+
+    def test_qfunc_floor_does_not_rise_with_a_small_gain(self):
+        # qos_threshold returns the search floor when every power meets the
+        # bound; divided by hh = 1e-9 it would read 1000 W, above p_max
+        model = QKnownChannel(rate_R=4000.0, rate_R0=1000.0, spread_kappa=2.0,
+                              channel_gain_hh=1e-9, noise_sigma2=1e-3)
+        sysp = cli_default_system(1.0)
+        assert qos_threshold(sysp, QueueParams(0.5, 10), model) == 1e-6
+        assert maximize_constrained(sysp, QueueParams(0.5, 10), model).p_star_constrained == 0.01
+
     def test_local_optimality(self):
         model = exp_model()
         sysp = make_system(b=0.1)
