@@ -17,7 +17,9 @@ import argparse
 import configparser
 import functools
 import math
+import os
 import re
+import stat
 import sys
 from dataclasses import make_dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -221,12 +223,30 @@ def _csv_line(cells: Sequence[Any]) -> str:
     return ",".join(map(str, cells)) + "\r\n"
 
 
+def _open_in_place(path: str, flags: int) -> int:
+    """open's opener for "w" without O_TRUNC: an existing file is written over
+    from its first byte and keeps its inode, owner and mode."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _emit_csv(path: Optional[str], header: Sequence[str], lines: Iterable[str]) -> None:
-    """Write the header and then lines, each already a _csv_line record."""
+    """Write the header and then lines, each already a _csv_line record.
+
+    A rewrite overwrites the file in place and then trims it at the new end,
+    so it holds the same bytes a fresh write would, in the same inode.
+    Emptying a file that holds data and filling it again took several times
+    as long on ext4, likely because ext4 then allocates the new blocks at
+    close (auto_da_alloc). An interrupted rewrite can leave old bytes past
+    the new end, where truncating first could leave an empty or partial
+    file. Only a regular file is trimmed: a device such as /dev/null, or a
+    pipe, takes the bytes and has no end to trim.
+    """
     if path is None:
         return
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", opener=_open_in_place) as fh:
         fh.write("".join([_csv_line(header), *lines]))
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def _log_grid(lo: float, hi: float, n: int) -> List[float]:
@@ -389,9 +409,10 @@ def _cmd_gain(settings: Settings) -> int:
             rows.append([value, p_ref, p_here, power_gain_db(p_ref, p_here)])
     _emit_csv(settings.out, ["axis_value", "p_star_q1", "p_star", "gain_db"],
               map(_csv_line, rows))
-    for row in rows:
-        gain = f"{row[3]:.4g} dB" if isinstance(row[3], float) else "infeasible"
-        print(f"{settings.sweep_axis} = {row[0]:<6g} saving = {gain}")
+    print("\n".join(
+        f"{settings.sweep_axis} = {row[0]:<6g} saving = "
+        + (f"{row[3]:.4g} dB" if isinstance(row[3], float) else "infeasible")
+        for row in rows))
     if any(row[3] == "" for row in rows):
         print("some grid points cannot meet the loss bound", file=sys.stderr)
         return 2

@@ -233,9 +233,9 @@ def _constrain(
     """maximize_constrained given p0 = qos_threshold(system, queue, model), which
     does not depend on the fixed draw b: a caller that varies only b finds it once."""
     peak = maximize_unconstrained(system, queue, model)
-    walked = peak.bracket != _search_limits(system, model)  # the fast path keeps the range
     if math.isinf(p0):
-        return replace(peak, p0=p0, binding=Binding.INFEASIBLE)
+        return Optimum(peak.p_star, peak.eta_star, peak.bracket, peak.iterations,
+                       peak.certificate, p0, None, Binding.INFEASIBLE)
     floor = max(p0, system.p_min)
     # The configured floor, not the QoS bound, may be the active one.
     floor_binding = Binding.QOS_BOUND if p0 >= system.p_min else Binding.POWER_CAP
@@ -244,12 +244,14 @@ def _constrain(
         p_cc, binding = system.p_max, Binding.POWER_CAP
     elif peak.p_star >= floor:
         p_cc, binding = peak.p_star, Binding.INTERIOR
-    if walked and p_cc != floor:
+    # the fast path keeps the search range as its bracket; only a walk moves it
+    if p_cc != floor and peak.bracket != _search_limits(system, model):
         eta_cc = (peak.eta_star if binding is Binding.INTERIOR
                   else efficiency(system, queue, model, p_cc).eta)
         if efficiency(system, queue, model, floor).eta > eta_cc:
             p_cc, binding = floor, floor_binding
-    return replace(peak, p0=p0, p_star_constrained=p_cc, binding=binding)
+    return Optimum(peak.p_star, peak.eta_star, peak.bracket, peak.iterations,
+                   peak.certificate, p0, p_cc, binding)
 
 
 def limit_optimizer(

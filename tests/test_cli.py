@@ -1,7 +1,9 @@
 import csv
 import importlib
 import math
+import os
 import runpy
+import stat
 import subprocess
 import sys
 
@@ -242,6 +244,8 @@ class TestSweep:
         # The limits that set the grid's default ends are named as themselves.
         (["--pmin-dbm", "9999"], "error: power limits must satisfy 0 < p_min < p_max"),
         (["--pmax-dbm", "9999"], "error: p_max must be finite, got inf"),
+        # a grid from p_lo to itself is no grid
+        (["--p-lo-w", "1", "--p-hi-w", "1"], "error: power grid needs 0 < p_lo < p_hi"),
     ])
     def test_errors_write_no_csv(self, tmp_path, capsys, argv, message):
         out = tmp_path / "sweep.csv"
@@ -764,6 +768,35 @@ class TestQfuncTwoPeaks:
         p_cc = column(["optimize"], 7)
         at_optimum = column(["eval", "--p-w", repr(p_cc)], 1)
         assert at_optimum >= column(["eval", "--p-w", repr(self.HIGHER_PEAK_W)], 1)
+
+
+class TestCsvOut:
+    """A CSV is written over its file in place and trimmed at the new end."""
+
+    def test_rewrite_over_a_longer_file_equals_a_fresh_write(self, tmp_path):
+        out, fresh = tmp_path / "gain.csv", tmp_path / "fresh.csv"
+        assert main(["gain", "--values", "0.5,0.6,0.7", "--out", str(out)]) == 0
+        out.chmod(0o640)
+        before = out.stat()
+        assert main(["gain", "--values", "0.5", "--out", str(out)]) == 0
+        assert main(["gain", "--values", "0.5", "--out", str(fresh)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()  # no tail of the longer file
+        assert len(read_rows(out)) == 2
+        after = out.stat()
+        assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null on this platform")
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--p-w", "0.05"],
+        ["optimize"],
+        ["sweep", "--axis", "q", "--values", "0.5", "--p-points", "3"],
+        ["gain", "--values", "0.5"],
+        ["simulate", "--f", "0.5", "--total-packets", "10", "--num-runs", "2"],
+    ])
+    def test_out_to_a_device(self, argv, capsys):
+        # /dev/null takes the bytes but has no end to trim: ftruncate fails there
+        assert main([*argv, "--out", "/dev/null"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 def test_module_entry_point(tmp_path):

@@ -11,9 +11,9 @@ reaches from 1 down to 5e-324 and warm-ups up to 1e6 slots, so a campaign
 within the budget can still take hours: each simulate argv is drawn
 under a cap of _SLOT_CAP slots, summed over the campaigns it may run
 (one, or one per count of a convergence study), and one over the budget
-must exit 1 at once, before a slot runs (item 6 of ROADMAP.md). K reaches
-past the int32 range up to the int64 one, and convergence studies mix
-counts that round to no int or no valid count.
+must exit 1 at once, before a slot runs. K reaches past the int32 range
+up to the int64 one, and convergence studies mix counts that round to no
+int or no valid count.
 """
 
 import contextlib

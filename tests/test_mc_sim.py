@@ -143,6 +143,14 @@ class TestReproducibility:
         b = simulate(config(seed=778))
         assert (a.per_run_losses != b.per_run_losses).any()
 
+    def test_default_seed_is_zero(self):
+        # a SimConfig given no seed keys its runs 0, 1, ...: SHA-256 of its per-run losses
+        rep = simulate(SimConfig(QueueParams(0.5, 10), 0.5, 1000, 20))
+        assert (hashlib.sha256(rep.per_run_losses.tobytes()).hexdigest(), rep.slots) == (
+            "33c71eb7c6d3fa788bc7986c2b1ffd6fab88dbdaa2846ef1c4e60a0691bc4177", 39915)
+        assert np.array_equal(rep.per_run_losses,
+                              simulate(config(total=1000, runs=20, seed=0)).per_run_losses)
+
     def test_runs_are_distinct_streams(self):
         rep = simulate(config(total=300, runs=50, seed=9))
         assert len(set(rep.per_run_losses.tolist())) > 10
@@ -808,6 +816,19 @@ class TestKeptScratch:
         monkeypatch.setattr(SIM, "_KEEP_BYTES", 2**16)
         assert digests(simulate(config(**SCRATCH_CAMPAIGNS["long"]))) == fresh_digests["long"]
         assert all(s.drawn.nbytes + s.kept.nbytes <= 2**16 for s in SIM._SCRATCHES)
+
+    @pytest.mark.parametrize("drawn, kept, is_kept", [
+        (48, 48, True),  # the two buffers hold _KEEP_BYTES between them
+        (60, 40, False),  # each under _KEEP_BYTES, their sum over it
+        (40, 60, False),
+    ])
+    def test_keep_rule_counts_both_buffers(self, monkeypatch, drawn, kept, is_kept):
+        monkeypatch.setattr(SIM, "_KEEP_BYTES", 96)
+        monkeypatch.setattr(SIM, "_SCRATCHES", [])
+        with SIM._scratch() as scratch:
+            scratch.drawn = np.empty(drawn, dtype=bool)
+            scratch.kept = np.empty(kept, dtype=np.int8)
+        assert SIM._SCRATCHES == ([scratch] if is_kept else [])
 
     def test_campaign_after_failed_blocks(self, fresh_digests, monkeypatch):
         # test_failed_block_cancels_the_rest's failing block, then a block that
