@@ -89,28 +89,22 @@ def _root_log(
     bracket, about tol wide in ln(p), as (p, fun(p), p_other, fun(p_other),
     evaluations), the end with the smaller |fun| first.
     """
-    # |fa|, |fb| and |fc| ride along with fa, fb and fc, each taken once per
-    # new value; x if x >= 0.0 else -x is abs(x) for every comparison below.
-    exp, copysign = math.exp, math.copysign
-    two_eps, half_tol = 2.0 * _EPS, 0.5 * tol
     a, b, fa, fb = math.log(lo), math.log(hi), f_lo, f_hi
-    fa_abs, fb_abs = abs(fa), abs(fb)
-    c, fc, fc_abs = a, fa, fa_abs
+    c, fc = a, fa
     d = e = b - a
     evaluations = 0
     while True:
         if (fb > 0.0) == (fc > 0.0):
-            c, fc, fc_abs = a, fa, fa_abs
+            c, fc = a, fa
             d = e = b - a
-        if fc_abs < fb_abs:
+        if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-            fa_abs, fb_abs, fc_abs = fb_abs, fc_abs, fb_abs
-        step_tol = two_eps * (b if b >= 0.0 else -b) + half_tol
+        step_tol = 2.0 * _EPS * abs(b) + 0.5 * tol
         m = 0.5 * (c - b)
-        if (m if m >= 0.0 else -m) <= step_tol or fb == 0.0:
-            return exp(b), fb, exp(c), fc, evaluations
-        if (e if e >= 0.0 else -e) < step_tol or fa_abs <= fb_abs:
+        if abs(m) <= step_tol or fb == 0.0:
+            return math.exp(b), fb, math.exp(c), fc, evaluations
+        if abs(e) < step_tol or abs(fa) <= abs(fb):
             d = e = m  # bisection
         else:
             s = fb / fa
@@ -122,19 +116,14 @@ def _root_log(
                 q = (q - 1.0) * (r - 1.0) * (s - 1.0)
             if p > 0.0:
                 q = -q
-            else:
-                p = -p
-            u = 3.0 * m * q - step_tol * (q if q >= 0.0 else -q)
-            v = e * q
-            v = v if v >= 0.0 else -v
-            if 2.0 * p < (v if v < u else u):  # min(u, v)
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(step_tol * q), abs(e * q)):
                 e, d = d, p / q
             else:
                 d = e = m
-        a, fa, fa_abs = b, fb, fb_abs
-        b += d if (d if d >= 0.0 else -d) > step_tol else copysign(step_tol, m)
-        fb = fun(exp(b))
-        fb_abs = fb if fb >= 0.0 else -fb
+        a, fa = b, fb
+        b += d if abs(d) > step_tol else math.copysign(step_tol, m)
+        fb = fun(math.exp(b))
         evaluations += 1
 
 

@@ -19,8 +19,11 @@ then for each chunk its arrival then success words, chunks sized from
 the arrivals still to come -- so its result does not depend on the block
 of runs it steps in. Each draw starts on a word named by its run's key
 and position, where a seek puts the generator unless it already stands
-there, so words after the run's last needed arrival are never drawn (see
-``_chunk``) and nothing reads the generator's state back.
+there, and nothing reads the generator's state back. A chunk's arrival
+words are drawn _PIECE (2**16) at a time, stopping after the piece that
+holds the run's last needed arrival, so at most one piece of words past
+it is drawn, and its success words only for the slots up to it (see
+``_chunk``).
 
 Only a run's moves, the slots where its two bits differ, can change x.
 A block of runs steps a chunk of moves per run at once (see ``_step``):
@@ -72,7 +75,6 @@ from .queueing import QueueParams, _check_f, packet_loss
 __all__ = ["SimConfig", "SimReport", "ConvergenceRow", "simulate", "convergence_study"]
 
 _MAX_CHUNK_SLOTS = 2**22
-_SLACK_SLOTS = 4096  # slots the first arrival draw adds to its bound (see _first_slots)
 _SLOT_BUDGET = 2**40  # the most slots a campaign may be expected to last
 _BLOCK_CELLS = 2**20  # run x slot cells drawn per block of runs
 _THREAD_SLOTS = 2**14  # slots a run lasts, at least, for its blocks to go to worker threads
@@ -179,11 +181,8 @@ def _bits(bitgen: np.random.Philox, cut, out):
     """Fill the bool array out with compare(w, bound) of bitgen's next out.size
     raw words w, cut being (compare, bound) (see _cut), and return it. The
     words are drawn in pieces of at most _PIECE, each compared into its
-    slice of out, so a draw holds at most 8 * _PIECE bytes of words; a draw
-    of one piece is direct."""
+    slice of out, so a draw holds at most 8 * _PIECE bytes of words."""
     compare, bound = cut
-    if out.size <= _PIECE:
-        return compare(bitgen.random_raw(out.size), bound, out=out)
     for start in range(0, out.size, _PIECE):
         piece = out[start:start + _PIECE]
         compare(bitgen.random_raw(piece.size), bound, out=piece)
@@ -322,14 +321,6 @@ def _moves(arrival, success, scratch):
     return steps, moves
 
 
-def _first_slots(left: int, q: float, n: int) -> int:
-    # The left-th arrival comes after a negative-binomial wait of mean left / q
-    # slots and standard deviation sqrt(left (1 - q)) / q: a first draw of 4
-    # deviations past the mean, plus a slack that keeps short runs on one
-    # whole-chunk draw, misses it less than about 3e-5 of the time.
-    return min(n, int((left + 4 * math.sqrt(left * (1 - q))) / q) + _SLACK_SLOTS)
-
-
 def _cut_at(arrival, left: int, count: int) -> int:
     """Slots up to and including the left-th of the count >= left arrivals.
     The count - left arrivals after it lie near the end, so the search looks
@@ -352,25 +343,27 @@ def _chunk(bitgen, cuts, q, key, word, left, track, scratch):
     next chunk's word, arrivals still to come).
 
     A chunk of n slots owns the stream's n arrival words from word, then its
-    n success words. Its arrival words are drawn in a first piece of
-    _first_slots words, and the rest only if that piece holds fewer than
-    left arrivals. Its success words are drawn from word + n, which a chunk
-    that leaves arrival words unread seeks to, and only for the slots it
-    keeps; its next chunk starts on word + 2n whatever was drawn. Every word
-    a slot reads keeps its stream position. The bits are drawn into
-    scratch's drawn bytes, and the steps kept in it (see _moves)."""
+    n success words. Its arrival words are drawn _PIECE at a time, stopping
+    after the piece that holds the left-th arrival, in which _cut_at finds
+    it. Its success words are drawn from word + n, which a chunk that
+    leaves arrival words unread seeks to, and only for the slots it keeps;
+    its next chunk starts on word + 2n whatever was drawn. Every word a slot
+    reads keeps its stream position. The bits are drawn into scratch's
+    drawn bytes, and the steps kept in it (see _moves)."""
     arrive, succeed = cuts
     n = _chunk_slots(left, q)
     arrival, success = scratch.bits(n)
-    drawn = _first_slots(left, q, n)
     _seek(bitgen, key, word)
-    count = int(np.count_nonzero(_bits(bitgen, arrive, arrival[:drawn])))
-    if count < left and drawn < n:
-        count += int(np.count_nonzero(_bits(bitgen, arrive, arrival[drawn:])))
-        drawn = n
+    count = drawn = 0
+    while count < left and drawn < n:
+        piece = _bits(bitgen, arrive, arrival[drawn:drawn + _PIECE])
+        before, count = count, count + int(np.count_nonzero(piece))
+        drawn += piece.size
     if drawn < n:  # arrival words left unread; else the generator stands there
         _seek(bitgen, key, word + n)
-    slots = _cut_at(arrival[:drawn], left, count) if count >= left else n
+    slots = n
+    if count >= left:  # the left-th arrival lies in the last piece drawn
+        slots = drawn - piece.size + _cut_at(piece, left - before, count - before)
     steps, moves = _moves(arrival[:slots], _bits(bitgen, succeed, success[:slots]), scratch)
     return (steps, moves if track else None, slots), word + 2 * n, max(left - count, 0)
 

@@ -283,6 +283,19 @@ def reference_run(cfg, i):
     return losses / cfg.total_packets, fractions, slots
 
 
+def check_against_slot_loop(cfg):
+    """Simulate cfg, which tracks occupancy, and hold each run to reference_run."""
+    rep = simulate(cfg)
+    slots = 0
+    for i in range(cfg.num_runs):
+        loss, occ, used = reference_run(cfg, i)
+        assert rep.per_run_losses[i] == loss
+        assert np.array_equal(rep.per_run_occupancy[i], occ)
+        slots += used
+    assert rep.slots == slots
+    return rep
+
+
 @st.composite
 def campaigns(draw):
     q = draw(st.one_of(st.just(1.0), st.floats(1e-3, 0.05), st.floats(0.05, 1.0)))
@@ -369,15 +382,7 @@ class TestRunEquivalence:
     ])
     def test_few_runs_match_the_slot_loop(self, kw):
         cfg = config(**{"runs": 2, "seed": 77, "track_occupancy": True, **kw})
-        rep = simulate(cfg)
-        slots = 0
-        for i in range(cfg.num_runs):
-            loss, occ, used = reference_run(cfg, i)
-            assert rep.per_run_losses[i] == loss
-            assert np.array_equal(rep.per_run_occupancy[i], occ)
-            slots += used
-        assert rep.slots == slots
-        assert 0 < rep.per_run_losses.min()
+        assert 0 < check_against_slot_loop(cfg).per_run_losses.min()
 
     def test_warm_up_pieces_change_nothing(self, monkeypatch):
         # with 64-cell blocks each run steps alone and its 1000-slot warm-up
@@ -566,12 +571,72 @@ class TestRawWordDraws:
             assert np.array_equal(rep.per_run_occupancy[i], occ)
 
 
+class WordSpy:
+    """A bit generator that draws through bitgen and records the stream words
+    [start, end) of each draw, counted from the word the last _seek named."""
+
+    def __init__(self, bitgen):
+        self.bitgen, self.at, self.spans = bitgen, None, []
+
+    def random_raw(self, size):
+        self.spans.append((self.at, self.at + size))
+        self.at += size
+        return self.bitgen.random_raw(size)
+
+
+def merged(spans):
+    """spans, each [start, end), joined where one ends on the next's start."""
+    out = []
+    for start, end in spans:
+        if out and out[-1][1] == start:
+            start = out.pop()[0]
+        out.append((start, end))
+    return out
+
+
+def spy_on_chunks(monkeypatch, total):
+    """The set of (where, later) that simulate's chunks, of runs of total
+    packets, give from now on. where is "straggler" for a chunk without its
+    run's last needed arrival, else "first piece" or "later piece", with
+    " first slot" or " last slot" added when that arrival lies on that slot
+    of its piece; later is whether the chunk follows its run's first. Each
+    chunk is checked to draw exactly its arrival words up to the end of the
+    piece holding that arrival (all n for a straggler) and its success
+    words for the slots it keeps."""
+    seen, chunk, seek = set(), SIM._chunk, SIM._seek
+
+    def spy_seek(bitgen, key, word):
+        if isinstance(bitgen, WordSpy):
+            bitgen.at, bitgen = word, bitgen.bitgen
+        seek(bitgen, key, word)
+
+    def spy(bitgen, cuts, q, key, word, left, track, scratch):
+        words = WordSpy(bitgen)
+        out = chunk(words, cuts, q, key, word, left, track, scratch)
+        n, piece, slots = _chunk_slots(left, q), SIM._PIECE, out[0][2]
+        assert out[1] == word + 2 * n  # the next chunk's word
+        end = n if out[2] else min(-(-slots // piece) * piece, n)
+        assert merged(words.spans) == merged([(word, word + end),
+                                              (word + n, word + n + slots)])
+        where = "straggler"
+        if not out[2]:
+            at = (slots - 1) % piece  # the last needed arrival's place in its piece
+            where = ("first piece" if slots <= piece else "later piece") + (
+                " first slot" if at == 0 else " last slot" if at == piece - 1 else "")
+        seen.add((where, left < total))
+        return out
+
+    monkeypatch.setattr(SIM, "_seek", spy_seek)
+    monkeypatch.setattr(SIM, "_chunk", spy)
+    return seen
+
+
 class TestChunkDraws:
-    """A chunk seeks to its first word and draws its arrival words in a
-    bounded first piece, draws the rest only when that piece misses the
-    run's last arrival, seeks past the unread rest, and draws only the
-    success words its slots read. Whichever of these it does, every slot
-    reads the words a straight draw of the whole stream puts there."""
+    """A chunk seeks to its first word, draws its arrival words _PIECE at a
+    time up to the piece that holds its run's last needed arrival, seeks
+    past the unread rest, and draws only the success words its slots read.
+    Wherever that arrival falls, every slot reads the words a straight draw
+    of the whole stream puts there."""
 
     @pytest.mark.parametrize("counter", [(0, 0, 0, 0), (2**64 - 3, 0, 0, 0)])
     @pytest.mark.parametrize("used", range(4))  # words already taken from the 4-word buffer
@@ -607,46 +672,55 @@ class TestChunkDraws:
             for left in {1, min(2, at.size), at.size // 2 + 1, max(at.size - 1, 1), at.size}:
                 assert _cut_at(arrival, left, at.size) == at[left - 1] + 1
 
+    # first: pieces of 64 words (None), or of half the run's first chunk
     @pytest.mark.parametrize("kw,first,paths", [
-        # first pieces that hold the last arrival and seek past the rest
-        (dict(q=0.9, f=0.3, K=10, total=27_000), None, {("seek", False)}),
-        (dict(q=0.9, f=0.0, K=10, total=27_000), None, {("seek", False)}),
-        (dict(q=0.9, f=1.0, K=10, total=27_000), None, {("seek", False)}),
-        (dict(q=1.0, f=0.5, K=10, total=30_000, warmup_slots=3000), None, {("seek", False)}),
-        (dict(q=0.9, f=0.25, K=200, total=27_000, warmup_slots=3000), None, {("seek", False)}),
-        # first pieces of half a chunk, which miss and draw the rest
-        (dict(q=0.5, f=0.45, K=10, total=5000, warmup_slots=200), "half", {("miss", False)}),
-        # stragglers, some of whose later chunks seek past the rest
+        # the last arrival in a later piece, the words past that piece unread
+        (dict(q=0.9, f=0.3, K=10, total=27_000), None, {("later piece", False)}),
+        (dict(q=0.9, f=0.0, K=10, total=27_000), None, {("later piece", False)}),
+        (dict(q=0.9, f=1.0, K=10, total=27_000), None, {("later piece", False)}),
+        (dict(q=1.0, f=0.5, K=10, total=30_000, warmup_slots=3000), None,
+         {("later piece", False)}),
+        (dict(q=0.9, f=0.25, K=200, total=27_000, warmup_slots=3000), None,
+         {("later piece", False)}),
+        # in the second of two pieces, which ends on the chunk's last word
+        (dict(q=0.5, f=0.45, K=10, total=5000, warmup_slots=200), "half",
+         {("later piece", False)}),
+        # stragglers, whose first chunks hold no last arrival, and whose later
+        # chunks are one piece each
         (dict(q=0.01, f=0.002, K=1, total=3, runs=24, seed=606, warmup_slots=25), "half",
-         {("seek", True), ("miss", False)}),
-        # a short run keeps one whole-chunk draw
-        (dict(q=0.5, f=0.5, K=10, total=1000, warmup_slots=50), None, {("whole", False)}),
+         {("straggler", False), ("first piece", True)}),
+        # a short run, its last arrival in its first piece
+        (dict(q=0.5, f=0.5, K=10, total=20, warmup_slots=50), None, {("first piece", False)}),
     ])
     def test_each_path_matches_the_slot_loop(self, kw, first, paths, monkeypatch):
-        if first == "half":
-            monkeypatch.setattr(SIM, "_first_slots", lambda left, q, n: n // 2)
-        seen, chunk = set(), SIM._chunk
-
-        def spy(bitgen, cuts, q, key, word, left, track, scratch):
-            out = chunk(bitgen, cuts, q, key, word, left, track, scratch)
-            n = _chunk_slots(left, q)
-            assert out[1] == word + 2 * n  # the next chunk's word
-            piece, slots, after = SIM._first_slots(left, q, n), out[0][2], out[2]
-            path = "whole" if piece == n else "seek" if not after and slots <= piece else "miss"
-            seen.add((path, left < kw["total"]))
-            return out
-
-        monkeypatch.setattr(SIM, "_chunk", spy)
         cfg = config(**{"runs": 2, "seed": 91, "track_occupancy": True, **kw})
-        rep = simulate(cfg)
+        half = _chunk_slots(cfg.total_packets, cfg.queue.arrival_prob_q) // 2
+        monkeypatch.setattr(SIM, "_PIECE", 64 if first is None else half)
+        seen = spy_on_chunks(monkeypatch, cfg.total_packets)
+        check_against_slot_loop(cfg)
         assert paths <= seen
-        slots = 0
-        for i in range(cfg.num_runs):
-            loss, occ, used = reference_run(cfg, i)
-            assert rep.per_run_losses[i] == loss
-            assert np.array_equal(rep.per_run_occupancy[i], occ)
-            slots += used
-        assert rep.slots == slots
+
+    # At q = 1 the left-th arrival is on slot left; at q = 0.3 the pieces end
+    # on the first chunk's last needed arrival, or on the slot before it.
+    @pytest.mark.parametrize("q, total, piece, where", [
+        (1.0, 1, 64, "first piece first slot"),
+        (1.0, 64, 64, "first piece last slot"),
+        (1.0, 65, 64, "later piece first slot"),
+        (1.0, 192, 64, "later piece last slot"),
+        (0.3, 500, "through the arrival", "first piece last slot"),
+        (0.3, 500, "before the arrival", "later piece first slot"),
+    ], ids=["q1-first-first", "q1-first-last", "q1-later-first", "q1-later-last",
+            "q0.3-first-last", "q0.3-later-first"])
+    def test_last_arrival_on_a_piece_edge(self, q, total, piece, where, monkeypatch):
+        cfg = config(q=q, f=0.4, K=5, total=total, runs=1, seed=3, track_occupancy=True)
+        if isinstance(piece, str):
+            slots = reference_run(cfg, 0)[2]
+            assert slots < _chunk_slots(total, q)  # the first chunk holds the arrival
+            piece = slots if piece == "through the arrival" else slots - 1
+        monkeypatch.setattr(SIM, "_PIECE", piece)
+        seen = spy_on_chunks(monkeypatch, total)
+        check_against_slot_loop(cfg)
+        assert seen == {(where, False)}
 
 
 class TestWorkerThreads:
