@@ -307,7 +307,8 @@ def _cmd_eval(settings: Settings) -> int:
 
 
 def _cmd_optimize(settings: Settings) -> int:
-    result = maximize_constrained(_system(settings), _queue(settings), _model(settings))
+    system, queue, model = _system(settings), _queue(settings), _model(settings)
+    result = maximize_constrained(system, queue, model)
     row = [
         settings.q,
         settings.K,
@@ -327,6 +328,7 @@ def _cmd_optimize(settings: Settings) -> int:
         [_csv_line(row)],
     )
     print(f"p*   = {result.p_star:.6g} W ({watts_to_dbm(result.p_star):.2f} dBm)")
+    print(f"eta* = {result.eta_star:.6g} bit/J")
     if math.isinf(result.p0):
         print(f"loss bound {settings.epsilon:.6g} unreachable below the "
               f"{settings.pmax_w:.6g} W cap", file=sys.stderr)
@@ -338,7 +340,7 @@ def _cmd_optimize(settings: Settings) -> int:
           f" = {share:.3g}% of the power cap"
           f" (assumption: percent figures are relative to p_max = "
           f"{settings.pmax_w:.6g} W)")
-    print(f"eta* = {result.eta_star:.6g} bit/J")
+    print(f"eta** = {efficiency(system, queue, model, p_cc).eta:.6g} bit/J")
     print(f"binding = {result.binding.value}")
     return 0
 

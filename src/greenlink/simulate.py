@@ -19,11 +19,11 @@ then for each chunk its arrival then success words, chunks sized from
 the arrivals still to come -- so its result does not depend on the block
 of runs it steps in. Each draw starts on a word named by its run's key
 and position, where a seek puts the generator unless it already stands
-there, and nothing reads the generator's state back. A chunk's arrival
-words are drawn _PIECE (2**16) at a time, stopping after the piece that
-holds the run's last needed arrival, so at most one piece of words past
-it is drawn, and its success words only for the slots up to it (see
-``_chunk``).
+there, and nothing reads the generator's state back. One draw reads
+every stretch, warm-up piece or chunk (see ``_draw``): its arrival words
+_PIECE (2**16) at a time, stopping after the piece that holds the run's
+last needed arrival, so at most one piece of words past it is drawn,
+then its success words only for the slots up to it.
 
 Only a run's moves, the slots where its two bits differ, can change x.
 A block of runs steps a chunk of moves per run at once (see ``_step``):
@@ -32,8 +32,9 @@ the slot maps of every _GROUP moves compose into one clamp map (see
 each group (see ``_group_entries``), and whole-array numpy passes over
 the groups stand in for a Python step per slot. A block's warm-ups step
 first, as a block of their own whose losses are dropped, in pieces of at
-most _BLOCK_CELLS slots (see ``_warm_up``), then its first chunks; a run
-that needs more (a straggler) steps each later chunk alone.
+most _BLOCK_CELLS slots, then its first chunks; runs that need more
+(stragglers) step their later chunks together, one round at a time (see
+``_block``).
 
 Blocks share nothing but the campaign's config: each seeks its own
 Philox and writes only its runs' losses and occupancy rows, so they can
@@ -336,22 +337,19 @@ def _cut_at(arrival, left: int, count: int) -> int:
         tail *= 4
 
 
-def _chunk(bitgen, cuts, q, key, word, left, track, scratch):
-    """Draw the chunk of stream key that starts at word `word`, for left more
-    arrivals, and keep its moves up to the slot of the left-th arrival, or to
-    the end of the chunk. Returns ((steps, move slots or None, slots), the
-    next chunk's word, arrivals still to come).
+def _draw(bitgen, cuts, key, word, success_word, n, left, track, scratch):
+    """Draw n slots of stream key, their arrival words from word and their
+    success words from success_word, and keep their moves up to the slot of
+    the left-th arrival, or to the n-th slot. Returns ((steps, move slots or
+    None, slots), arrivals drawn).
 
-    A chunk of n slots owns the stream's n arrival words from word, then its
-    n success words. Its arrival words are drawn _PIECE at a time, stopping
-    after the piece that holds the left-th arrival, in which _cut_at finds
-    it. Its success words are drawn from word + n, which a chunk that
-    leaves arrival words unread seeks to, and only for the slots it keeps;
-    its next chunk starts on word + 2n whatever was drawn. Every word a slot
-    reads keeps its stream position. The bits are drawn into scratch's
-    drawn bytes, and the steps kept in it (see _moves)."""
+    The arrival words are drawn _PIECE at a time, stopping after the piece
+    that holds the left-th arrival, in which _cut_at finds it. The success
+    words are drawn only for the slots kept, after a seek unless the arrival
+    words drawn end on success_word. Every word a slot reads keeps its
+    stream position. The bits are drawn into scratch's drawn bytes, and the
+    steps kept in it (see _moves)."""
     arrive, succeed = cuts
-    n = _chunk_slots(left, q)
     arrival, success = scratch.bits(n)
     _seek(bitgen, key, word)
     count = drawn = 0
@@ -359,13 +357,13 @@ def _chunk(bitgen, cuts, q, key, word, left, track, scratch):
         piece = _bits(bitgen, arrive, arrival[drawn:drawn + _PIECE])
         before, count = count, count + int(np.count_nonzero(piece))
         drawn += piece.size
-    if drawn < n:  # arrival words left unread; else the generator stands there
-        _seek(bitgen, key, word + n)
+    if word + drawn != success_word:
+        _seek(bitgen, key, success_word)
     slots = n
     if count >= left:  # the left-th arrival lies in the last piece drawn
         slots = drawn - piece.size + _cut_at(piece, left - before, count - before)
     steps, moves = _moves(arrival[:slots], _bits(bitgen, succeed, success[:slots]), scratch)
-    return (steps, moves if track else None, slots), word + 2 * n, max(left - count, 0)
+    return (steps, moves if track else None, slots), count
 
 
 def _group_entries(shift, low, high, x):
@@ -397,8 +395,9 @@ def _step(chunks, x, K, occ, scratch):
     Every group's clamp map comes from one pass over the moves, the states
     entering the groups from a scan of the maps, and every move's state and
     loss flag from a second pass. States, like x, are int64 throughout (K
-    is at most 2**62, see SimConfig). occ, None or runs x (K + 1) int64
-    counts, gains the chunks' slot-start states. The cells, states and gaps
+    is at most 2**62, see SimConfig). occ, None or one int64 row of K + 1
+    occupancy counts per chunk (a list of row views, so no round copies
+    them), gains the chunks' slot-start states. The cells, states and gaps
     lie in scratch's drawn bytes, and the chunks' steps, kept in scratch,
     are spent once it returns. Returns each run's losses."""
     size = max(steps.size for steps, _, _ in chunks)
@@ -427,29 +426,9 @@ def _step(chunks, x, K, occ, scratch):
             gap[:1] = moves[:1] + 1
             occ[r] += np.bincount(states[:moves.size, r], weights=gap,
                                   minlength=K + 1).astype(np.int64)
-            occ[r, x[r]] += n - 1 - int(moves[-1]) if moves.size else n
+            occ[r][x[r]] += n - 1 - int(moves[-1]) if moves.size else n
     scratch.spend()
     return np.count_nonzero(cells.view(bool), axis=0)
-
-
-def _warm_up(bitgen, cuts, warm: int, keys, x, K, scratch) -> None:
-    """Step the runs keyed keys from states x, updated in place, over their
-    warm-ups of warm slots, whose losses do not count. Piece k of at most
-    _BLOCK_CELLS slots reads a run's arrival words [kC, kC + n) and success
-    words [warm + kC, warm + kC + n), C being _BLOCK_CELLS, so no piece holds
-    more than 2C bits however long the warm-up."""
-    arrive, succeed = cuts
-    for start in range(0, warm, _BLOCK_CELLS):
-        n = min(_BLOCK_CELLS, warm - start)
-        arrival, success = scratch.bits(n)
-        pieces = []
-        for key in keys:
-            _seek(bitgen, key, start)
-            _bits(bitgen, arrive, arrival)
-            _seek(bitgen, key, warm + start)
-            steps, _ = _moves(arrival, _bits(bitgen, succeed, success), scratch)
-            pieces.append((steps, None, n))
-        _step(pieces, x, K, None, scratch)
 
 
 def _block(bitgen, cuts, config: SimConfig, first_key: int, losses, occ) -> int:
@@ -457,36 +436,46 @@ def _block(bitgen, cuts, config: SimConfig, first_key: int, losses, occ) -> int:
     losses, which gains their losses; occ, None or their rows of occupancy
     counts, gains their slot-start states. bitgen is the block's own, a seek
     puts it at every word it draws, and nothing else is written, so blocks on
-    other threads cannot change the result. Their warm-ups step first, as a
-    block whose losses and states do not count; a run's first chunk starts
-    on the word after its warm-up's, and a straggler carries the word its
-    next chunk starts on. Its working arrays come from one scratch (see
-    _scratch). Returns the slots stepped."""
+    other threads cannot change the result. Its working arrays come from one
+    scratch (see _scratch). Returns the slots stepped.
+
+    The warm-ups step first, as a block whose losses and states do not
+    count, in pieces of at most C = _BLOCK_CELLS slots: piece k of n slots
+    reads a run's arrival words [kC, kC + n) and success words [warm + kC,
+    warm + kC + n), so no piece holds more than 2C bits however long the
+    warm-up. Round 0 then steps every run's first chunk, from the word after
+    its warm-up's, and stragglers step their later chunks together, one
+    round at a time; a chunk of n slots reads n arrival words, then n
+    success words, from where its run's last chunk ended."""
     q = config.queue.arrival_prob_q
     K = int(config.queue.buffer_size_K)
     warm = config.warmup_slots
     track = occ is not None
-    keys = range(first_key, first_key + losses.size)
-    x = np.full(losses.size, config.initial_queue_state, dtype=np.int64)
+    runs = losses.size
+    keys = range(first_key, first_key + runs)
+    x = np.full(runs, config.initial_queue_state, dtype=np.int64)
     with _scratch() as scratch:
-        _warm_up(bitgen, cuts, warm, keys, x, K, scratch)
-        chunks, stragglers = [], []
-        for r, key in enumerate(keys):
-            chunk, word, left = _chunk(bitgen, cuts, q, key, 2 * warm, config.total_packets,
-                                       track, scratch)
-            chunks.append(chunk)
-            if left:
-                stragglers.append((r, key, word, left))
-        slots = warm * losses.size + sum(n for _, _, n in chunks)
-        losses[:] = _step(chunks, x, K, occ, scratch)
-        # a straggler, a run that needs more than its first chunk, steps each
-        # later chunk as a block of one
-        for r, key, word, left in stragglers:
-            run = slice(r, r + 1)
-            while left:
-                chunk, word, left = _chunk(bitgen, cuts, q, key, word, left, track, scratch)
-                losses[run] += _step([chunk], x[run], K, occ[run] if track else None, scratch)
+        for start in range(0, warm, _BLOCK_CELLS):
+            n = min(_BLOCK_CELLS, warm - start)
+            _step([_draw(bitgen, cuts, key, start, warm + start, n, n + 1, False, scratch)[0]
+                   for key in keys], x, K, None, scratch)
+        rows, words, left = list(range(runs)), [2 * warm] * runs, [config.total_packets] * runs
+        slots = warm * runs
+        while rows:
+            chunks = []
+            for r in rows:
+                n = _chunk_slots(left[r], q)
+                chunk, count = _draw(bitgen, cuts, keys[r], words[r], words[r] + n, n, left[r],
+                                     track, scratch)
+                chunks.append(chunk)
+                words[r] += 2 * n
+                left[r] = max(left[r] - count, 0)
                 slots += chunk[2]
+            at = x[rows]
+            losses[rows] += _step(chunks, at, K, [occ[r] for r in rows] if track else None,
+                                  scratch)
+            x[rows] = at
+            rows = [r for r in rows if left[r]]
     return slots
 
 

@@ -98,6 +98,25 @@ class TestOptimize:
         assert row[9] == "infeasible"
         assert "unreachable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, eta_star, eta_cc", [
+        # the exp peak where f' overflows: eta* reads inf there, while p** sits on p_min
+        (["--sigma2-w", "1e-312", "--b-over-sigma2", "1"], "inf", "400000"),
+        (["--model", "qfunc", "--kappa", "2", "--hh", "1e6"], "20000", "19047.6"),
+        ([], None, None),  # interior: p** is p*, and eta** is eta*
+    ])
+    def test_each_peak_prints_its_own_eta(self, tmp_path, capsys, argv, eta_star, eta_cc):
+        out = tmp_path / "opt.csv"
+        assert main(["optimize", *argv, "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" =")[0].strip() for line in lines] == [
+            "p*", "eta*", "p0", "p**", "eta**", "binding"]
+        _, row = read_rows(out)
+        assert lines[1] == f"eta* = {float(row[8]):.6g} bit/J"
+        if eta_star is None:
+            assert lines[4].split("= ")[1] == lines[1].split("= ")[1]
+        else:
+            assert (lines[1], lines[4]) == (f"eta* = {eta_star} bit/J", f"eta** = {eta_cc} bit/J")
+
     def test_qos_binding_reported(self, tmp_path):
         out = tmp_path / "opt.csv"
         assert main(["optimize", "--q", "0.9", "--epsilon", "0.001",

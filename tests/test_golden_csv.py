@@ -107,6 +107,11 @@ CASES = {
     "simulate-straggler": ["simulate", "--q", "0.01", "--f", "0.002", "--K", "1",
                            "--total-packets", "3", "--num-runs", "24", "--seed", "606",
                            "--warmup-slots", "25"],
+    # stragglers whose runs last at least 2**14 slots, so their blocks step on
+    # worker threads and need several rounds each (0.8, 1217002 slots)
+    "simulate-straggler-threaded": ["simulate", "--q", "0.01", "--f", "0.002", "--K", "1",
+                                    "--total-packets", "3", "--num-runs", "60", "--seed", "606",
+                                    "--warmup-slots", "20000"],
     "simulate-deep-buffer": ["simulate", "--f", "0.3", "--q", "0.9", "--K", "3000000000",
                              "--initial-state", "3000000000", "--total-packets", "3000",
                              "--num-runs", "3", "--seed", "77"],
@@ -121,9 +126,9 @@ PINS = {
     'eval-exp': (0, '9d78c9aac6a3b7fb517adeba11728c77fdf7eb0ae348abbd8e63103070ea303d', 'c0618da323a3ced821f53cbf0bd0987ccd5b477b2efd18c095f17c0f8925a299', ''),
     'eval-qfunc2-b0': (0, '755139e3dd7e20e24284e2677a1252f462d0b80a9f525d9712b481c844d206a8', '7b9687961147dc3b097c5cbc70e9a0fe4cb1f5cdb7b813284cbd7b5ee0ebadbf', ''),
     'eval-qfunc-qos': (0, 'df948d129fe6680ae74af37465087936422277d0ea03e0865ffbaaa38129f9d3', 'e2aa41f5dc667b3934937b17fbe4fcf8db67df787cc98d6d6e38ef36e3561922', ''),
-    'optimize-exp': (0, 'cae85d2ec18743b155867955d69d0e2435efe793915c269c2e8c7759235cb093', '68ee14db343dbd72b607dc5be60de6a23848f72bc0cc5ce7d1737f39094e5cb7', ''),
-    'optimize-qfunc2-b0': (0, '52051a7c365f023217eadf72f05a70863fa9c6c21eaa00fddcf4361121822f3c', 'f63a4583bdf23f330e27ed92ed721b37dda4e2ad6e359bb528ec647c1333825b', ''),
-    'optimize-qfunc-qos': (0, '8a0d18caf9f32ecc6f05e9354d6bf432d72a2ec3af0b02287fb23045ae0d7cda', 'f47a763b79231e47961762c9f031b2e4c87ce4b9a836abbb697a454fca9f6fd3', ''),
+    'optimize-exp': (0, 'cae85d2ec18743b155867955d69d0e2435efe793915c269c2e8c7759235cb093', '210aae51240b6515bed9290fcd30fb1e0afae0fa5d7bc5b7db59a3280f0f9e18', ''),
+    'optimize-qfunc2-b0': (0, '52051a7c365f023217eadf72f05a70863fa9c6c21eaa00fddcf4361121822f3c', 'e341d9af50705f8d5cbb39c3cc740b5d2dc65fe0f2330d980a5c7eaf3abcba32', ''),
+    'optimize-qfunc-qos': (0, '8a0d18caf9f32ecc6f05e9354d6bf432d72a2ec3af0b02287fb23045ae0d7cda', '5042c4dd3148cafbf4819fd3eaa59a273ab978d1101befbf0959b21bb3753368', ''),
     'simulate-f': (0, '139a878252c08f94e30c8209ad7dfef2d70d68585cd5681c123274be8e61b7af', 'd18c537ed5c886a1b2328753d4e94a55af745f91682d609488d718f2d5e5d33d', ''),
     'simulate-qfunc-p': (0, '09705e15357101b2b377e720e89a60e78865b6763eed4c141ddd168611c5b9f0', '9852a9c1a41557cb6beb3dcaf2aea6a022c5c5672df48c585d56132e6cac3e77', ''),
     'simulate-counts': (0, '6453deeb76e3e2fcfa6c31cfd0aee7fde12b59b37b91f050e7499beb4cc80e5e', '20deaf89cc5169d2a0bddc27dcd46afe37fa82ea0d2c68086eed8f0b95bdd575', ''),
@@ -141,13 +146,14 @@ PINS = {
     'sweep-p-exp': (0, 'd8bb1cef11fc11ec45e975308b7ce9342fd51abf39c2327fda9673d9a45b8fad', '28766d68ba91ac63d408f27391a3acd99c2f57e31326524828210d9b0dae7d0d', ''),
     'sweep-p-qfunc2-b0': (0, '70e8dc992dbe41c7c825e9b3260d0c196cae9f3105553a257214f6ef451af340', '3eb01ac89f63395f3d36fbb257e598ea36ac07f683bdf04fc0be409518896ced', ''),
     'sweep-p-qfunc-qos': (0, '8014d5a57b518d14bea845fa5c4db678dd2b25af548ebf81bf0923f9ce0a7c94', '28766d68ba91ac63d408f27391a3acd99c2f57e31326524828210d9b0dae7d0d', ''),
-    'optimize-f-overflow': (0, '0bd342e95c551ba5f948c535cc844a62d21007ebc9f11432ed53afccd07de61a', '87057b013e3aba1bd465bb69612d3bb52eea7d5da47ac20c362d1b672fae6f9b', ''),
-    'optimize-qfunc-hh': (0, 'ecd4ea6bb5d1b6dfa582bac67eb7560091588f5572720690011460e01a09f4cb', '3d1ec627e418c7a52087c76a2d619c4a64e94ed5ed4a70df61d92d8cc3d92461', ''),
-    'optimize-qfunc-hh-sigma2': (0, 'e3caaa7a9bdfedbe74f99da1de94adafb9696d144860a8d074b091fdc60a9e47', 'f82de811c8fc3cac63c2f2cb5687c20f8cae1d220524adbddc9b850a4053ea5d', ''),
+    'optimize-f-overflow': (0, '0bd342e95c551ba5f948c535cc844a62d21007ebc9f11432ed53afccd07de61a', 'aa9db2b77340b5bf8805bb23efd9de03fe7552b582afa5085d5c40cd624504e9', ''),
+    'optimize-qfunc-hh': (0, 'ecd4ea6bb5d1b6dfa582bac67eb7560091588f5572720690011460e01a09f4cb', 'f75b8ccacd11116f6ddcbc77864c465088c0cbcbcdd50b9c58be075569659d58', ''),
+    'optimize-qfunc-hh-sigma2': (0, 'e3caaa7a9bdfedbe74f99da1de94adafb9696d144860a8d074b091fdc60a9e47', '4e4c89b4e876ba10b39f7cc95c520467e6327cf4f11dde12f3f0e8a8a709e40c', ''),
     'simulate-long': (0, 'ba4ac1f856cf951d15f1013cd213e6b8cb6153558e454aa97c384e51905fe9d3', '8c9e85fd7f510fda611f8e8d744e271683c4be342fd66b3f14f6210f846a1e62', ''),
     'simulate-threaded': (0, '603ab5527c2d428fa40c2e99d9cd96dd901983f3229d14a071ae3c3aa8928f2e', '21df72ba61758fc6b9810ea860b6860f1db854fb1000272f8956e2dcd443bce1', ''),
     'simulate-campaigns': (0, '326550a4ed4483b2b2d4ff007bb2a1fee60920e3f1cb9e876021a188ee798859', '3da36f47e71b681ab552384a4957dc71860388cdebb1f19a440d19d67ed04f11', ''),
     'simulate-straggler': (0, '6116b8ebbb7e80f42ab0ef72a0caa1d4a06bc5b1b1ec4185956eb3521692cbd5', '89db87c39b16dcb13be8d4237414694f19d559a3b86bb44a7806b28c499532ef', ''),
+    'simulate-straggler-threaded': (0, '719209a6e7cba3faf23460c5e48a6736b7ee08c3752f73725e8a8c73087363a0', '0a5faf8e18680c47e6f90ccb6c378cd114a24ac569393db97832eecb4ff57ee8', ''),
     'simulate-deep-buffer': (0, '91be9513d1fc29ca280ea4c0637901c4612ca912f0e9d522ed6d164de7ec9b75', 'e72c416706506579af7b87b431aace13d431ac5ba58cd20165822d05d8547ec5', ''),
 }
 

@@ -1,4 +1,5 @@
 import ast
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -301,7 +302,7 @@ def campaigns(draw):
     q = draw(st.one_of(st.just(1.0), st.floats(1e-3, 0.05), st.floats(0.05, 1.0)))
     K = draw(st.sampled_from([1, 2, 10, 1000, 100_000]))
     # a few packets at small q leave some runs short of arrivals after
-    # their first chunk, so they step later chunks as blocks of one
+    # their first chunk, so they step later chunks in later rounds
     total = draw(st.integers(1, 3) if q < 0.05 else st.integers(1, 200))
     return SimConfig(
         queue=QueueParams(q, K),
@@ -594,32 +595,50 @@ def merged(spans):
     return out
 
 
-def spy_on_chunks(monkeypatch, total):
-    """The set of (where, later) that simulate's chunks, of runs of total
-    packets, give from now on. where is "straggler" for a chunk without its
-    run's last needed arrival, else "first piece" or "later piece", with
-    " first slot" or " last slot" added when that arrival lies on that slot
-    of its piece; later is whether the chunk follows its run's first. Each
-    chunk is checked to draw exactly its arrival words up to the end of the
-    piece holding that arrival (all n for a straggler) and its success
-    words for the slots it keeps."""
-    seen, chunk, seek = set(), SIM._chunk, SIM._seek
+def spy_on_draws(monkeypatch, cfg):
+    """The set of (where, later) that the draws of one simulate(cfg) call
+    give from now on. where is "warm-up" for a warm-up piece, later being whether
+    it follows its run's first piece; for a chunk, where is "straggler" if it
+    lacks its run's last needed arrival, else "first piece" or "later
+    piece", with " first slot" or " last slot" added when that arrival lies
+    on that slot of its piece, and later is whether the chunk follows its
+    run's first. Warm-up piece k is checked to keep all its n slots and read
+    exactly its arrival words [kC, kC + n) and success words [warm + kC,
+    warm + kC + n), C being _BLOCK_CELLS. Each chunk is checked to start on
+    the word after its run's last chunk (or warm-up), to be sized from the
+    arrivals its run still needs, and to draw exactly its arrival words up
+    to the end of the piece holding that arrival (all n for a straggler) and
+    its success words for the slots it keeps."""
+    seen, draw, seek = set(), SIM._draw, SIM._seek
+    q, warm, total = cfg.queue.arrival_prob_q, cfg.warmup_slots, cfg.total_packets
+    runs = {}  # key -> (its next chunk's word, arrivals still to come)
 
     def spy_seek(bitgen, key, word):
         if isinstance(bitgen, WordSpy):
             bitgen.at, bitgen = word, bitgen.bitgen
         seek(bitgen, key, word)
 
-    def spy(bitgen, cuts, q, key, word, left, track, scratch):
+    def spy(bitgen, cuts, key, word, success_word, n, left, track, scratch):
         words = WordSpy(bitgen)
-        out = chunk(words, cuts, q, key, word, left, track, scratch)
-        n, piece, slots = _chunk_slots(left, q), SIM._PIECE, out[0][2]
-        assert out[1] == word + 2 * n  # the next chunk's word
-        end = n if out[2] else min(-(-slots // piece) * piece, n)
+        out = draw(words, cuts, key, word, success_word, n, left, track, scratch)
+        (_, _, slots), count = out
+        if word < warm:  # a warm-up piece
+            cells = SIM._BLOCK_CELLS
+            assert word % cells == 0 and n == min(cells, warm - word)
+            assert (success_word, left, slots) == (warm + word, n + 1, n)
+            assert merged(words.spans) == merged([(word, word + n),
+                                                  (warm + word, warm + word + n)])
+            seen.add(("warm-up", word > 0))
+            return out
+        assert (word, left) == runs.get(key, (2 * warm, total))
+        assert (n, success_word) == (_chunk_slots(left, q), word + n)
+        runs[key] = (word + 2 * n, max(left - count, 0))  # the next chunk's word
+        piece = SIM._PIECE
+        end = n if count < left else min(-(-slots // piece) * piece, n)
         assert merged(words.spans) == merged([(word, word + end),
                                               (word + n, word + n + slots)])
         where = "straggler"
-        if not out[2]:
+        if count >= left:
             at = (slots - 1) % piece  # the last needed arrival's place in its piece
             where = ("first piece" if slots <= piece else "later piece") + (
                 " first slot" if at == 0 else " last slot" if at == piece - 1 else "")
@@ -627,16 +646,17 @@ def spy_on_chunks(monkeypatch, total):
         return out
 
     monkeypatch.setattr(SIM, "_seek", spy_seek)
-    monkeypatch.setattr(SIM, "_chunk", spy)
+    monkeypatch.setattr(SIM, "_draw", spy)
     return seen
 
 
 class TestChunkDraws:
-    """A chunk seeks to its first word, draws its arrival words _PIECE at a
-    time up to the piece that holds its run's last needed arrival, seeks
-    past the unread rest, and draws only the success words its slots read.
-    Wherever that arrival falls, every slot reads the words a straight draw
-    of the whole stream puts there."""
+    """A draw seeks to its first word, draws its arrival words _PIECE at a
+    time up to the piece that holds its run's last needed arrival, seeks to
+    its success words unless the arrival words drawn end there, and draws
+    only the success words its slots read. Chunks and warm-up pieces draw
+    alike; wherever that arrival falls, every slot reads the words a
+    straight draw of the whole stream puts there."""
 
     @pytest.mark.parametrize("counter", [(0, 0, 0, 0), (2**64 - 3, 0, 0, 0)])
     @pytest.mark.parametrize("used", range(4))  # words already taken from the 4-word buffer
@@ -696,7 +716,7 @@ class TestChunkDraws:
         cfg = config(**{"runs": 2, "seed": 91, "track_occupancy": True, **kw})
         half = _chunk_slots(cfg.total_packets, cfg.queue.arrival_prob_q) // 2
         monkeypatch.setattr(SIM, "_PIECE", 64 if first is None else half)
-        seen = spy_on_chunks(monkeypatch, cfg.total_packets)
+        seen = spy_on_draws(monkeypatch, cfg)
         check_against_slot_loop(cfg)
         assert paths <= seen
 
@@ -718,9 +738,80 @@ class TestChunkDraws:
             assert slots < _chunk_slots(total, q)  # the first chunk holds the arrival
             piece = slots if piece == "through the arrival" else slots - 1
         monkeypatch.setattr(SIM, "_PIECE", piece)
-        seen = spy_on_chunks(monkeypatch, total)
+        seen = spy_on_draws(monkeypatch, cfg)
         check_against_slot_loop(cfg)
         assert seen == {(where, False)}
+
+    def test_warm_up_pieces_read_their_words(self, monkeypatch):
+        # 64-cell blocks cut each run's 1000-slot warm-up into 16 pieces, and
+        # 24-word pieces of raw words cut each of those into three draws
+        cfg = config(q=0.3, f=0.4, K=5, total=200, runs=3, seed=17, warmup_slots=1000,
+                     track_occupancy=True)
+        monkeypatch.setattr(SIM, "_BLOCK_CELLS", 64)
+        monkeypatch.setattr(SIM, "_PIECE", 24)
+        seen = spy_on_draws(monkeypatch, cfg)
+        check_against_slot_loop(cfg)
+        assert {("warm-up", False), ("warm-up", True), ("later piece", False)} <= seen
+
+
+# 40 runs from a full buffer of one, 14 of them stragglers that need 1, 2
+# and 4 later chunks, and over rounds 1 to 4 there are 14, 5, 1 and 1 of them.
+STRAGGLER_ROUNDS = dict(q=0.002, f=0.001, K=1, total=2, runs=40, seed=1,
+                        initial_queue_state=1, warmup_slots=30, track_occupancy=True)
+
+
+def stepped_chunks(monkeypatch):
+    """The number of chunks each _step call steps from now on."""
+    counts, step = [], SIM._step
+
+    def spy(chunks, *args):
+        counts.append(len(chunks))
+        return step(chunks, *args)
+
+    monkeypatch.setattr(SIM, "_step", spy)
+    return counts
+
+
+class TestStragglerRounds:
+    """A block steps every run's first chunk in round 0, then in each later
+    round the next chunk of every straggler at once, their states gathered
+    from the block's and scattered back: each run is still the run
+    simulated alone."""
+
+    def test_rounds_match_each_run_alone(self, monkeypatch):
+        cfg = config(**STRAGGLER_ROUNDS)
+        later, draw = collections.Counter(), SIM._draw
+
+        def spy(bitgen, cuts, key, word, *args):
+            if word > 2 * cfg.warmup_slots:  # a chunk after its run's first
+                later[key - cfg.seed] += 1
+            return draw(bitgen, cuts, key, word, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SIM, "_draw", spy)
+            rep = simulate(cfg)
+        assert sorted(later.values()) == [1] * 9 + [2] * 4 + [4]
+        alone = [replay(cfg, i) for i in range(cfg.num_runs)]
+        for i, run in enumerate(alone):
+            assert run.per_run_losses[0] == rep.per_run_losses[i]
+            assert np.array_equal(run.per_run_occupancy[0], rep.per_run_occupancy[i])
+            loss, occ, slots = reference_run(cfg, i)
+            assert (rep.per_run_losses[i], run.slots) == (loss, slots)
+            assert np.array_equal(rep.per_run_occupancy[i], occ)
+        assert rep.slots == sum(run.slots for run in alone)
+        assert len(set(rep.per_run_losses)) == 3  # runs lose 0, 1 or 2 packets
+
+    @pytest.mark.parametrize("kw, counts", [
+        # CI's straggler campaign: the warm-ups, the first chunks, then 5
+        # stragglers' second chunks and one straggler's third
+        (dict(q=0.01, f=0.002, K=1, total=3, runs=24, seed=606, warmup_slots=25),
+         [24, 24, 5, 1]),
+        (STRAGGLER_ROUNDS, [40, 40, 14, 5, 1, 1]),
+    ], ids=["ci-straggler", "rounds"])
+    def test_each_round_steps_its_stragglers_at_once(self, kw, counts, monkeypatch):
+        steps = stepped_chunks(monkeypatch)
+        simulate(config(**kw))
+        assert steps == counts
 
 
 class TestWorkerThreads:
@@ -822,7 +913,7 @@ SCRATCH_CAMPAIGNS = {
     # mc-short's shape: 250 cold runs of the CLI's default length, one block
     # on the calling thread, no occupancy
     "short": dict(q=0.5, f=0.5, K=10, total=1000, runs=250, seed=11),
-    # stragglers step later chunks of their own
+    # stragglers step their later chunks over rounds of their own
     "straggler": dict(q=0.01, f=0.002, K=1, total=3, runs=24, seed=606, warmup_slots=25,
                       track_occupancy=True),
     # warm-ups of three pieces, the first two of 2**20 slots
@@ -924,14 +1015,14 @@ class TestKeptScratch:
             with pytest.raises(RuntimeError, match="^block 1 failed$"):
                 simulate(config(q=0.5, f=0.45, total=10_000, runs=8, seed=3))
         with monkeypatch.context() as patch:
-            chunk, calls = SIM._chunk, itertools.count(1)
+            draw, calls = SIM._draw, itertools.count(1)
 
-            def failing_chunk(*args):
+            def failing_draw(*args):
                 if next(calls) == 100:
                     raise RuntimeError("chunk failed")
-                return chunk(*args)
+                return draw(*args)
 
-            patch.setattr(SIM, "_chunk", failing_chunk)
+            patch.setattr(SIM, "_draw", failing_draw)
             with pytest.raises(RuntimeError, match="^chunk failed$"):
                 simulate(config(**SCRATCH_CAMPAIGNS["short"]))
         for name in ("short", "long"):
