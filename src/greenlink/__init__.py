@@ -14,8 +14,9 @@ The pieces, bottom to top:
 - simulate: Monte Carlo queue simulation validating the closed forms.
 - cli / units: experiment runner and dBm boundary conversions.
 
-Each module's __all__ lists its public names, all exported here;
-greenlink.simulate and greenlink.efficiency are functions, not modules.
+Each module's __all__ lists its public names, all exported here.
+greenlink.simulate and greenlink.efficiency name functions, so a patch
+reaches either module through sys.modules, as sys.modules["greenlink.simulate"].
 """
 
 from . import efficiency as _efficiency, optimize as _optimize, queueing as _queueing

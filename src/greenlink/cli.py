@@ -72,7 +72,6 @@ class _Field(NamedTuple):
     power: bool
     commands: Tuple[str, ...]  # the subcommands that take the flag
     help: str
-    choices: Optional[Tuple[str, ...]] = None  # checked on the flag only
 
 
 _ALL = ("eval", "optimize", "sweep", "simulate", "gain")
@@ -94,21 +93,20 @@ _FIELDS = [
     _Field("q", "q", "queue", "q", float, 0.5, False, _ALL, "arrival probability per slot"),
     _Field("K", "K", "queue", "k", int, 10, False, _ALL, "buffer capacity in packets"),
     _Field("model", "model", "model", "type", str, "exp", False, _ALL,
-           "success-probability model", ("exp", "qfunc")),
+           "success-probability model: exp or qfunc"),
     _Field("R0", "R0", "model", "r0", float, 1000.0, False, _ALL,
            "bandwidth-normalizing rate, bit/s"),
     _Field("kappa", "kappa", "model", "kappa", float, None, False, _ALL, "qfunc model sharpness"),
     _Field("hh", "hh", "model", "hh", float, 1.0, False, _ALL, "qfunc model channel gain |h|^2"),
     _Field("axis", "sweep_axis", "sweep", "axis", str, "q", False, ("sweep", "gain"),
-           "sweep or gain axis: q (default), b_over_sigma2, or p (sweep only)",
-           ("q", "b_over_sigma2", "p")),
+           "sweep or gain axis: q (default), b_over_sigma2, or p (sweep only)"),
     _Field("values", "sweep_values", "sweep", "values", _parse_list, None, False,
            ("sweep", "gain"), "comma-separated axis values"),
     _Field("p_points", "p_points", "sweep", "p_points", int, 200, False, ("sweep",),
            "points in the power grid"),
     _Field("p_lo", "p_lo_w", "sweep", "p_lo", float, None, True, ("sweep",), "power grid start"),
     _Field("p_hi", "p_hi_w", "sweep", "p_hi", float, None, True, ("sweep",), "power grid end"),
-    _Field("seed", "seed", "sim", "seed", int, 12345, False, _ALL, "base RNG seed"),
+    _Field("seed", "seed", "sim", "seed", int, 12345, False, ("simulate",), "base RNG seed"),
     _Field("f", "sim_f", "sim", "f", float, None, False, ("simulate",),
            "success probability (overrides model)"),
     _Field("p", "p_w", "sim", "p", float, None, True, ("eval", "simulate"),
@@ -425,7 +423,7 @@ def _cmd_simulate(settings: Settings) -> int:
     if settings.sim_f is not None:
         f = settings.sim_f
     elif settings.p_w is not None:
-        f = _model(settings).success_probability(settings.p_w)
+        f = _success(_model(settings), settings.p_w)
     else:
         raise CliError("simulate needs --f, or a power (--p-dbm/--p-w) to derive it")
     config = SimConfig(
@@ -491,7 +489,7 @@ def _build_parser() -> _Parser:
                 p.add_argument(option + "-dbm", type=float, help=f"{row.help}, dBm")
                 p.add_argument(option + "-w", type=float, help=f"{row.help}, watts")
             else:
-                p.add_argument(option, type=row.parse, choices=row.choices, help=row.help)
+                p.add_argument(option, type=row.parse, help=row.help)
         p.set_defaults(handler=handler)
     return parser
 

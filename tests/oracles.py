@@ -9,11 +9,12 @@ the qfunc model's peak of f/p comes from an mpmath root at 50 digits,
 the exact slope comes from mpmath derivatives of the birth-death law at
 60 digits instead of its closed form, Pr(full), the loss fraction and
 both ends of the stationary law come from the geometric law at 60 digits
-with no load regimes, and the expected loss of a finite simulation run
-comes from an exact layered recursion instead of random sampling.  Grid
-scans do reuse the geometric formula for the full-buffer probability;
-that formula is itself pinned against the fixed point of this module's
-matrix, so the chain of evidence stays acyclic.
+with no load regimes, eta comes from that law and the 60-digit success
+models with no subtraction near 1, and the expected loss of a finite
+simulation run comes from an exact layered recursion instead of random
+sampling.  Grid scans do reuse the geometric formula for the full-buffer
+probability; that formula is itself pinned against the fixed point of
+this module's matrix, so the chain of evidence stays acyclic.
 """
 
 from __future__ import annotations
@@ -286,25 +287,33 @@ def mp_stationarity_residual(success, p: float, q: float, K: int, b: float,
         return float((b_mp * H + X * (F - 1)) / (b_mp * H + X * (F + 1)))
 
 
-def _mp_law_ends(q: float, f: float, K: int):
-    """(Pr(empty), Pr(full)) of the birth-death law as mpmath numbers.
+def _mp_law(q, f, fail, K: int):
+    """(Pr(empty), Pr(full), Pr(not full)) of the birth-death law as mpmath numbers.
 
     The chain on {0..K} steps up with probability q (1 - f) and down with
     (1 - q) f, so its stationary law is proportional to rho**s with
-    rho = q (1 - f) / ((1 - q) f), taken from the float inputs as given.
-    Pr(empty) = (1 - rho) / (1 - rho**(K+1)) and Pr(full) = rho**K Pr(empty);
-    rho = 1 gives the uniform 1/(K+1), and a zero down-step (f = 0 or
-    q = 1) puts all the mass on the full state.
+    rho = q (1 - f) / ((1 - q) f), taken from q, f and fail = 1 - f as given.
+    Pr(empty) = (1 - rho) / (1 - rho**(K+1)), Pr(full) = rho**K Pr(empty) and
+    Pr(not full) = (1 - rho**K) / (1 - rho**(K+1)), the last summed apart
+    rather than taken as 1 - Pr(full); rho = 1 gives the uniform 1/(K+1), and
+    a zero down-step (f = 0 or q = 1) puts all the mass on the full state.
     """
-    q_mp, f_mp = mpmath.mpf(q), mpmath.mpf(f)
-    down = (1 - q_mp) * f_mp
+    q_mp = mpmath.mpf(q)
+    down = (1 - q_mp) * f
     if down == 0:
-        return mpmath.mpf(0), mpmath.mpf(1)
-    rho = q_mp * (1 - f_mp) / down
+        return mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(0)
+    rho = q_mp * fail / down
     if rho == 1:
-        return mpmath.mpf(1) / (K + 1), mpmath.mpf(1) / (K + 1)
-    empty = (1 - rho) / (1 - rho ** (K + 1))
-    return empty, rho ** K * empty
+        return mpmath.mpf(1) / (K + 1), mpmath.mpf(1) / (K + 1), mpmath.mpf(K) / (K + 1)
+    total = 1 - rho ** (K + 1)
+    empty = (1 - rho) / total
+    return empty, rho ** K * empty, (1 - rho ** K) / total
+
+
+def _mp_law_ends(q: float, f: float, K: int):
+    """(Pr(empty), Pr(full)) of the birth-death law at float q and f, as mpmath numbers."""
+    f_mp = mpmath.mpf(f)
+    return _mp_law(q, f_mp, 1 - f_mp, K)[:2]
 
 
 def mp_stationary_ends(q: float, f: float, K: int) -> tuple[float, float]:
@@ -322,6 +331,25 @@ def mp_loss(q: float, f: float, K: int) -> float:
     """Loss fraction Phi = (1 - f) Pr(full), at 60 digits."""
     with mpmath.workdps(60):
         return float((1 - mpmath.mpf(f)) * _mp_law_ends(q, f, K)[1])
+
+
+def mp_eta(success, p: float, q: float, K: int, R: float, b: float, a: float) -> float:
+    """The paper's bits per joule at power p, at 60 digits.
+
+    success is p -> (f, 1 - f, f') in mpmath. A slot delivers
+    d = q (1 - Phi) packets, Phi = (1 - f) Pr(full) the loss fraction, and
+    transmits in d / f of its slots, so eta = R d / (b + a p d / f), taken
+    as R d f / (b f + a p d), which is 0 where nothing is delivered. No
+    quantity near 1 is subtracted: 1 - f comes from the model and
+    1 - Phi = Pr(not full) + f Pr(full), so eta keeps its digits where
+    1 - Phi lies far below the float 1 - Phi's rounding.
+    """
+    with mpmath.workdps(60):
+        f, fail, _ = success(mpmath.mpf(p))
+        _, full, not_full = _mp_law(q, f, fail, K)
+        delivered = mpmath.mpf(q) * (not_full + f * full)
+        bill = b * f + a * mpmath.mpf(p) * delivered
+        return float(R * delivered * f / bill) if bill else 0.0
 
 
 def is_unimodal_grid(values, rel_tol: float = 1e-9) -> bool:

@@ -207,8 +207,10 @@ class TestSweep:
         assert main(["sweep", "--axis", "q"]) == 1
         assert "values" in capsys.readouterr().err
 
-    def test_rejects_unknown_axis(self):
-        assert main(["sweep", "--axis", "nonsense"]) == 1
+    def test_rejects_unknown_axis(self, capsys):
+        assert main(["sweep", "--axis", "nonsense", "--values", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown sweep axis 'nonsense' (choose q, b_over_sigma2, or p)\n")
 
     @pytest.mark.parametrize("kappa", [None, 10.0])
     @pytest.mark.parametrize("axis, values", [
@@ -495,6 +497,25 @@ class TestSimulate:
         assert main(["simulate"]) == 1
         assert "simulate needs" in capsys.readouterr().err
 
+    def test_checks_the_optimum_on_the_same_link_flags(self, tmp_path, capsys):
+        # simulate takes optimize's link flags, so one $LINK runs both: its f
+        # at p** is the one efficiency() gives there
+        link = ["--model", "qfunc", "--kappa", "10", "--epsilon", "0.01", "--K", "1000",
+                "--b-over-sigma2", "100", "--pmax-w", "3"]
+        out = tmp_path / "o.csv"
+        assert main(["optimize", *link, "--out", str(out)]) == 0
+        p_cc = float(read_rows(out)[1][7])
+        capsys.readouterr()
+        assert main(["simulate", *link, "--p-w", repr(p_cc), "--num-runs", "40",
+                     "--total-packets", "300", "--seed", "5"]) == 0
+        sigma2 = dbm_to_watts(0.0)
+        system = SystemParams(rate_R=4000.0, fixed_power_b=100 * sigma2, noise_sigma2=sigma2,
+                              p_min=0.01, p_max=3.0, loss_bound_epsilon=0.01)
+        model = QKnownChannel(rate_R=4000.0, rate_R0=1000.0, spread_kappa=10.0,
+                              channel_gain_hh=1.0, noise_sigma2=sigma2)
+        f = efficiency(system, QueueParams(0.5, 1000), model, p_cc).f
+        assert capsys.readouterr().out.splitlines()[0] == f"f (success prob)  = {f:.6g}"
+
 
 class TestConfigFile:
     def test_config_applies_and_flags_override(self, tmp_path):
@@ -539,13 +560,15 @@ class TestConfigFile:
         assert main(["optimize", "--config", str(cfg)]) == 1
 
     def test_unknown_model(self, tmp_path, capsys):
-        # The flag's choices stop this on the command line; the INI key has none.
+        # _model names it, whether the INI key or the flag gave it
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[model]\ntype = foo\n")
         out = tmp_path / "opt.csv"
-        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: unknown model 'foo' (choose exp or qfunc)\n"
-        assert not out.exists()
+        for argv in (["optimize", "--config", str(cfg)],
+                     ["eval", "--model", "foo", "--p-w", "0.05"]):
+            assert main([*argv, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == "error: unknown model 'foo' (choose exp or qfunc)\n"
+            assert not out.exists()
 
 
 class TestUsageErrors:
@@ -554,6 +577,14 @@ class TestUsageErrors:
 
     def test_unknown_flag(self):
         assert main(["optimize", "--frequency", "2.4"]) == 1
+
+    @pytest.mark.parametrize("argv", [["eval", "--p-w", "0.05"], ["optimize"],
+                                      ["sweep", "--values", "0.5"], ["gain"]])
+    def test_seed_only_on_simulate(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--seed", "9", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --seed 9\n"
+        assert not out.exists()
 
     def test_qfunc_needs_kappa(self, capsys):
         assert main(["eval", "--model", "qfunc", "--p-w", "0.1"]) == 1
@@ -575,7 +606,7 @@ class TestUsageErrors:
          "fixed power draw cannot be negative"),
         (["eval", "--p-w", "nan"], "transmit power must be positive"),
         (["simulate", "--p-w", "nan", "--num-runs", "2", "--total-packets", "10"],
-         "transmit power must be nonnegative"),
+         "transmit power must be positive"),
     ])
     def test_nan_rejected_writes_no_csv(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.csv"
@@ -613,6 +644,11 @@ class TestUsageErrors:
          "transmit power must be finite, got inf"),
         (["eval", "--p-w", "0"], "transmit power must be positive"),
         (["eval", "--p-w", "-1"], "transmit power must be positive"),
+        # simulate derives f by eval's rule, so it refuses the powers eval does
+        (["simulate", "--p-w", "0"], "transmit power must be positive"),
+        (["simulate", "--p-dbm", "-inf"], "transmit power must be positive"),
+        (["simulate", "--model", "qfunc", "--kappa", "2", "--p-w", "0"],
+         "transmit power must be positive"),
     ])
     def test_power_rejected_by_name_writes_no_csv(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.csv"
@@ -809,6 +845,7 @@ class TestCsvOut:
         ["eval", "--p-w", "0.05"],
         ["optimize"],
         ["sweep", "--axis", "q", "--values", "0.5", "--p-points", "3"],
+        ["sweep", "--axis", "p"],
         ["gain", "--values", "0.5"],
         ["simulate", "--f", "0.5", "--total-packets", "10", "--num-runs", "2"],
     ])

@@ -7,18 +7,22 @@ probabilities from 1e-4 to 1, and both success models. Over that domain:
 
 - the QoS threshold p0 does not fall as q rises, nor rise as K rises;
 - eta does not fall as K rises at a fixed power;
+- Proposition 1: eta does not fall as q rises at a fixed power where
+  f(p) >= TINY_F;
 - on exp links, p* does not fall as q rises, and the buffer-aware saving
   gain_db against the full-load design is never negative.
 
 Each comparison allows 1e-9 relative slack: p0 is found to a bracket of
-1e-9 in ln(p), and p* to one of 1e-14. p* is not monotone in K, and the
-qfunc p*(q) and Proposition 1 (eta nondecreasing in q) fail at corners of
-this domain (ROADMAP items 3 and 4), so none of them is claimed here.
+1e-9 in ln(p), and p* to one of 1e-14. p* is not monotone in K, so no
+direction in K is claimed. Two claims fail at corners of this domain and
+are strict xfails: Proposition 1 where f(p) < TINY_F (ROADMAP item 4),
+and the qfunc p*(q) (item 3).
 """
 
 import math
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from greenlink import (
     ExpUnknownChannel,
@@ -35,6 +39,10 @@ from greenlink import (
 SIGMA2 = 1e-3
 RATE = 4000.0
 SLACK = 1e-9
+# At q = 1, 1 - Phi is the float 1 - (1 - f), off by up to 1.1e-16 absolute,
+# so eta is off by 1.1e-16 / f relative, past SLACK once f is below ~1e-7:
+# a random scan of 173k links found eta falling as q rose at f up to 7.1e-8.
+TINY_F = 1e-6
 
 
 def log_uniform(lo, hi):
@@ -64,6 +72,30 @@ def links(draw, models=st.sampled_from(["exp", "qfunc"])):
     return system, model
 
 
+def f_edge(model):
+    """ln(p / sigma2) in [-3, 8] where f(p), which rises with p, reaches TINY_F,
+    or an end of that range if f stays on one side of TINY_F over it."""
+    lo, hi = -3.0, 8.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if model.success_probability(math.exp(mid) * SIGMA2) < TINY_F:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@st.composite
+def link_powers(draw, tiny):
+    """(system, model, p): a link of the domain and a power from e^-3 to e^8
+    sigma2, log-uniform over the part where f(p) < TINY_F (tiny) or >= TINY_F."""
+    system, model = draw(links())
+    edge = f_edge(model)
+    p = math.exp(draw(st.floats(-3.0, edge) if tiny else st.floats(edge, 8.0))) * SIGMA2
+    assume((model.success_probability(p) < TINY_F) == tiny)
+    return system, model, p
+
+
 def rising(values):
     return st.lists(values, min_size=2, max_size=2).map(sorted)
 
@@ -91,6 +123,30 @@ def test_eta_does_not_fall_as_K_rises(link, q, Ks, p_ratio):
     assert not_below(low, high)
 
 
+def eta_at_each_q(link_power, qs, K):
+    system, model, p = link_power
+    return (efficiency(system, QueueParams(q, K), model, p).eta for q in qs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(link_power=link_powers(tiny=False), qs=rising(arrival_probs), K=buffer_sizes)
+def test_eta_does_not_fall_as_q_rises(link_power, qs, K):
+    assert not_below(*eta_at_each_q(link_power, qs, K))
+
+
+# Unmarked, the first case to fail is an exp link at R/R0 = 1, b = sigma2,
+# a = e^2, K = 1 and f = 2.28e-9: eta reads 6.6648363908e-3 bit/J at q = 0.395
+# and 6.6648363314e-3 at q = 0.787, 8.9e-9 lower, where the exact values,
+# 6.66483633584e-3 and 6.66483634549e-3, rise.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 4: at f < TINY_F the float 1 - f and 1 - Phi cancel, so "
+                          "eta can fall as q rises, down to 0 where the exact value is positive")
+@settings(max_examples=300, deadline=None, derandomize=True, phases=[Phase.generate])
+@given(link_power=link_powers(tiny=True), qs=rising(arrival_probs), K=buffer_sizes)
+def test_eta_does_not_fall_as_q_rises_at_tiny_f(link_power, qs, K):
+    assert not_below(*eta_at_each_q(link_power, qs, K))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(link=links(), q=arrival_probs, Ks=rising(buffer_sizes))
 def test_qos_threshold_does_not_rise_as_K_rises(link, q, Ks):
@@ -109,3 +165,28 @@ def test_exp_optimum_rises_with_q_and_saves_against_full_load(link, qs, K):
     p_here = maximize_constrained(system, QueueParams(qs[0], K), model).p_star_constrained
     if p_full is not None and p_here is not None:  # both meet the loss bound
         assert power_gain_db(p_full, p_here) >= 10.0 * math.log10(1.0 - SLACK)
+
+
+# kappa 2, R/R0 = 1, b = sigma2, a = 1, K = 1e5: at q = 0.02 eta's supremum is at
+# p -> 0 (R q / b = 8e4 bit/J), above the one interior peak, 74855 bit/J at
+# 1.74e-3 W, which is what p* reads; at q = 0.025 a second, better peak has
+# appeared, and p* reads it, 2.02e-5 W.
+_TWO_PEAKS = SystemParams(rate_R=RATE, fixed_power_b=SIGMA2, noise_sigma2=SIGMA2, p_min=0.01,
+                          p_max=10.0 ** 3.5 / 1000.0, amp_coeff_a=1.0, loss_bound_epsilon=1.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: p* is the qfunc eta's first interior peak, not its "
+                          "best, so where eta is higher at p -> 0 or at a second peak, p* can "
+                          "fall as q rises")
+@settings(max_examples=150, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.generate])
+@given(link=links(models=st.just("qfunc")), qs=rising(arrival_probs), K=buffer_sizes)
+@example(link=(_TWO_PEAKS, QKnownChannel(rate_R=RATE, rate_R0=RATE, spread_kappa=2.0,
+                                         channel_gain_hh=1.0, noise_sigma2=SIGMA2)),
+         qs=[0.02, 0.025], K=100_000)
+def test_qfunc_optimum_rises_with_q(link, qs, K):
+    system, model = link
+    low, high = (maximize_unconstrained(system, QueueParams(q, K), model).p_star for q in qs)
+    assume(not (math.isnan(low) or math.isnan(high)))  # p* is nan where eta has no interior peak
+    assert not_below(low, high)
